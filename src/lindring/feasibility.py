@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .pauli import PauliOperator, mul_strings
-from .generators import LindbladGenerator, basis_strings, diagonalize_structure
+from .pauli import PauliOperator
+from .generators import (
+    LindbladGenerator, _splice, _window_sites, all_strings, basis_strings, product_table)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -199,17 +200,6 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 # -- constraint rows -----------------------------------------------------------
 
 
-def _window_sites(s: int, r: int, n: int) -> tuple[int, ...]:
-    return tuple((s + i) % n for i in range(r))
-
-
-def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
-    chars = list(u)
-    for w, ch in zip(sites, piece):
-        chars[w] = ch
-    return "".join(chars)
-
-
 def _class_representative(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
@@ -225,51 +215,46 @@ def _action_columns(r: int, A: PauliOperator, offsets, reduce_rows: bool):
     rows, which a homogeneous system does not feel.
     """
     n = A.n
-    basis = basis_strings(r)
-    m = len(basis)
-    prod_groups: dict[str, list[tuple[int, int, complex]]] = {}
+    # table rows as lists, indexed like all_strings; basis string j is window string j + 1
+    phase, index = product_table(r)
+    ph, ix = phase.tolist(), index.tolist()
+    strings = all_strings(r)
+    pos = {t: i for i, t in enumerate(strings)}
+    m = len(strings) - 1
+    prod_groups: dict[int, list[tuple[int, int, complex]]] = {}
     for k in range(m):
         for j in range(m):
-            ph, w = mul_strings(basis[k], basis[j])
-            prod_groups.setdefault(w, []).append((j, k, ph))
+            prod_groups.setdefault(ix[k + 1][j + 1], []).append((j, k, ph[k + 1][j + 1]))
     gamma_cols = [[defaultdict(complex) for _ in range(m)] for _ in range(m)]
     ham_cols = [defaultdict(complex) for _ in range(m)]
     for s in offsets:
         sites = _window_sites(s, r, n)
         for u, coeff in A.terms.items():
-            u_win = "".join(u[w] for w in sites)
-            memo: dict[str, str] = {}
-
-            def row_key(piece: str) -> str:
-                got = memo.get(piece)
-                if got is None:
-                    full = _splice(u, sites, piece)
-                    got = _class_representative(full) if reduce_rows else full
-                    memo[piece] = got
-                return got
-
-            for j, Bj in enumerate(basis):
-                ph_l, w_l = mul_strings(Bj, u_win)
-                ph_r, w_r = mul_strings(u_win, Bj)
+            u_win = pos["".join(u[w] for w in sites)]
+            keys = [_splice(u, sites, piece) for piece in strings]
+            if reduce_rows:
+                keys = [_class_representative(full) for full in keys]
+            ph_u, ix_u = ph[u_win], ix[u_win]
+            for j in range(m):
+                ph_l, w_l = ph[j + 1][u_win], ix[j + 1][u_win]
+                ph_r, w_r = ph_u[j + 1], ix_u[j + 1]
                 # i [A, h] read term by term
-                ham_cols[j][row_key(w_r)] += 1j * ph_r * coeff
-                ham_cols[j][row_key(w_l)] -= 1j * ph_l * coeff
+                ham_cols[j][keys[w_r]] += 1j * ph_r * coeff
+                ham_cols[j][keys[w_l]] -= 1j * ph_l * coeff
                 row = gamma_cols[j]
                 two_ph = 2.0 * ph_l * coeff
-                for k, Bk in enumerate(basis):
-                    ph2, w2 = mul_strings(w_l, Bk)
-                    row[k][row_key(w2)] += two_ph * ph2
+                ph_w, ix_w = ph[w_l], ix[w_l]
+                for k in range(m):
+                    row[k][keys[ix_w[k + 1]]] += two_ph * ph_w[k + 1]
             for w, members in prod_groups.items():
-                ph_l, w_l = mul_strings(w, u_win)
-                ph_r, w_r = mul_strings(u_win, w)
-                key_l = row_key(w_l)
-                key_r = row_key(w_r)
-                cl = ph_l * coeff
-                cr = ph_r * coeff
-                for j, k, ph in members:
+                key_l = keys[ix[w][u_win]]
+                key_r = keys[ix_u[w]]
+                cl = ph[w][u_win] * coeff
+                cr = ph_u[w] * coeff
+                for j, k, p in members:
                     col = gamma_cols[j][k]
-                    col[key_l] -= ph * cl
-                    col[key_r] -= ph * cr
+                    col[key_l] -= p * cl
+                    col[key_r] -= p * cr
     return gamma_cols, ham_cols
 
 
@@ -402,12 +387,6 @@ def _project_cone(x: np.ndarray, m: int, tau: float) -> np.ndarray:
 
 def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> float:
     """Worst conservation residual of the candidate, straight off the ring."""
-    if gen.form == "structure":
-        try:
-            # same action, far fewer dissipator terms than the dense pairs
-            gen = diagonalize_structure(gen, tol=1e-13)
-        except ValueError:
-            pass  # gamma too indefinite to factor; measure it as is
     worst = 0.0
     for a in problem.targets:
         if problem.mode == "global":

@@ -15,13 +15,23 @@ A is conserved when the generator maps it to zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
 import numpy as np
 import scipy.linalg
 
-from .pauli import PauliOperator, parse_operator, format_operator, partial_trace
+from .pauli import (
+    _DECIMAL,
+    PauliOperator,
+    _coefficient,
+    _format_coeff,
+    format_operator,
+    mul_strings,
+    parse_operator,
+    partial_trace,
+)
 
 GAMMA_HERMITICITY_TOL = 1e-12
 GAMMA_PSD_TOL = 1e-10
@@ -39,8 +49,72 @@ def basis_strings(r: int) -> list[str]:
     return [s for s in all_strings(r) if s != "I" * r]
 
 
+@functools.cache
+def product_table(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Products of all r-site strings: P_a P_b = phase[a, b] P_c, c = index[a, b].
+
+    Indices follow all_strings(r).  Every entry comes from mul_strings, so
+    the phases are exactly those of the string algebra.  Built on first
+    use for each width; both arrays are read-only.
+    """
+    strings = all_strings(r)
+    pos = {s: i for i, s in enumerate(strings)}
+    products = [mul_strings(s, t) for s in strings for t in strings]
+    phase = np.array([ph for ph, _ in products]).reshape(len(strings), -1)
+    index = np.array([pos[u] for _, u in products]).reshape(phase.shape)
+    phase.flags.writeable = False
+    index.flags.writeable = False
+    return phase, index
+
+
+def _window_sites(offset: int, r: int, n: int) -> tuple[int, ...]:
+    return tuple((offset + i) % n for i in range(r))
+
+
+def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
+    chars = list(u)
+    for w, ch in zip(sites, piece):
+        chars[w] = ch
+    return "".join(chars)
+
+
+def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
+    """Entry (a, b): string-a amplitude of the structure-form image of string b.
+
+    Each term of i[u, h] + sum gamma_jk (2 P_j u P_k - P_k P_j u - u P_k P_j)
+    is a phase times one window string, read off the product table for
+    every u at once and summed into the matrix.
+    """
+    phase, index = product_table(gen.r)
+    d = phase.shape[0]
+    u = np.arange(d)
+    j, k = np.nonzero(gen.gamma)
+    g = gen.gamma[j, k][:, None]
+    j, k = j[:, None] + 1, k[:, None] + 1  # basis string j is window string j + 1
+    ju, kj = index[j, u], index[k, j]
+    terms = [
+        (index[ju, k], 2.0 * g * phase[j, u] * phase[ju, k]),
+        (index[kj, u], -g * phase[k, j] * phase[kj, u]),
+        (index[u, kj], -g * phase[k, j] * phase[u, kj]),
+    ]
+    for s, eta in gen.hamiltonian.terms.items():
+        h = all_strings(gen.r).index(s)  # u h and h u are the same string
+        terms.append((index[h, u], 1j * eta * (phase[u, h] - phase[h, u])))
+    M = np.zeros(d * d, dtype=complex)
+    for rows, vals in terms:
+        flat = (rows * d + u).ravel()
+        vals = np.broadcast_to(vals, rows.shape).ravel()
+        M += np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
+    return M.reshape(d, d)
+
+
 class LindbladGenerator:
-    """Window-local generator; exactly one of `lindblads` or `gamma` is set."""
+    """Window-local generator; exactly one of `lindblads` or `gamma` is set.
+
+    All action goes through one 4^r x 4^r window matrix, built from the
+    structure form on first use and kept: a ring string is split into its
+    window piece and the rest, and the piece is replaced by its image.
+    """
 
     def __init__(self, r, hamiltonian=None, lindblads=None, gamma=None):
         self.r = int(r)
@@ -70,66 +144,43 @@ class LindbladGenerator:
                 raise ValueError("gamma must be Hermitian")
             self.gamma = g
             self.lindblads = None
+        self._window = None
 
     # -- action -------------------------------------------------------------
 
+    def _window_action(self) -> tuple[np.ndarray, dict[str, list[tuple[str, complex]]]]:
+        """The window matrix and, per window string, the nonzero pieces of its image."""
+        if self._window is None:
+            M = _window_matrix(to_structure(self))
+            strings = all_strings(self.r)
+            images = {
+                s: [(strings[a], M[a, b].item()) for a in np.flatnonzero(M[:, b])]
+                for b, s in enumerate(strings)
+            }
+            self._window = (M, images)
+        return self._window
+
+    def _apply_on(self, rho: PauliOperator, sites: tuple[int, ...]) -> PauliOperator:
+        images = self._window_action()[1]
+        out: dict[str, complex] = {}
+        for u, c in rho.terms.items():
+            for piece, amp in images["".join(u[w] for w in sites)]:
+                key = _splice(u, sites, piece)
+                out[key] = out.get(key, 0j) + c * amp
+        return PauliOperator._unchecked(rho.n, out)
+
     def apply(self, rho: PauliOperator, offset: int = 0) -> PauliOperator:
         """Generator embedded at `offset` acting on a ring operator."""
-        n = rho.n
-        if n < self.r:
+        if rho.n < self.r:
             raise ValueError("ring shorter than generator window")
-        out = PauliOperator.zero(n)
-        if self.hamiltonian.num_terms:
-            h = self.hamiltonian.embed(n, offset)
-            out = out + 1j * (rho @ h - h @ rho)
-        if self.form == "diagonal":
-            for L in self.lindblads:
-                Le = L.embed(n, offset)
-                Ld = Le.dagger()
-                out = out + 2.0 * (Le @ rho @ Ld) - (Ld @ Le @ rho) - (rho @ Ld @ Le)
-        else:
-            basis = basis_strings(self.r)
-            embedded: dict[int, PauliOperator] = {}
-
-            def emb(i):
-                if i not in embedded:
-                    embedded[i] = PauliOperator.from_label(basis[i]).embed(n, offset)
-                return embedded[i]
-
-            rows, cols = np.nonzero(np.abs(self.gamma) > 0)
-            for j, k in zip(rows, cols):
-                g = self.gamma[j, k]
-                Pj, Pk = emb(int(j)), emb(int(k))
-                out = out + (2.0 * g) * (Pj @ rho @ Pk) - g * (Pk @ Pj @ rho) - g * (rho @ Pk @ Pj)
-        return out
+        return self._apply_on(rho, _window_sites(offset, self.r, rho.n))
 
     def apply_at_sites(self, rho: PauliOperator, sites: tuple[int, ...]) -> PauliOperator:
         """Generator action with window site i placed at ring site sites[i]."""
-        n = rho.n
-        out = PauliOperator.zero(n)
-        if self.hamiltonian.num_terms:
-            h = self.hamiltonian.embed_at_sites(n, sites)
-            out = out + 1j * (rho @ h - h @ rho)
-        if self.form == "diagonal":
-            for L in self.lindblads:
-                Le = L.embed_at_sites(n, sites)
-                Ld = Le.dagger()
-                out = out + 2.0 * (Le @ rho @ Ld) - (Ld @ Le @ rho) - (rho @ Ld @ Le)
-        else:
-            basis = basis_strings(self.r)
-            embedded: dict[int, PauliOperator] = {}
-
-            def emb(i):
-                if i not in embedded:
-                    embedded[i] = PauliOperator.from_label(basis[i]).embed_at_sites(n, sites)
-                return embedded[i]
-
-            rows, cols = np.nonzero(np.abs(self.gamma) > 0)
-            for j, k in zip(rows, cols):
-                g = self.gamma[j, k]
-                Pj, Pk = emb(int(j)), emb(int(k))
-                out = out + (2.0 * g) * (Pj @ rho @ Pk) - g * (Pk @ Pj @ rho) - g * (rho @ Pk @ Pj)
-        return out
+        sites = tuple(s % rho.n for s in sites)
+        if len(sites) != self.r or len(set(sites)) != self.r:
+            raise ValueError("need as many distinct target sites as window sites")
+        return self._apply_on(rho, sites)
 
     def unital_defect(self) -> PauliOperator:
         """Image of the window identity; zero exactly when the map is unital."""
@@ -148,18 +199,10 @@ def superop_matrix(gen: LindbladGenerator) -> np.ndarray:
     """
     if gen.r > 3:
         raise ValueError("superoperator matrix limited to r <= 3")
-    strings = all_strings(gen.r)
-    dim = len(strings)
-    M = np.zeros((dim, dim), dtype=complex)
-    for k, s in enumerate(strings):
-        img = gen.apply(PauliOperator.from_label(s))
-        for m, t in enumerate(strings):
-            c = img.terms.get(t)
-            if c is not None:
-                M[m, k] = c
+    M = gen._window_action()[0]
     if np.abs(M.imag).max() < 1e-12:
         return np.ascontiguousarray(M.real)
-    return M
+    return M.copy()
 
 
 def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperator]:
@@ -217,16 +260,11 @@ def to_structure(gen: LindbladGenerator) -> LindbladGenerator:
     if gen.form == "structure":
         return gen
     basis = basis_strings(gen.r)
-    index = {s: i for i, s in enumerate(basis)}
-    m = len(basis)
-    g = np.zeros((m, m), dtype=complex)
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
     h = gen.hamiltonian
     ident = "I" * gen.r
     for L in gen.lindblads:
-        c = np.zeros(m, dtype=complex)
-        for s, amp in L.terms.items():
-            if s != ident:
-                c[index[s]] = amp
+        c = np.array([L.terms.get(s, 0j) for s in basis])
         g += np.outer(c, c.conj())
         c0 = L.terms.get(ident, 0j)
         if abs(c0) > 0:
@@ -248,14 +286,10 @@ def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
         raise ValueError("reduction is defined for two-site generators")
     sgen = to_structure(gen)
     labels = "IXYZ"
-    pairs = [(a, b) for a in labels for b in labels if (a, b) != ("I", "I")]
-    basis = basis_strings(2)
-    assert basis == [a + b for a, b in pairs]
-    g16 = np.zeros((4, 4, 4, 4), dtype=complex)  # (j, mu, k, lam)
-    for (ji, (j, mu)) in enumerate(pairs):
-        for (ki, (k, lam)) in enumerate(pairs):
-            g16[labels.index(j), labels.index(mu), labels.index(k), labels.index(lam)] = \
-                sgen.gamma[ji, ki]
+    # pad with the identity (window string 0); each string index splits into two letters
+    g16 = np.zeros((16, 16), dtype=complex)
+    g16[1:, 1:] = sgen.gamma
+    g16 = g16.reshape(4, 4, 4, 4)  # (j, mu, k, lam)
     # contract the traced factor; tr(P_j P_j) = 2 fixes the weight
     g = 2.0 * np.einsum("amal->ml", g16)
     gamma_red = np.ascontiguousarray(g[1:, 1:])
@@ -274,8 +308,7 @@ def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
 
 _SECTION_RE = re.compile(r"^\[(hamiltonian|lindblad|gamma)\]$")
 _COMPLEX_TOKEN = re.compile(
-    r"^\(?\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*"
-    r"(?:([+-]\s*[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*i)?\s*\)?$"
+    rf"^\(?\s*([+-]?{_DECIMAL})\s*(?:([+-]\s*{_DECIMAL})\s*i)?\s*\)?$"
 )
 
 
@@ -283,9 +316,7 @@ def _parse_complex_token(tok: str) -> complex:
     m = _COMPLEX_TOKEN.match(tok.strip())
     if not m:
         raise ValueError(f"bad matrix entry {tok!r}")
-    re_part = float(m.group(1))
-    im_part = float(m.group(2).replace(" ", "")) if m.group(2) else 0.0
-    return complex(re_part, im_part)
+    return _coefficient(m.group(1), m.group(2))
 
 
 def parse_generator_file(text: str) -> LindbladGenerator:
@@ -295,7 +326,8 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     (lines are summed), and either [lindblad] with one jump operator
     per line or [gamma] with an optional `order = <strings>` line
     followed by the rows of the structure matrix (entries are decimals
-    or (a+bi) literals).
+    or (a+bi) literals).  Non-finite coefficients and a structure matrix
+    with an eigenvalue below -GAMMA_PSD_TOL are refused.
     """
     sections: dict[str, list[str]] = {}
     current = None
@@ -330,8 +362,6 @@ def parse_generator_file(text: str) -> LindbladGenerator:
         r = r if r is not None else ls[0].n
         if any(L.n != r for L in ls):
             raise ValueError("jump operators and hamiltonian disagree on window size")
-        if hamiltonian is None:
-            hamiltonian = PauliOperator.zero(r)
         return LindbladGenerator(r, hamiltonian=hamiltonian, lindblads=ls)
 
     lines = sections["gamma"]
@@ -361,21 +391,9 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     # reorder into the canonical lexicographic basis
     perm = [order.index(s) for s in basis_strings(r)]
     gamma = declared[np.ix_(perm, perm)]
-    if hamiltonian is None:
-        hamiltonian = PauliOperator.zero(r)
-    return LindbladGenerator(r, hamiltonian=hamiltonian, gamma=gamma)
-
-
-def _format_complex_entry(c: complex) -> str:
-    c = complex(c)
-    if abs(c.imag) <= 1e-14:
-        r = c.real
-        return repr(int(r)) if r == int(r) else repr(r)
-    re_s = repr(int(c.real)) if c.real == int(c.real) else repr(c.real)
-    sign = "+" if c.imag >= 0 else "-"
-    im = abs(c.imag)
-    im_s = repr(int(im)) if im == int(im) else repr(im)
-    return f"({re_s}{sign}{im_s}i)"
+    gen = LindbladGenerator(r, hamiltonian=hamiltonian, gamma=gamma)
+    validate_psd(gen)
+    return gen
 
 
 def format_generator_file(gen: LindbladGenerator) -> str:
@@ -392,5 +410,5 @@ def format_generator_file(gen: LindbladGenerator) -> str:
         out.append("[gamma]")
         out.append("order = " + " ".join(basis_strings(gen.r)))
         for row in gen.gamma:
-            out.append(" ".join(_format_complex_entry(c) for c in row))
+            out.append(" ".join(_format_coeff(c) for c in row))
     return "\n".join(out) + "\n"

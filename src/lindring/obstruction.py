@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import LindbladGenerator, basis_strings
+from .generators import (
+    LindbladGenerator, _splice, _window_sites, all_strings, basis_strings, product_table)
 from .pauli import PauliOperator, mul_strings
 from .rings import CanonicalParams, safe_ring_length
 
@@ -86,14 +87,6 @@ class UnitalityWitness:
 # -- projection equations ----------------------------------------------------
 
 
-def _embed_string(s: str, n: int, offset: int) -> str:
-    out = ["I"] * n
-    for i, ch in enumerate(s):
-        if ch != "I":
-            out[(offset + i) % n] = ch
-    return "".join(out)
-
-
 def _component_ring_terms(n: int) -> dict[str, dict[str, complex]]:
     """Ring sums of the six density components, as coefficient tables."""
     comps = {
@@ -106,7 +99,7 @@ def _component_ring_terms(n: int) -> dict[str, dict[str, complex]]:
         acc: dict[str, complex] = {}
         for s in range(n):
             for lab, c in terms.items():
-                key = _embed_string(lab, n, s)
+                key = _splice("I" * n, _window_sites(s, len(lab), n), lab)
                 acc[key] = acc.get(key, 0.0) + c
         out[name] = acc
     return out
@@ -139,7 +132,7 @@ def _pattern_forms(pattern: str, n: int, r: int):
     Qs = {c: np.zeros((m, m), dtype=complex) for c in names}
     ls = {c: np.zeros(m, dtype=complex) for c in names}
     offsets = _relevant_offsets(pattern, n, r)
-    emb = [[_embed_string(b, n, s) for s in offsets] for b in basis]
+    emb = [[_splice("I" * n, _window_sites(s, r, n), b) for s in offsets] for b in basis]
     for j in range(m):
         for si in range(len(offsets)):
             Pj = emb[j][si]
@@ -184,7 +177,7 @@ def _basis_forms(r_gen: int, pattern: str):
     key = (r_gen, pattern)
     if key not in _FORM_CACHE:
         n = safe_ring_length(r_gen, 2)
-        ring_pattern = _embed_string(pattern, n, 0)
+        ring_pattern = pattern.ljust(n, "I")
         _FORM_CACHE[key] = _pattern_forms(ring_pattern, n, r_gen)
     return _FORM_CACHE[key]
 
@@ -274,21 +267,18 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
         raise ValueError("generator width must be 2 or 3")
     if r_gen not in _UNITALITY_CACHE:
         basis = tuple(basis_strings(r_gen))
-        m = len(basis)
-        zero_d = np.zeros(m)
+        zero_d = np.zeros(len(basis))
+        pos = {s: i for i, s in enumerate(all_strings(r_gen))}
+        phase, index = product_table(r_gen)
+        # P_j P_k and P_k P_j are the same string, so one lookup serves both
+        ph, prod = phase[1:, 1:], index[1:, 1:]
         forms = {}
         for name, terms in _unitality_patterns(r_gen).items():
-            U = np.zeros((m, m), dtype=complex)
-            for j in range(m):
-                for k in range(m):
-                    ph, s = mul_strings(basis[j], basis[k])
-                    c = terms.get(s)
-                    if c is not None:
-                        U[j, k] += 2.0 * c * ph
-                    ph, s = mul_strings(basis[k], basis[j])
-                    c = terms.get(s)
-                    if c is not None:
-                        U[j, k] -= 2.0 * c * ph
+            coeff = np.zeros(len(pos))
+            for s, c in terms.items():
+                coeff[pos[s]] = c
+            w = coeff[prod]
+            U = np.where(w != 0, 2.0 * w * ph - 2.0 * w * ph.T, 0.0)
             forms[name] = QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
         _UNITALITY_CACHE[r_gen] = forms
     return _UNITALITY_CACHE[r_gen]

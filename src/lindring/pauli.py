@@ -10,6 +10,7 @@ primitive strings are orthonormal.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -303,6 +304,14 @@ _REAL_RE = re.compile(rf"^[+-]?{_DECIMAL}")
 _STRING_RE = re.compile(r"^[IXYZ]+")
 
 
+def _coefficient(re_part: str, im_part: str | None = None) -> complex:
+    """Value of a matched coefficient literal; one that overflows to inf is refused."""
+    c = complex(float(re_part), float(im_part.replace(" ", "")) if im_part else 0.0)
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficient {re_part}{im_part or ''} is not finite")
+    return c
+
+
 def parse_operator(text: str, n: int | None = None) -> PauliOperator:
     """Parse an operator expression.
 
@@ -336,16 +345,14 @@ def parse_operator(text: str, n: int | None = None) -> PauliOperator:
             m = _COMPLEX_RE.match(s[pos:])
             if not m:
                 raise ValueError(f"bad complex coefficient at column {pos} in {text!r}")
-            re_part = float(m.group(1))
-            im_part = float(m.group(2).replace(" ", "")) if m.group(2) else 0.0
-            coeff = complex(re_part, im_part)
+            coeff = _coefficient(m.group(1), m.group(2))
             pos += m.end()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
         else:
             m = _REAL_RE.match(s[pos:])
             if m:
-                coeff = complex(float(m.group(0)), 0.0)
+                coeff = _coefficient(m.group(0))
                 pos += m.end()
                 if pos < len(s) and s[pos] == "*":
                     pos += 1

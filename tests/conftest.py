@@ -30,20 +30,24 @@ def random_structure_generator(rng, r, rank=None, with_h=True):
     return LindbladGenerator(r, hamiltonian=h, gamma=random_psd(rng, m, rank))
 
 
-def dense_lindblad_apply(gen, rho, offset=0):
-    """Dense-matrix oracle for the generator action."""
+def dense_lindblad_apply(gen, rho, offset=0, sites=None):
+    """Dense-matrix oracle for the generator action, at `offset` or at `sites`."""
     n = rho.n
+
+    def embed(op):
+        return op.embed(n, offset) if sites is None else op.embed_at_sites(n, sites)
+
     out = np.zeros((2**n, 2**n), dtype=complex)
     d = rho.to_dense()
-    h = gen.hamiltonian.embed(n, offset).to_dense()
+    h = embed(gen.hamiltonian).to_dense()
     out += 1j * (d @ h - h @ d)
     if gen.form == "diagonal":
-        ls = [L.embed(n, offset).to_dense() for L in gen.lindblads]
+        ls = [embed(L).to_dense() for L in gen.lindblads]
         for L in ls:
             Ld = L.conj().T
             out += 2 * L @ d @ Ld - Ld @ L @ d - d @ Ld @ L
     else:
-        ps = [PauliOperator.from_label(s).embed(n, offset).to_dense() for s in basis_strings(gen.r)]
+        ps = [embed(PauliOperator.from_label(s)).to_dense() for s in basis_strings(gen.r)]
         m = len(ps)
         for j in range(m):
             for k in range(m):

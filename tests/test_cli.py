@@ -82,6 +82,32 @@ def test_scan_without_grid_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_non_psd_gamma_exit_2(tmp_path, capsys):
+    gen = tmp_path / "neg.gen"
+    gen.write_text("[gamma]\norder = X Y Z\n-1 0 0\n0 0 0\n0 0 0\n")
+    assert main(["kernel", "--gen", str(gen)]) == 2
+    assert "positive semidefinite" in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
+    density = tmp_path / "inf.op"
+    density.write_text("r=2\n1e400*ZZ + XX\n")
+    problem = tmp_path / "inf.prob"
+    problem.write_text("r=2\n(1+1e400i)*XY\n[problem]\nr_gen = 2\n")
+    assert main(["check", "--gen", heis_gen, "--density", str(density)]) == 2
+    assert main(["canon", "--density", str(density)]) == 2
+    assert main(["search", "--density", str(problem)]) == 2
+    for i, text in enumerate(("[hamiltonian]\n1e400*ZZ\n[lindblad]\nXX\n",
+                              "[lindblad]\n-1e999*XX\n",
+                              "[gamma]\norder = X Y Z\n1e400 0 0\n0 0 0\n0 0 0\n")):
+        gen = tmp_path / f"inf{i}.gen"
+        gen.write_text(text)
+        assert main(["kernel", "--gen", str(gen)]) == 2
+        assert main(["check", "--gen", str(gen), "--density", sx_density]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not finite") == 9 and "Traceback" not in err
+
+
 # -- check ---------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from conftest import (
     random_psd,
     random_structure_generator,
 )
-from lindring.pauli import PauliOperator, parse_operator, partial_trace
+from lindring.pauli import PauliOperator, mul_strings, parse_operator, partial_trace
 from lindring.generators import (
     LindbladGenerator,
     all_strings,
@@ -17,6 +17,7 @@ from lindring.generators import (
     format_generator_file,
     kernel,
     parse_generator_file,
+    product_table,
     reduced_generator,
     superop_matrix,
     to_structure,
@@ -69,6 +70,67 @@ def test_apply_against_dense_oracle():
         got = gen.apply(rho, offset=offset).to_dense()
         want = dense_lindblad_apply(gen, rho, offset=offset)
         assert np.abs(got - want).max() < 1e-10
+    # every window string under the generator, in both forms, on rings as
+    # short as the window and at offsets that wrap the ring
+    for r in (1, 2, 3):
+        for gen in oracle_generators(rng, r):
+            for n in (r, r + 2):
+                for i, piece in enumerate(all_strings(r)):
+                    offset = (n - 1 - i) % n
+                    word = ["IXYZ"[t] for t in rng.integers(0, 4, size=n)]
+                    for w, ch in enumerate(piece):
+                        word[(offset + w) % n] = ch
+                    rho = PauliOperator.from_label("".join(word), 0.5 - 1.5j)
+                    got = gen.apply(rho, offset=offset).to_dense()
+                    want = dense_lindblad_apply(gen, rho, offset=offset)
+                    assert np.abs(got - want).max() < 1e-10
+    # placements at non-contiguous, reordered and wrapped sites
+    for r, n, sites in ((1, 3, (-1,)), (2, 5, (4, 1)), (2, 4, (0, 2)), (2, 3, (2, 0)),
+                        (3, 5, (4, 1, 2)), (3, 5, (0, 2, 4)), (3, 4, (3, 0, 1)), (3, 3, (2, 0, 1))):
+        for gen in oracle_generators(rng, r):
+            rho = random_operator(rng, n, num_terms=8)
+            got = gen.apply_at_sites(rho, sites).to_dense()
+            want = dense_lindblad_apply(gen, rho, sites=tuple(s % n for s in sites))
+            assert np.abs(got - want).max() < 1e-10
+
+
+def oracle_generators(rng, r):
+    """A structure-form and a diagonal-form generator of width r.
+
+    gamma is PSD on a few random strings so the dense oracle stays cheap;
+    the jump operators carry identity parts, which act as Hamiltonian terms.
+    """
+    m = len(basis_strings(r))
+    support = rng.choice(m, size=min(m, 5), replace=False)
+    gamma = np.zeros((m, m), dtype=complex)
+    gamma[np.ix_(support, support)] = random_psd(rng, support.size)
+    ham = random_hermitian_window(rng, r)
+    jumps = [random_operator(rng, r, num_terms=3) + PauliOperator.identity(r) * (0.3 - 0.7j)
+             for _ in range(2)]
+    return (LindbladGenerator(r, hamiltonian=ham, gamma=gamma),
+            LindbladGenerator(r, hamiltonian=ham, lindblads=jumps))
+
+
+def test_superop_matrix_full_rank_against_dense_oracle():
+    rng = np.random.default_rng(31)
+    gen = random_structure_generator(rng, 3)
+    assert np.linalg.matrix_rank(gen.gamma) == 63
+    M = superop_matrix(gen)
+    strings = all_strings(3)
+    for k, s in enumerate(strings):
+        column = PauliOperator(3, {t: M[a, k] for a, t in enumerate(strings)})
+        want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
+        assert np.abs(column.to_dense() - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_product_table_matches_mul_strings(r):
+    phase, index = product_table(r)
+    strings = all_strings(r)
+    for a, s in enumerate(strings):
+        for b, t in enumerate(strings):
+            ph, u = mul_strings(s, t)
+            assert phase[a, b] == ph and strings[index[a, b]] == u
 
 
 def test_apply_wraps_ring_boundary():
@@ -251,6 +313,17 @@ def test_generator_file_errors():
         parse_generator_file("[hamiltonian]\nXX\n")
     with pytest.raises(ValueError):
         parse_generator_file("[gamma]\norder = X Y\n1 0\n0 1\n")
+    # a structure matrix with a negative eigenvalue is not a Lindbladian
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        parse_generator_file("[gamma]\norder = X Y Z\n-1 0 0\n0 0 0\n0 0 0\n")
+    # slightly indefinite within GAMMA_PSD_TOL still reads
+    parse_generator_file("[gamma]\norder = X Y Z\n-1e-12 0 0\n0 1 0\n0 0 0\n")
+    for text in ("[hamiltonian]\n1e400*XX\n[lindblad]\nXX\n",
+                 "[lindblad]\n(1-1e400i)*XX\n",
+                 "[gamma]\norder = X Y Z\n1e400 0 0\n0 0 0\n0 0 0\n",
+                 "[gamma]\norder = X Y Z\n1 (0+1e999i) 0\n(0-1e999i) 0 0\n0 0 0\n"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_generator_file(text)
 
 
 def test_nontrivial_gamma_psd_eigenvalues():

@@ -217,6 +217,10 @@ def test_parse_errors():
         parse_operator("1.0*XX + 1.0*XXX")
     with pytest.raises(ValueError):
         parse_operator("")
+    # literals that overflow a double are refused, not read as inf
+    for text in ("1e400*ZZ", "XX - 1e400*ZZ", "(1e400+0i)*ZZ", "(0-1e999i)*X"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_operator(text)
 
 
 def test_format_roundtrip():
