@@ -12,13 +12,12 @@ unknown subcommand.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
 
 from . import __version__
-from .pauli import PauliOperator, format_operator
+from .pauli import PauliOperator, content_lines, format_operator
 from .generators import (
     KERNEL_TOL,
     kernel,
@@ -36,7 +35,6 @@ from .rings import (
     parse_density_file,
 )
 from .obstruction import (
-    DEFINITE_TOL,
     ZERO_BAND,
     assemble_C_2site,
     assemble_C_3site,
@@ -171,13 +169,12 @@ def _cmd_obstruction(args) -> int:
     params = CanonicalParams.at(args.mu, args.nu, (args.hx, args.hy, args.hz))
     assemble = assemble_C_2site if args.r == 2 else assemble_C_3site
     mat = assemble(params)
-    tol = args.tol if args.tol is not None else DEFINITE_TOL
-    rep = certify_definiteness(mat.C, definite_tol=tol)
+    rep = certify_definiteness(mat.C)
     config = {
         "subcommand": "obstruction", "r": args.r,
         "mu": args.mu, "nu": args.nu,
         "hx": args.hx, "hy": args.hy, "hz": args.hz,
-        "zero_band": ZERO_BAND, "definite_tol": tol,
+        "zero_band": ZERO_BAND,
     }
     result = {
         "verdict": rep.verdict,
@@ -195,10 +192,7 @@ def _cmd_obstruction(args) -> int:
 
 def _parse_grid_file(text: str) -> list[tuple]:
     grid = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, _, line in content_lines(text):
         parts = line.replace(",", " ").split()
         if len(parts) != 5:
             raise ParseFailure(f"grid line {lineno}: need 5 values, got {len(parts)}")
@@ -211,11 +205,6 @@ def _parse_grid_file(text: str) -> list[tuple]:
     return grid
 
 
-def _scan_worker(task):
-    r_gen, point = task
-    return scan_point(r_gen, point)
-
-
 def _cmd_scan(args) -> int:
     if args.grid:
         grid = _parse_grid_file(_read(args.grid))
@@ -226,17 +215,12 @@ def _cmd_scan(args) -> int:
             raise ParseFailure(str(exc)) from exc
     else:
         raise ParseFailure("scan needs --family or --grid")
-    tasks = [(args.r, point) for point in grid]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_worker, tasks, chunksize=4))
-    else:
-        rows = [_scan_worker(t) for t in tasks]
+    rows = [scan_point(args.r, point) for point in grid]
     summary = summarize_rows(args.r, rows)
     config = {
         "subcommand": "scan", "r": args.r,
         "family": args.family, "grid": args.grid,
-        "zero_band": ZERO_BAND, "definite_tol": DEFINITE_TOL,
+        "zero_band": ZERO_BAND,
         "points": len(grid),
     }
     header = [
@@ -326,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hx", type=float, default=0.0)
     p.add_argument("--hy", type=float, default=0.0)
     p.add_argument("--hz", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=None, help="definiteness margin")
     p.add_argument("--emit-matrix", action="store_true", help="include the matrix entries")
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_obstruction)
@@ -335,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, choices=(2, 3), required=True)
     p.add_argument("--family", choices=("xyz", "ising-fields", "xxz", "xx-field"))
     p.add_argument("--grid", help="file with one 'mu nu hx hy hz' point per line")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid evaluation")
     p.add_argument("--out", default=None, help="write the CSV here")
     p.set_defaults(run=_cmd_scan)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .pauli import PauliOperator
+from .pauli import PauliOperator, content_lines
 from .generators import (
     LindbladGenerator, _splice, _window_sites, all_strings, basis_strings, product_table)
 from .rings import (
@@ -94,8 +94,9 @@ class FeasibilityProblem:
         if mode not in ("local", "global"):
             raise ValueError(f"unknown mode {mode!r}")
         gamma_trace = float(gamma_trace)
-        if not gamma_trace > 0.0:
-            raise ValueError("gamma_trace must be positive; gamma = 0 is the trivial solution")
+        if not 0.0 < gamma_trace < float("inf"):
+            raise ValueError("gamma_trace must be positive and finite; "
+                             "gamma = 0 is the trivial solution")
         if n is None:
             n = max(safe_ring_length(r_gen, a.n) for a in targets)
         n = int(n)
@@ -666,10 +667,7 @@ def parse_problem_file(text: str) -> FeasibilityProblem:
         raise ValueError("missing [problem] section")
     target = parse_density_file(head)
     opts: dict[str, str] = {}
-    for raw in tail.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, raw, line in content_lines(tail):
         if "=" not in line:
             raise ValueError(f"bad problem line: {raw!r}")
         key, val = (t.strip() for t in line.split("=", 1))

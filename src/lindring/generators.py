@@ -27,10 +27,12 @@ from .pauli import (
     PauliOperator,
     _coefficient,
     _format_coeff,
+    content_lines,
     format_operator,
     mul_strings,
     parse_operator,
     partial_trace,
+    sum_operators,
 )
 
 GAMMA_HERMITICITY_TOL = 1e-12
@@ -78,34 +80,48 @@ def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
     return "".join(chars)
 
 
+def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of the image of window string b under unit generator parts.
+
+    Returns (rows, vals, h_rows, h_vals).  rows[t, j, k] is the window
+    string and vals[t, j, k] the value of term t of the dissipator with
+    unit gamma_jk (basis strings j, k): 2 P_j b P_k, -P_k P_j b and
+    -b P_k P_j for t = 0, 1, 2.  h_rows[m] and h_vals[m] give i[b, P_m]
+    for every window string m.  Each term is one product-table lookup.
+    """
+    phase, index = product_table(r)
+    m = np.arange(phase.shape[0])
+    j = m[1:, None]  # basis string j is window string j + 1
+    k = j.T
+    jb, kj = index[j, b], index[k, j]
+    rows = np.stack(np.broadcast_arrays(index[jb, k], index[kj, b], index[b, kj]))
+    vals = np.stack([2.0 * phase[j, b] * phase[jb, k],
+                     -phase[k, j] * phase[kj, b],
+                     -phase[k, j] * phase[b, kj]])
+    # b P_m and P_m b are the same string
+    return rows, vals, index[b, m], 1j * (phase[b, m] - phase[m, b])
+
+
 def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
     """Entry (a, b): string-a amplitude of the structure-form image of string b.
 
-    Each term of i[u, h] + sum gamma_jk (2 P_j u P_k - P_k P_j u - u P_k P_j)
-    is a phase times one window string, read off the product table for
-    every u at once and summed into the matrix.
+    Column b contracts the window terms of b with the nonzero gamma_jk
+    and the Hamiltonian amplitudes.
     """
-    phase, index = product_table(gen.r)
-    d = phase.shape[0]
-    u = np.arange(d)
+    d = 4 ** gen.r
+    pos = {s: i for i, s in enumerate(all_strings(gen.r))}
     j, k = np.nonzero(gen.gamma)
-    g = gen.gamma[j, k][:, None]
-    j, k = j[:, None] + 1, k[:, None] + 1  # basis string j is window string j + 1
-    ju, kj = index[j, u], index[k, j]
-    terms = [
-        (index[ju, k], 2.0 * g * phase[j, u] * phase[ju, k]),
-        (index[kj, u], -g * phase[k, j] * phase[kj, u]),
-        (index[u, kj], -g * phase[k, j] * phase[u, kj]),
-    ]
-    for s, eta in gen.hamiltonian.terms.items():
-        h = all_strings(gen.r).index(s)  # u h and h u are the same string
-        terms.append((index[h, u], 1j * eta * (phase[u, h] - phase[h, u])))
-    M = np.zeros(d * d, dtype=complex)
-    for rows, vals in terms:
-        flat = (rows * d + u).ravel()
-        vals = np.broadcast_to(vals, rows.shape).ravel()
-        M += np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
-    return M.reshape(d, d)
+    g = gen.gamma[j, k]
+    h = np.array([pos[s] for s in gen.hamiltonian.terms], dtype=int)
+    eta = np.array(list(gen.hamiltonian.terms.values()), dtype=complex)
+    M = np.zeros((d, d), dtype=complex)
+    for b in range(d):
+        rows, vals, h_rows, h_vals = _window_column(gen.r, b)
+        terms = [(rows[t, j, k], g * vals[t, j, k]) for t in range(3)]
+        terms.append((h_rows[h], eta * h_vals[h]))
+        for a, v in terms:
+            M[:, b] += np.bincount(a, v.real, d) + 1j * np.bincount(a, v.imag, d)
+    return M
 
 
 class LindbladGenerator:
@@ -331,10 +347,7 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     """
     sections: dict[str, list[str]] = {}
     current = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, raw, line in content_lines(text):
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1)
@@ -349,11 +362,8 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     r = None
     hamiltonian = None
     if sections.get("hamiltonian"):
-        ops = [parse_operator(line) for line in sections["hamiltonian"]]
-        r = ops[0].n
-        hamiltonian = ops[0]
-        for op in ops[1:]:
-            hamiltonian = hamiltonian + op
+        hamiltonian = sum_operators(parse_operator(line) for line in sections["hamiltonian"])
+        r = hamiltonian.n
 
     if "lindblad" in sections:
         if not sections["lindblad"]:

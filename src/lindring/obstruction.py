@@ -26,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import (
-    LindbladGenerator, _splice, _window_sites, all_strings, basis_strings, product_table)
-from .pauli import PauliOperator, mul_strings
+    LindbladGenerator, _splice, _window_column, _window_sites, all_strings, basis_strings,
+    product_table)
+from .pauli import PauliOperator
 from .rings import CanonicalParams, safe_ring_length
 
 D_CANCEL_TOL = 1e-9
 GAUGE_TOL = 1e-9
 ZERO_BAND = 1e-9
-DEFINITE_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 B2_TOL = 1e-10
 
@@ -105,69 +105,33 @@ def _component_ring_terms(n: int) -> dict[str, dict[str, complex]]:
     return out
 
 
-def _relevant_offsets(pattern: str, n: int, r: int) -> list[int]:
-    # Windows two or more sites away from the pattern contribute nothing:
-    # the product string then has separated support and cannot match any
-    # density string (contiguous, at most two sites wide).
-    support = {i for i, ch in enumerate(pattern) if ch != "I"}
-    reach = set()
-    for site in support:
-        reach.add((site - 1) % n)
-        reach.add((site + 1) % n)
-    reach |= support
-    keep = []
-    for s in range(n):
-        window = {(s + i) % n for i in range(r)}
-        if window & reach:
-            keep.append(s)
-    return keep
-
-
 def _pattern_forms(pattern: str, n: int, r: int):
-    """Q and l tables of one pattern projection against all six components."""
-    basis = basis_strings(r)
-    m = len(basis)
+    """Q and l tables of one pattern projection against all six components.
+
+    A window at offset s maps a ring string u to L_W(u_W) (x) u_rest, so
+    u reaches the pattern only when its letters off the window match, and
+    then through the terms of the window column of u_W that land on the
+    pattern's window piece.
+    """
+    m = 4 ** r - 1
+    pos = {s: i for i, s in enumerate(all_strings(r))}
     comps = _component_ring_terms(n)
-    names = list(comps)
-    Qs = {c: np.zeros((m, m), dtype=complex) for c in names}
-    ls = {c: np.zeros(m, dtype=complex) for c in names}
-    offsets = _relevant_offsets(pattern, n, r)
-    emb = [[_splice("I" * n, _window_sites(s, r, n), b) for s in offsets] for b in basis]
-    for j in range(m):
-        for si in range(len(offsets)):
-            Pj = emb[j][si]
-            ph_jp, u_jp = mul_strings(Pj, pattern)
-            ph_pj, u_pj = mul_strings(pattern, Pj)
-            # Hamiltonian part: i<p| [A, Q_m] > picked up per window
-            for c in names:
-                coeff = comps[c].get(u_pj)
-                if coeff is not None:
-                    ls[c][j] += 1j * np.conj(ph_pj) * coeff
-                coeff = comps[c].get(u_jp)
-                if coeff is not None:
-                    ls[c][j] -= 1j * np.conj(ph_jp) * coeff
-            for k in range(m):
-                Pk = emb[k][si]
-                ph1, u1 = mul_strings(u_jp, Pk)
-                ph_kj, u_kj = mul_strings(Pk, Pj)
-                ph2, u2 = mul_strings(pattern, u_kj)
-                ph3, u3 = mul_strings(u_kj, pattern)
-                # dissipator: 2 P_j A P_k - P_k P_j A - A P_k P_j, read at p;
-                # the sandwich picks up a conjugate through tr(p P_j P_u P_k) =
-                # phase(P_j p P_k)^* [A]_u, the other two keep their phases
-                for c in names:
-                    terms = comps[c]
-                    coeff = terms.get(u1)
-                    if coeff is not None:
-                        Qs[c][j, k] += 2.0 * np.conj(ph_jp * ph1) * coeff
-                    coeff = terms.get(u2)
-                    if coeff is not None:
-                        Qs[c][j, k] -= ph_kj * ph2 * coeff
-                    coeff = terms.get(u3)
-                    if coeff is not None:
-                        Qs[c][j, k] -= ph_kj * ph3 * coeff
+    Qs = {c: np.zeros((m, m), dtype=complex) for c in comps}
+    ls = {c: np.zeros(m, dtype=complex) for c in comps}
+    blank = "I" * r
+    for s in range(n):
+        sites = _window_sites(s, r, n)
+        rest = _splice(pattern, sites, blank)
+        row = pos["".join(pattern[w] for w in sites)]
+        for c, terms in comps.items():
+            for u, coeff in terms.items():
+                if _splice(u, sites, blank) != rest:
+                    continue
+                rows, vals, h_rows, h_vals = _window_column(r, pos["".join(u[w] for w in sites)])
+                Qs[c] += coeff * np.where(rows == row, vals, 0).sum(axis=0)
+                ls[c] += coeff * np.where(h_rows == row, h_vals, 0)[1:]
     # adjoint bookkeeping: the form acts on c from both sides
-    return {c: Qs[c].T for c in names}, ls
+    return {c: Qs[c].T for c in comps}, ls
 
 
 _FORM_CACHE: dict[tuple[int, str], tuple] = {}
@@ -425,8 +389,7 @@ def _sylvester_minors(C: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.det(C[:k, :k]) for k in range(1, C.shape[0] + 1)])
 
 
-def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
-                         definite_tol: float = DEFINITE_TOL) -> DefinitenessReport:
+def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND) -> DefinitenessReport:
     """Eigenvalue verdict with a Sylvester minor cross-check for small matrices.
 
     Zero means |lambda| < zero_band * (1 + max |lambda|).  The verdict is
@@ -558,16 +521,14 @@ def family_grid(family: str, mu_axis=None, h_axis=None) -> list[tuple]:
     raise ValueError(f"unknown family: {family!r}")
 
 
-def scan_point(r_gen: int, point, zero_band: float = ZERO_BAND,
-               definite_tol: float = DEFINITE_TOL) -> ScanRow:
+def scan_point(r_gen: int, point, zero_band: float = ZERO_BAND) -> ScanRow:
     """Definiteness verdict at a single grid point."""
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
     mu, nu, hx, hy, hz = point
     assemble = assemble_C_2site if r_gen == 2 else assemble_C_3site
     mat = assemble(CanonicalParams.at(mu, nu, (hx, hy, hz)))
-    rep = certify_definiteness(mat.C, zero_band=zero_band,
-                               definite_tol=definite_tol)
+    rep = certify_definiteness(mat.C, zero_band=zero_band)
     return ScanRow(mu=float(mu), nu=float(nu), hx=float(hx),
                    hy=float(hy), hz=float(hz),
                    max_eig=rep.max_eigenvalue, nullity=rep.nullity,
@@ -594,8 +555,7 @@ def summarize_rows(r_gen: int, rows) -> dict:
     }
 
 
-def scan(r_gen: int, grid, zero_band: float = ZERO_BAND,
-         definite_tol: float = DEFINITE_TOL) -> tuple[list[ScanRow], dict]:
+def scan(r_gen: int, grid, zero_band: float = ZERO_BAND) -> tuple[list[ScanRow], dict]:
     """Definiteness verdicts over a parameter grid, in grid order.
 
     The summary records every semidefinite point and whether all of them
@@ -604,8 +564,7 @@ def scan(r_gen: int, grid, zero_band: float = ZERO_BAND,
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
-    rows = [scan_point(r_gen, point, zero_band=zero_band,
-                       definite_tol=definite_tol) for point in grid]
+    rows = [scan_point(r_gen, point, zero_band=zero_band) for point in grid]
     return rows, summarize_rows(r_gen, rows)
 
 

@@ -11,6 +11,7 @@ primitive strings are orthonormal.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
 from dataclasses import dataclass
 
@@ -366,7 +367,30 @@ def parse_operator(text: str, n: int | None = None) -> PauliOperator:
         if n is None:
             n = len(label)
         terms[label] = terms.get(label, 0j) + sign * coeff
-    return PauliOperator(n, terms)
+    return PauliOperator(n, _finite(terms))
+
+
+def _finite(terms: dict[str, complex]) -> dict[str, complex]:
+    """The amplitudes, refused when a sum of finite literals overflowed."""
+    for s, c in terms.items():
+        if not cmath.isfinite(c):
+            raise ValueError(f"amplitude of {s} is not finite")
+    return terms
+
+
+def sum_operators(ops) -> PauliOperator:
+    """Sum of a nonempty sequence of operators; a sum that overflows is refused."""
+    total = functools.reduce(PauliOperator.__add__, ops)
+    _finite(total.terms)
+    return total
+
+
+def content_lines(text: str):
+    """(line number, raw line, line without its '#' comment) of every nonblank line."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
 
 
 def _format_coeff(c: complex) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import LindbladGenerator
-from .pauli import PauliOperator, parse_operator, format_operator
+from .pauli import PauliOperator, content_lines, format_operator, parse_operator, sum_operators
 
 ZERO_TOL = 1e-12
 INDETERMINATE_TOL = 1e-8
@@ -434,27 +434,18 @@ def classify_ising(a: PauliOperator, tol: float = CANONICAL_TOL) -> tuple[bool, 
 
 def parse_density_file(text: str) -> PauliOperator:
     """Read a density: a header line r=<int>, then operator lines (summed)."""
-    r = None
-    op = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if r is None:
-            m = line.replace(" ", "")
-            if not m.startswith("r="):
-                raise ValueError("density file must start with a r=<int> header")
-            r = int(m[2:])
-            if r < 1:
-                raise ValueError("window width must be positive")
-            continue
-        piece = parse_operator(line, n=r)
-        op = piece if op is None else op + piece
-    if r is None:
+    lines = [line for _, _, line in content_lines(text)]
+    if not lines:
         raise ValueError("empty density file")
-    if op is None:
+    m = lines[0].replace(" ", "")
+    if not m.startswith("r="):
+        raise ValueError("density file must start with a r=<int> header")
+    r = int(m[2:])
+    if r < 1:
+        raise ValueError("window width must be positive")
+    if len(lines) == 1:
         raise ValueError("density file declares no operator")
-    return op
+    return sum_operators(parse_operator(line, n=r) for line in lines[1:])
 
 
 def format_density_file(a: PauliOperator) -> str:

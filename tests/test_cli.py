@@ -92,12 +92,16 @@ def test_non_psd_gamma_exit_2(tmp_path, capsys):
 def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
     density = tmp_path / "inf.op"
     density.write_text("r=2\n1e400*ZZ + XX\n")
+    overflow = tmp_path / "overflow.op"
+    overflow.write_text("r=2\n1e308*XX + 1e308*XX\n")
     problem = tmp_path / "inf.prob"
     problem.write_text("r=2\n(1+1e400i)*XY\n[problem]\nr_gen = 2\n")
     assert main(["check", "--gen", heis_gen, "--density", str(density)]) == 2
     assert main(["canon", "--density", str(density)]) == 2
+    assert main(["canon", "--density", str(overflow)]) == 2
     assert main(["search", "--density", str(problem)]) == 2
     for i, text in enumerate(("[hamiltonian]\n1e400*ZZ\n[lindblad]\nXX\n",
+                              "[hamiltonian]\n1e308*ZZ\n1e308*ZZ\n[lindblad]\nXX\n",
                               "[lindblad]\n-1e999*XX\n",
                               "[gamma]\norder = X Y Z\n1e400 0 0\n0 0 0\n0 0 0\n")):
         gen = tmp_path / f"inf{i}.gen"
@@ -105,7 +109,7 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
         assert main(["kernel", "--gen", str(gen)]) == 2
         assert main(["check", "--gen", str(gen), "--density", sx_density]) == 2
     err = capsys.readouterr().err
-    assert err.count("not finite") == 9 and "Traceback" not in err
+    assert err.count("not finite") == 12 and "Traceback" not in err
 
 
 # -- check ---------------------------------------------------------------------
@@ -232,16 +236,6 @@ def test_scan_bad_grid_line_exit_2(tmp_path, capsys):
     grid.write_text("1 2 3\n")
     assert main(["scan", "--r", "2", "--grid", str(grid)]) == 2
     capsys.readouterr()
-
-
-def test_scan_jobs_matches_sequential(tmp_path):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert main(["scan", "--r", "2", "--family", "xx-field",
-                 "--out", str(seq)]) == 0
-    assert main(["scan", "--r", "2", "--family", "xx-field",
-                 "--jobs", "3", "--out", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
 
 
 # -- search --------------------------------------------------------------------

@@ -92,6 +92,9 @@ def test_problem_rejects_bad_inputs():
         FeasibilityProblem(a, r_gen=2, gamma_trace=0.0)
     with pytest.raises(ValueError):
         FeasibilityProblem(a, r_gen=2, gamma_trace=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            FeasibilityProblem(a, r_gen=2, gamma_trace=bad)
     with pytest.raises(ValueError):
         FeasibilityProblem(PauliOperator(2, {"XY": 1j}), r_gen=2)
     with pytest.raises(ValueError):
@@ -282,3 +285,6 @@ def test_parse_problem_file_errors():
         parse_problem_file("r = 2\nXX\n[problem]\nr_gen = 2\ncolor = red\n")
     with pytest.raises(ValueError):
         parse_problem_file("r = 2\nXX\n[problem]\nbroken line\n")
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match="gamma_trace"):
+            parse_problem_file(f"r = 2\nXX\n[problem]\nr_gen = 2\ngamma_trace = {bad}\n")

@@ -66,8 +66,10 @@ def test_equations_match_generator_action():
             image = PauliOperator.zero(n)
             for s in range(n):
                 image = image + gen.apply(ring, s)
-            forms = conservation_forms(r_gen, params)
-            for name, pat in (("xx", "XX"), ("zz", "ZZ"), ("y", "Y")):
+            patterns = {"xx": "XX", "yy": "YY", "zz": "ZZ", "x": "X", "y": "Y",
+                        "z": "Z", "zy": "ZY", "xIx": "XIX"}
+            forms = conservation_forms(r_gen, params, patterns=tuple(patterns))
+            for name, pat in patterns.items():
                 want = complex(PauliOperator.from_label(pat).embed(n).hs_inner(image))
                 got = forms[name].value(c, d)
                 assert abs(want.imag) < 1e-9

@@ -217,8 +217,9 @@ def test_parse_errors():
         parse_operator("1.0*XX + 1.0*XXX")
     with pytest.raises(ValueError):
         parse_operator("")
-    # literals that overflow a double are refused, not read as inf
-    for text in ("1e400*ZZ", "XX - 1e400*ZZ", "(1e400+0i)*ZZ", "(0-1e999i)*X"):
+    # literals or sums that overflow a double are refused, not read as inf
+    for text in ("1e400*ZZ", "XX - 1e400*ZZ", "(1e400+0i)*ZZ", "(0-1e999i)*X",
+                 "1e308*XX + 1e308*XX"):
         with pytest.raises(ValueError, match="not finite"):
             parse_operator(text)
 

@@ -359,3 +359,5 @@ def test_density_file_errors():
         parse_density_file("r=2\n")
     with pytest.raises(ValueError):
         parse_density_file("")
+    with pytest.raises(ValueError, match="not finite"):
+        parse_density_file("r=2\n1e308*XX\n1e308*XX\n")
