@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -51,6 +52,7 @@ from .feasibility import (
     FeasibilityProblem,
     parse_problem_file,
     search,
+    _split_problem_file,
 )
 
 EXIT_OK = 0
@@ -190,6 +192,17 @@ def _cmd_obstruction(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """A point parameter: a float literal with a finite value."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_grid_file(text: str) -> list[tuple]:
     grid = []
     for lineno, _, line in content_lines(text):
@@ -197,8 +210,8 @@ def _parse_grid_file(text: str) -> list[tuple]:
         if len(parts) != 5:
             raise ParseFailure(f"grid line {lineno}: need 5 values, got {len(parts)}")
         try:
-            grid.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
+            grid.append(tuple(_finite_float(p) for p in parts))
+        except argparse.ArgumentTypeError as exc:
             raise ParseFailure(f"grid line {lineno}: {exc}") from exc
     if not grid:
         raise ParseFailure("grid file has no points")
@@ -237,7 +250,7 @@ def _cmd_scan(args) -> int:
 def _cmd_search(args) -> int:
     text = _read(args.density)
     try:
-        if "[problem]" in text:
+        if _split_problem_file(text) is not None:
             prob = parse_problem_file(text)
         else:
             if args.r is None:
@@ -305,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruction", help="build and certify the obstruction matrix")
     p.add_argument("--r", type=int, choices=(2, 3), required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--hx", type=float, default=0.0)
-    p.add_argument("--hy", type=float, default=0.0)
-    p.add_argument("--hz", type=float, default=0.0)
+    p.add_argument("--mu", type=_finite_float, default=0.0)
+    p.add_argument("--nu", type=_finite_float, default=0.0)
+    p.add_argument("--hx", type=_finite_float, default=0.0)
+    p.add_argument("--hy", type=_finite_float, default=0.0)
+    p.add_argument("--hz", type=_finite_float, default=0.0)
     p.add_argument("--emit-matrix", action="store_true", help="include the matrix entries")
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_obstruction)

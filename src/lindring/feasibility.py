@@ -22,7 +22,6 @@ for two-site targets.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
 from .generators import (
-    LindbladGenerator, _splice, _window_sites, all_strings, basis_strings, product_table)
+    LindbladGenerator, _splice, _window_column, _window_sites, all_strings, basis_strings)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -62,6 +61,9 @@ SNAPSHOT_PERIOD = 250
 SNAPSHOT_MIN_DROP = 0.08
 # the exact face completion only pays off when the sets nearly touch
 COMPLETION_DISTANCE = 1e-2
+# constraint rows packed per pass; packing all r=3 rows in one pass raised
+# the peak memory of the build by about 90 MB
+_PACK_ROWS = 64
 
 
 class FeasibilityProblem:
@@ -111,13 +113,6 @@ class FeasibilityProblem:
     @property
     def target(self) -> PauliOperator:
         return self.targets[0]
-
-    def key(self) -> tuple:
-        sig = tuple(
-            (a.n, tuple(sorted((s, round(c.real, 12), round(c.imag, 12))
-                               for s, c in a.terms.items())))
-            for a in self.targets)
-        return (self.r_gen, self.n, self.mode, round(self.gamma_trace, 12), sig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,62 +200,87 @@ def _class_representative(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
-def _action_columns(r: int, A: PauliOperator, offsets, reduce_rows: bool):
-    """Per-parameter images of A under the generator placed at `offsets`.
+def _image_terms(r: int, A: PauliOperator, offsets, reduce_rows: bool):
+    """Images of A under unit generator parts placed at `offsets`, per row key.
 
-    gamma_cols[j][k] maps row keys to the coefficient multiplying
-    gamma_jk in the image; ham_cols[j] does the same for the j-th
-    Hamiltonian coefficient.  With reduce_rows the keys are translation
-    class representatives and contributions of a whole class pile onto
-    one key; for a translationally invariant image that only rescales
-    rows, which a homogeneous system does not feel.
+    Every (offset, ring string) pair reaches ring strings through the
+    window terms of its window piece.  Returns the row keys and complex
+    arrays G, H with G[row, j, k] the image coefficient of unit gamma_jk
+    and H[row, j] that of unit Hamiltonian string j.  With reduce_rows
+    the keys are translation class representatives and a whole class
+    piles onto one row; for a translationally invariant image that only
+    rescales rows, which a homogeneous system does not feel.  Rows are
+    numbered by first touch over (column, pair, term), with the columns
+    of j ordered (j, 0), ..., (j, m-1), then Hamiltonian j; each entry
+    sums its terms in (pair, term) order.
     """
     n = A.n
-    # table rows as lists, indexed like all_strings; basis string j is window string j + 1
-    phase, index = product_table(r)
-    ph, ix = phase.tolist(), index.tolist()
     strings = all_strings(r)
     pos = {t: i for i, t in enumerate(strings)}
     m = len(strings) - 1
-    prod_groups: dict[int, list[tuple[int, int, complex]]] = {}
-    for k in range(m):
-        for j in range(m):
-            prod_groups.setdefault(ix[k + 1][j + 1], []).append((j, k, ph[k + 1][j + 1]))
-    gamma_cols = [[defaultdict(complex) for _ in range(m)] for _ in range(m)]
-    ham_cols = [defaultdict(complex) for _ in range(m)]
+    ids: dict[str, int] = {}
+    columns: dict[int, tuple] = {}
+    terms, g_keys, h_keys = [], [], []
     for s in offsets:
         sites = _window_sites(s, r, n)
         for u, coeff in A.terms.items():
-            u_win = pos["".join(u[w] for w in sites)]
             keys = [_splice(u, sites, piece) for piece in strings]
             if reduce_rows:
-                keys = [_class_representative(full) for full in keys]
-            ph_u, ix_u = ph[u_win], ix[u_win]
-            for j in range(m):
-                ph_l, w_l = ph[j + 1][u_win], ix[j + 1][u_win]
-                ph_r, w_r = ph_u[j + 1], ix_u[j + 1]
-                # i [A, h] read term by term
-                ham_cols[j][keys[w_r]] += 1j * ph_r * coeff
-                ham_cols[j][keys[w_l]] -= 1j * ph_l * coeff
-                row = gamma_cols[j]
-                two_ph = 2.0 * ph_l * coeff
-                ph_w, ix_w = ph[w_l], ix[w_l]
-                for k in range(m):
-                    row[k][keys[ix_w[k + 1]]] += two_ph * ph_w[k + 1]
-            for w, members in prod_groups.items():
-                key_l = keys[ix[w][u_win]]
-                key_r = keys[ix_u[w]]
-                cl = ph[w][u_win] * coeff
-                cr = ph_u[w] * coeff
-                for j, k, p in members:
-                    col = gamma_cols[j][k]
-                    col[key_l] -= p * cl
-                    col[key_r] -= p * cr
-    return gamma_cols, ham_cols
+                keys = [_class_representative(key) for key in keys]
+            key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int32)
+            b = pos["".join(u[w] for w in sites)]
+            if b not in columns:
+                columns[b] = _window_column(r, b)
+            rows, vals, h_rows, h_vals = columns[b]
+            # basis string j is window string j + 1
+            terms.append((coeff, vals, h_vals[:, 1:]))
+            g_keys.append(key_ids[rows])
+            h_keys.append(key_ids[h_rows[1:]])
+    g_keys, h_keys = np.stack(g_keys), np.stack(h_keys)
+    touch = np.concatenate([g_keys.transpose(2, 3, 0, 1).reshape(m, -1), h_keys.T], axis=1)
+    touch = touch.ravel()
+    first = np.full(len(ids), touch.size)
+    np.minimum.at(first, touch, np.arange(touch.size))
+    order = np.argsort(first)[:np.count_nonzero(first < touch.size)]
+    row_of = np.empty(len(ids), dtype=np.int32)
+    row_of[order] = np.arange(order.size)
+
+    G = np.zeros((order.size, m, m), dtype=complex)
+    H = np.zeros((order.size, m), dtype=complex)
+    cols = np.arange(m)
+    j, k = np.indices((m, m))
+    for (coeff, vals, h_vals), g_row, h_row in zip(terms, row_of[g_keys], row_of[h_keys]):
+        for t in range(3):
+            G[g_row[t], j, k] += coeff * vals[t]
+        for half in h_vals:
+            H[h_row, cols] += coeff * half
+    keys = list(ids)
+    return [keys[i] for i in order], G, H
 
 
-_CONSTRAINT_CACHE: dict[tuple, AffineConstraints] = {}
-_PROJECTOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _constraint_block(r: int, A: PauliOperator, offsets, reduce_rows: bool):
+    """Real rows of the image of A, a re and an im row per key, and the keys.
+
+    Columns follow the packed (gamma, H) layout; with G_jk the image of
+    unit gamma_jk, the slot sqrt2 Re gamma_jk (j < k) reads
+    (G_jk + G_kj) / sqrt2 and the slot sqrt2 Im gamma_jk reads
+    i (G_jk - G_kj) / sqrt2.
+    """
+    keys, G, H = _image_terms(r, A, offsets, reduce_rows)
+    m = H.shape[1]
+    cols = np.arange(m)
+    iu, ju = np.triu_indices(m, 1)
+    inv = 1.0 / np.sqrt(2.0)
+    block = np.zeros((2 * len(keys), m * m + m))
+    for c in range(0, len(keys), _PACK_ROWS):
+        g, h = G[c:c + _PACK_ROWS], H[c:c + _PACK_ROWS]
+        up_re, lo_re = g.real[:, iu, ju] * inv, g.real[:, ju, iu] * inv
+        up_im, lo_im = g.imag[:, iu, ju] * inv, g.imag[:, ju, iu] * inv
+        block[2 * c:2 * (c + len(g)):2] = np.concatenate(
+            [g.real[:, cols, cols], up_re + lo_re, lo_im - up_im, h.real], axis=1)
+        block[2 * c + 1:2 * (c + len(g)):2] = np.concatenate(
+            [g.imag[:, cols, cols], up_im + lo_im, up_re - lo_re, h.imag], axis=1)
+    return block, keys
 
 
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
@@ -271,84 +291,39 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     placement of each target and per ring string.  Real and imaginary
     parts of each projection become separate rows.
     """
-    key = problem.key()
-    cached = _CONSTRAINT_CACHE.get(key)
-    if cached is not None:
-        return cached
     r, n = problem.r_gen, problem.n
     m = len(basis_strings(r))
     dim_gamma = m * m
-    dim = dim_gamma + m
-    blocks = []
     if problem.mode == "global":
-        for t, a in enumerate(problem.targets):
-            A = assemble_sum(a, n)
-            blocks.append((f"target{t}", _action_columns(r, A, range(n), True)))
+        blocks = [(f"target{t}", assemble_sum(a, n), range(n))
+                  for t, a in enumerate(problem.targets)]
     else:
-        for t, a in enumerate(problem.targets):
-            for k in range(n):
-                A = a.embed(n, k)
-                blocks.append((f"target{t}@{k}", _action_columns(r, A, (0,), False)))
-
-    iu, ju = np.triu_indices(m, 1)
-    m2 = iu.size
+        blocks = [(f"target{t}@{k}", a.embed(n, k), (0,))
+                  for t, a in enumerate(problem.targets) for k in range(n)]
     rows = []
     labels = []
-    for prefix, (gamma_cols, ham_cols) in blocks:
-        keys: dict[str, int] = {}
-        for j in range(m):
-            for k in range(m):
-                for s in gamma_cols[j][k]:
-                    keys.setdefault(s, len(keys))
-            for s in ham_cols[j]:
-                keys.setdefault(s, len(keys))
-        block = np.zeros((2 * len(keys), dim))
-
-        def put(col: int, entries: dict[str, complex], scale: complex) -> None:
-            for s, v in entries.items():
-                v = v * scale
-                ridx = 2 * keys[s]
-                block[ridx, col] += v.real
-                block[ridx + 1, col] += v.imag
-
-        for i in range(m):
-            put(i, gamma_cols[i][i], 1.0)
-        inv = 1.0 / np.sqrt(2.0)
-        for t_idx in range(m2):
-            i, j = int(iu[t_idx]), int(ju[t_idx])
-            put(m + t_idx, gamma_cols[i][j], inv)
-            put(m + t_idx, gamma_cols[j][i], inv)
-            put(m + m2 + t_idx, gamma_cols[i][j], 1j * inv)
-            put(m + m2 + t_idx, gamma_cols[j][i], -1j * inv)
-        for j in range(m):
-            put(dim_gamma + j, ham_cols[j], 1.0)
+    for prefix, A, offsets in blocks:
+        block, keys = _constraint_block(r, A, offsets, problem.mode == "global")
         rows.append(block)
         for s in keys:
             labels.append(f"{prefix}:{s}:re")
             labels.append(f"{prefix}:{s}:im")
 
-    trace_row = np.zeros((1, dim))
+    trace_row = np.zeros((1, dim_gamma + m))
     trace_row[0, :m] = 1.0
     rows.append(trace_row)
     labels.append("trace")
     matrix = np.vstack(rows)
     rhs = np.zeros(matrix.shape[0])
     rhs[-1] = problem.gamma_trace
-    out = AffineConstraints(matrix=matrix, rhs=rhs, labels=tuple(labels),
-                            r_gen=r, dim_gamma=dim_gamma)
-    _CONSTRAINT_CACHE[key] = out
-    return out
+    return AffineConstraints(matrix=matrix, rhs=rhs, labels=tuple(labels),
+                             r_gen=r, dim_gamma=dim_gamma)
 
 
-def _affine_projector(problem: FeasibilityProblem, cons: AffineConstraints):
-    key = problem.key()
-    svd = _PROJECTOR_CACHE.get(key)
-    if svd is None:
-        U, sv,Vt = np.linalg.svd(cons.matrix, full_matrices=False)
-        keep = sv > sv[0] * 1e-13 if sv.size else slice(0)
-        svd = (U[:, keep], sv[keep], Vt[keep])
-        _PROJECTOR_CACHE[key] = svd
-    U, sv, Vt = svd
+def _affine_projector(cons: AffineConstraints):
+    U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
+    keep = sv > sv[0] * 1e-13 if sv.size else slice(0)
+    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
     K, b = cons.matrix, cons.rhs
 
     def project(x: np.ndarray) -> np.ndarray:
@@ -425,10 +400,7 @@ def _accept(gen: LindbladGenerator, problem: FeasibilityProblem,
     return None
 
 
-_COMPLEMENT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _conserving_complement(problem: FeasibilityProblem, cons: AffineConstraints) -> np.ndarray:
+def _conserving_complement(cons: AffineConstraints) -> np.ndarray:
     """Orthonormal basis of the packed directions no conserving gamma has.
 
     A gamma conserves the targets with the help of some Hamiltonian
@@ -438,13 +410,9 @@ def _conserving_complement(problem: FeasibilityProblem, cons: AffineConstraints)
     conserving gammas.  The complement is far thinner than the span, so
     every projection downstream goes through it.
     """
-    key = problem.key()
-    if key in _COMPLEMENT_CACHE:
-        return _COMPLEMENT_CACHE[key]
-    m = len(basis_strings(problem.r_gen))
     hom = cons.matrix[cons.rhs == 0.0]
-    ham_cols = hom[:, m * m:]
-    reduced = hom[:, :m * m]
+    ham_cols = hom[:, cons.dim_gamma:]
+    reduced = hom[:, :cons.dim_gamma]
     if ham_cols.size:
         u_ham, sv, _ = np.linalg.svd(ham_cols, full_matrices=False)
         u_ham = u_ham[:, sv > 1e-12 * max(sv[0] if sv.size else 0.0, 1.0)]
@@ -452,9 +420,7 @@ def _conserving_complement(problem: FeasibilityProblem, cons: AffineConstraints)
     q, r, _ = scipy.linalg.qr(reduced.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int((diag > 1e-10 * max(diag[0] if diag.size else 0.0, 1.0)).sum())
-    comp = q[:, :rank]
-    _COMPLEMENT_CACHE[key] = comp
-    return comp
+    return q[:, :rank]
 
 
 def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
@@ -470,7 +436,7 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
-    comp = _conserving_complement(problem, cons)
+    comp = _conserving_complement(cons)
     # trace functional in packed coordinates: the first m slots are diag(gamma)
     d = np.zeros(m * m)
     d[:m] = 1.0
@@ -598,7 +564,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     finishes the job; every returned point is re-certified from scratch.
     """
     cons = build_affine_constraints(problem)
-    project_affine = _affine_projector(problem, cons)
+    project_affine = _affine_projector(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
@@ -660,11 +626,25 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
 # -- problem files -------------------------------------------------------------
 
 
+def _split_problem_file(text: str) -> tuple[str, str] | None:
+    """Density part and [problem] part of a file; None when it has no section.
+
+    The section starts at the first line that reads [problem] once its
+    comment is stripped, so a comment that mentions it does not count.
+    """
+    for lineno, _, line in content_lines(text):
+        if line == "[problem]":
+            lines = text.splitlines(keepends=True)
+            return "".join(lines[:lineno - 1]), "".join(lines[lineno:])
+    return None
+
+
 def parse_problem_file(text: str) -> FeasibilityProblem:
     """Read a density (r=<int> header plus operator lines) and a [problem] section."""
-    head, sep, tail = text.partition("[problem]")
-    if not sep:
+    parts = _split_problem_file(text)
+    if parts is None:
         raise ValueError("missing [problem] section")
+    head, tail = parts
     target = parse_density_file(head)
     opts: dict[str, str] = {}
     for _, raw, line in content_lines(tail):

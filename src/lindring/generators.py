@@ -86,8 +86,9 @@ def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     Returns (rows, vals, h_rows, h_vals).  rows[t, j, k] is the window
     string and vals[t, j, k] the value of term t of the dissipator with
     unit gamma_jk (basis strings j, k): 2 P_j b P_k, -P_k P_j b and
-    -b P_k P_j for t = 0, 1, 2.  h_rows[m] and h_vals[m] give i[b, P_m]
-    for every window string m.  Each term is one product-table lookup.
+    -b P_k P_j for t = 0, 1, 2.  For every window string m, h_vals[:, m]
+    holds the two halves i b P_m and -i P_m b of i[b, P_m], which both
+    land on string h_rows[m].  Each term is one product-table lookup.
     """
     phase, index = product_table(r)
     m = np.arange(phase.shape[0])
@@ -99,7 +100,7 @@ def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
                      -phase[k, j] * phase[kj, b],
                      -phase[k, j] * phase[b, kj]])
     # b P_m and P_m b are the same string
-    return rows, vals, index[b, m], 1j * (phase[b, m] - phase[m, b])
+    return rows, vals, index[b, m], np.stack([1j * phase[b, m], -1j * phase[m, b]])
 
 
 def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
@@ -118,7 +119,7 @@ def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
     for b in range(d):
         rows, vals, h_rows, h_vals = _window_column(gen.r, b)
         terms = [(rows[t, j, k], g * vals[t, j, k]) for t in range(3)]
-        terms.append((h_rows[h], eta * h_vals[h]))
+        terms.append((h_rows[h], eta * h_vals[:, h].sum(axis=0)))
         for a, v in terms:
             M[:, b] += np.bincount(a, v.real, d) + 1j * np.bincount(a, v.imag, d)
     return M

@@ -29,7 +29,7 @@ from .generators import (
     LindbladGenerator, _splice, _window_column, _window_sites, all_strings, basis_strings,
     product_table)
 from .pauli import PauliOperator
-from .rings import CanonicalParams, safe_ring_length
+from .rings import CanonicalParams, assemble_sum, safe_ring_length
 
 D_CANCEL_TOL = 1e-9
 GAUGE_TOL = 1e-9
@@ -94,15 +94,8 @@ def _component_ring_terms(n: int) -> dict[str, dict[str, complex]]:
         "x": {"XI": 1.0, "IX": 1.0}, "y": {"YI": 1.0, "IY": 1.0},
         "z": {"ZI": 1.0, "IZ": 1.0},
     }
-    out = {}
-    for name, terms in comps.items():
-        acc: dict[str, complex] = {}
-        for s in range(n):
-            for lab, c in terms.items():
-                key = _splice("I" * n, _window_sites(s, len(lab), n), lab)
-                acc[key] = acc.get(key, 0.0) + c
-        out[name] = acc
-    return out
+    return {name: assemble_sum(PauliOperator(2, terms), n).terms
+            for name, terms in comps.items()}
 
 
 def _pattern_forms(pattern: str, n: int, r: int):
@@ -129,7 +122,7 @@ def _pattern_forms(pattern: str, n: int, r: int):
                     continue
                 rows, vals, h_rows, h_vals = _window_column(r, pos["".join(u[w] for w in sites)])
                 Qs[c] += coeff * np.where(rows == row, vals, 0).sum(axis=0)
-                ls[c] += coeff * np.where(h_rows == row, h_vals, 0)[1:]
+                ls[c] += coeff * np.where(h_rows == row, h_vals, 0).sum(axis=0)[1:]
     # adjoint bookkeeping: the form acts on c from both sides
     return {c: Qs[c].T for c in comps}, ls
 

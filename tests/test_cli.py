@@ -110,6 +110,11 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
         assert main(["check", "--gen", str(gen), "--density", sx_density]) == 2
     err = capsys.readouterr().err
     assert err.count("not finite") == 12 and "Traceback" not in err
+    # non-finite point parameters are refused before any assembly
+    for flag, value in (("--mu", "nan"), ("--hx", "inf"), ("--nu", "1e400")):
+        assert main(["obstruction", "--r", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("is not finite") == 3 and "converge" not in err
 
 
 # -- check ---------------------------------------------------------------------
@@ -235,20 +240,29 @@ def test_scan_bad_grid_line_exit_2(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("1 2 3\n")
     assert main(["scan", "--r", "2", "--grid", str(grid)]) == 2
-    capsys.readouterr()
+    for line in ("0 0 nan 0 0", "1e400 0 0 0 0"):
+        grid.write_text(f"0 0 0 0 0\n{line}\n")
+        assert main(["scan", "--r", "2", "--grid", str(grid)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("grid line 2") == 2 and "converge" not in err
 
 
 # -- search --------------------------------------------------------------------
 
 
 def test_search_feasible_exit_0(ising_density, tmp_path):
-    code, rep = run_json(
-        ["search", "--density", ising_density, "--r", "2",
-         "--mode", "local", "--seed", "1"], tmp_path)
-    assert code == 0
-    assert rep["result"]["status"] == "feasible"
-    assert rep["result"]["residual"] < 1e-8
-    assert "[gamma]" in rep["result"]["generator"]
+    # a comment that mentions [problem] does not open a problem section
+    commented = tmp_path / "commented.op"
+    commented.write_text("r=2  # plain density, no [problem] section\n"
+                         "0.61*XX + 0.34*XI + 0.34*IX\n")
+    for density in (ising_density, str(commented)):
+        code, rep = run_json(
+            ["search", "--density", density, "--r", "2",
+             "--mode", "local", "--seed", "1"], tmp_path)
+        assert code == 0
+        assert rep["result"]["status"] == "feasible"
+        assert rep["result"]["residual"] < 1e-8
+        assert "[gamma]" in rep["result"]["generator"]
 
 
 def test_search_not_found_exit_3(heis_density, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_hermitian_window
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
-from lindring.rings import global_conservation_residual
+from lindring.rings import assemble_sum, global_conservation_residual
 from lindring.feasibility import (
     FeasibilityProblem,
     build_affine_constraints,
@@ -134,6 +135,41 @@ def test_exchange_point_conserves_all_charges():
     charges = [PauliOperator(1, {p: 1.0}) for p in "XYZI"]
     prob = FeasibilityProblem(charges, r_gen=2, mode="global")
     assert known_point_residual(prob, exchange_gamma()) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_constraint_rows_match_generator_action(r, mode):
+    # away from any conserving point: each row pair reads the image coefficient
+    rng = np.random.default_rng(10 * r + (mode == "local"))
+    a = random_hermitian_window(rng, 2)
+    prob = FeasibilityProblem(a, r_gen=r, mode=mode)
+    cons = build_affine_constraints(prob)
+    basis = basis_strings(r)
+    m = len(basis)
+    b = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / m
+    gamma = b + b.conj().T
+    eta = rng.standard_normal(m)
+    gen = LindbladGenerator(r, hamiltonian=PauliOperator(r, dict(zip(basis, eta))), gamma=gamma)
+    n = prob.n
+    image: dict[str, complex] = {}
+    if mode == "global":
+        A = assemble_sum(a, n)
+        for s in range(n):
+            for u, c in gen.apply(A, s).terms.items():
+                rep = min(u[i:] + u[:i] for i in range(n))
+                image["target0:" + rep] = image.get("target0:" + rep, 0j) + c
+    else:
+        for k in range(n):
+            for u, c in gen.apply(a.embed(n, k)).terms.items():
+                image[f"target0@{k}:{u}"] = c
+    got = cons.matrix[:-1] @ pack_point(gamma, eta)
+    labels = cons.labels[:-1]
+    want = [image.get(lab.rsplit(":", 1)[0], 0j) for lab in labels]
+    want = [c.real if lab.endswith(":re") else c.imag for c, lab in zip(want, labels)]
+    assert np.abs(got - np.array(want)).max() < 1e-12
+    rows = {lab.rsplit(":", 1)[0] for lab in labels}
+    assert not [key for key, c in image.items() if abs(c) > 1e-12 and key not in rows]
 
 
 def test_trace_row_normalizes():
@@ -268,12 +304,18 @@ def test_parse_problem_file():
     assert prob.mode == "global"
     assert prob.n == 8
     assert prob.target.coefficient("XX") == pytest.approx(0.61)
+    # only a comment-stripped line reading [problem] opens the section
+    noted = parse_problem_file("# see the [problem] section below\n" + PROBLEM_TEXT)
+    assert noted.target.terms == prob.target.terms
+    assert (noted.r_gen, noted.n) == (2, 8)
 
 
 def test_problem_file_roundtrip():
     prob = parse_problem_file(PROBLEM_TEXT)
     again = parse_problem_file(format_problem_file(prob))
-    assert again.key() == prob.key()
+    assert (again.r_gen, again.n, again.mode, again.gamma_trace) == \
+        (prob.r_gen, prob.n, prob.mode, prob.gamma_trace)
+    assert again.target.terms == prob.target.terms
 
 
 def test_parse_problem_file_errors():
