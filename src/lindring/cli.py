@@ -42,8 +42,7 @@ from .obstruction import (
     certify_definiteness,
     family_grid,
     rows_to_csv,
-    scan_point,
-    summarize_rows,
+    scan,
 )
 from .feasibility import (
     GAP_TOL,
@@ -203,6 +202,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance: a finite, non-negative float literal."""
+    if (value := _finite_float(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _parse_grid_file(text: str) -> list[tuple]:
     grid = []
     for lineno, _, line in content_lines(text):
@@ -228,8 +234,7 @@ def _cmd_scan(args) -> int:
             raise ParseFailure(str(exc)) from exc
     else:
         raise ParseFailure("scan needs --family or --grid")
-    rows = [scan_point(args.r, point) for point in grid]
-    summary = summarize_rows(args.r, rows)
+    rows, summary = scan(args.r, grid)
     config = {
         "subcommand": "scan", "r": args.r,
         "family": args.family, "grid": args.grid,
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="steady-state basis of a generator")
     p.add_argument("--gen", required=True, help="generator file")
-    p.add_argument("--tol", type=float, default=None, help="singular value cutoff")
+    p.add_argument("--tol", type=_tolerance, default=None, help="singular value cutoff")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(run=_cmd_kernel)
 
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True, help="density file")
     p.add_argument("--mode", choices=("local", "global"), default="global")
     p.add_argument("--n", type=int, default=None, help="ring length")
-    p.add_argument("--tol", type=float, default=None, help="conserved below this")
+    p.add_argument("--tol", type=_tolerance, default=None, help="conserved below this")
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_check)
 
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator width when no [problem] section is given")
     p.add_argument("--mode", choices=("local", "global"), default="global")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="projection gap target")
+    p.add_argument("--tol", type=_tolerance, default=None, help="projection gap target")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_search)

@@ -43,6 +43,8 @@ _PATTERN_STRINGS = {"xx": "XX", "yy": "YY", "zz": "ZZ", "x": "X", "y": "Y", "z":
 MU_AXIS = tuple(round(0.05 * k, 2) for k in range(21))
 H_AXIS = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 
+_CHUNK = 4  # grid points per stacked scan pass; larger chunks raise peak memory
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
@@ -104,19 +106,19 @@ def _pattern_forms(pattern: str, n: int, r: int):
     A window at offset s maps a ring string u to L_W(u_W) (x) u_rest, so
     u reaches the pattern only when its letters off the window match, and
     then through the terms of the window column of u_W that land on the
-    pattern's window piece.
+    pattern's window piece.  Tables are stacked in component order.
     """
     m = 4 ** r - 1
     pos = {s: i for i, s in enumerate(all_strings(r))}
     comps = _component_ring_terms(n)
-    Qs = {c: np.zeros((m, m), dtype=complex) for c in comps}
-    ls = {c: np.zeros(m, dtype=complex) for c in comps}
+    Qs = np.zeros((len(comps), m, m), dtype=complex)
+    ls = np.zeros((len(comps), m), dtype=complex)
     blank = "I" * r
     for s in range(n):
         sites = _window_sites(s, r, n)
         rest = _splice(pattern, sites, blank)
         row = pos["".join(pattern[w] for w in sites)]
-        for c, terms in comps.items():
+        for c, terms in enumerate(comps.values()):
             for u, coeff in terms.items():
                 if _splice(u, sites, blank) != rest:
                     continue
@@ -124,30 +126,60 @@ def _pattern_forms(pattern: str, n: int, r: int):
                 Qs[c] += coeff * np.where(rows == row, vals, 0).sum(axis=0)
                 ls[c] += coeff * np.where(h_rows == row, h_vals, 0).sum(axis=0)[1:]
     # adjoint bookkeeping: the form acts on c from both sides
-    return {c: Qs[c].T for c in comps}, ls
+    return np.ascontiguousarray(Qs.transpose(0, 2, 1)), ls
 
 
-_FORM_CACHE: dict[tuple[int, str], tuple] = {}
+# the six named-pattern tables per width, stacked (pattern, component, ...)
+_FORM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _basis_forms(r_gen: int, pattern: str):
-    key = (r_gen, pattern)
-    if key not in _FORM_CACHE:
-        n = safe_ring_length(r_gen, 2)
-        ring_pattern = pattern.ljust(n, "I")
-        _FORM_CACHE[key] = _pattern_forms(ring_pattern, n, r_gen)
-    return _FORM_CACHE[key]
+def _named_forms(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    if r_gen not in _FORM_CACHE:
+        n, m = safe_ring_length(r_gen, 2), 4 ** r_gen - 1
+        Q, l = np.empty((6, 6, m, m), dtype=complex), np.empty((6, 6, m), dtype=complex)
+        for i, p in enumerate(NAMED_PATTERNS):
+            Q[i], l[i] = _pattern_forms(_PATTERN_STRINGS[p].ljust(n, "I"), n, r_gen)
+        _FORM_CACHE[r_gen] = Q, l
+    return _FORM_CACHE[r_gen]
 
 
-def _density_weights(params: CanonicalParams) -> dict[str, float]:
-    hx, hy, hz = params.h
-    return {"xx": 1.0, "yy": params.mu, "zz": params.nu, "x": hx, "y": hy, "z": hz}
+def _weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density weights (1, mu, nu, h) and combination weights (1, mu, nu, 2h), one column per point."""
+    w = np.vstack([np.ones(len(points)), points.T])
+    return w, w * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])[:, None]
 
 
-def _combination_weights(params: CanonicalParams) -> dict[str, float]:
-    hx, hy, hz = params.h
-    return {"xx": 1.0, "yy": params.mu, "zz": params.nu,
-            "x": 2.0 * hx, "y": 2.0 * hy, "z": 2.0 * hz}
+def _fail_if(bad, exc, points, message: str, values=None) -> None:
+    """Raise exc for the first point where `bad` holds, naming that grid point."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        if values is not None:
+            message += f" ({values[i]:.3e})"
+        if points is not None:
+            message += f" at (mu, nu, hx, hy, hz) = {tuple(points[i].tolist())}"
+        raise exc(message)
+
+
+def _pattern_sum(w: np.ndarray, Qs: np.ndarray, ls: np.ndarray, points: np.ndarray):
+    """One pattern's form at a stack of points: sum_c w_c Q_c and the real sum_c w_c l_c.
+
+    Terms are added to zero in component order, as for one point alone; a real
+    weight scaling both parts apart then equals the complex product bit for bit.
+    """
+    Q = np.zeros((len(points),) + Qs.shape[1:], dtype=complex)
+    Qf = Q.view(float)
+    for wc, Qc in zip(w, Qs):
+        Qf += wc[:, None, None] * Qc.view(float)
+    l = sum(wc[:, None] * lc for wc, lc in zip(w, ls))
+    _fail_if(np.abs(l.imag).max(axis=1) > 1e-12, ArithmeticError, points,
+             "Hamiltonian functional is not real")
+    return Q, l.real
+
+
+def _point(params: CanonicalParams) -> np.ndarray:
+    if params.scale == 0.0:
+        raise ValueError("density has no two-site part in canonical form")
+    return np.array([[params.mu, params.nu, *params.h]])
 
 
 def conservation_forms(r_gen: int, params: CanonicalParams,
@@ -163,23 +195,21 @@ def conservation_forms(r_gen: int, params: CanonicalParams,
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
-    if params.scale == 0.0:
-        raise ValueError("density has no two-site part in canonical form")
-    if patterns is None:
-        patterns = NAMED_PATTERNS
+    point = _point(params)
     basis = tuple(basis_strings(r_gen))
-    w = _density_weights(params)
+    n = safe_ring_length(r_gen, 2)
+    w, _ = _weights(point)
     out = {}
-    for pat in patterns:
+    for pat in NAMED_PATTERNS if patterns is None else patterns:
         string = _PATTERN_STRINGS.get(pat, pat.upper())
         if not string or string.strip("IXYZ"):
             raise ValueError(f"bad pattern string: {pat!r}")
-        Qs, ls = _basis_forms(r_gen, string)
-        Q = sum(w[c] * Qs[c] for c in w)
-        l = sum(w[c] * ls[c] for c in w)
-        if np.abs(l.imag).max() > 1e-12:
-            raise ArithmeticError("Hamiltonian functional is not real")
-        out[pat] = QuadraticForm(name=pat, basis=basis, Q=Q, d_linear=l.real)
+        if string.lower() in NAMED_PATTERNS:
+            Qs, ls = (t[NAMED_PATTERNS.index(string.lower())] for t in _named_forms(r_gen))
+        else:
+            Qs, ls = _pattern_forms(string.ljust(n, "I"), n, r_gen)
+        Q, l = _pattern_sum(w, Qs, ls, point)
+        out[pat] = QuadraticForm(name=pat, basis=basis, Q=Q[0], d_linear=l[0])
     return out
 
 
@@ -209,7 +239,9 @@ def _unitality_patterns(r_gen: int) -> dict[str, dict[str, float]]:
     return pats
 
 
-_UNITALITY_CACHE: dict[int, dict[str, QuadraticForm]] = {}
+# per width: the unitality forms, their gauge columns Im U.ravel() and
+# the pseudo-inverse of the columns' Gram matrix
+_UNITALITY_CACHE: dict[int, tuple[dict[str, QuadraticForm], np.ndarray, np.ndarray]] = {}
 
 
 def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
@@ -237,34 +269,44 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
             w = coeff[prod]
             U = np.where(w != 0, 2.0 * w * ph - 2.0 * w * ph.T, 0.0)
             forms[name] = QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
-        _UNITALITY_CACHE[r_gen] = forms
-    return _UNITALITY_CACHE[r_gen]
+        cols = np.column_stack([f.Q.imag.ravel() for f in forms.values()])
+        _UNITALITY_CACHE[r_gen] = forms, cols, np.linalg.pinv(cols.T @ cols, hermitian=True)
+    return _UNITALITY_CACHE[r_gen][0]
 
 
 # -- assembly ----------------------------------------------------------------
 
 
-def _assemble_real(r_gen: int, params: CanonicalParams):
-    forms = conservation_forms(r_gen, params)
-    cw = _combination_weights(params)
-    Ct = sum(cw[p] * forms[p].Q for p in NAMED_PATTERNS)
-    lc = sum(cw[p] * forms[p].d_linear for p in NAMED_PATTERNS)
-    d_scale = 1.0 + max(np.abs(forms[p].d_linear).max() for p in NAMED_PATTERNS)
-    if np.abs(lc).max() > D_CANCEL_TOL * d_scale:
-        raise ArithmeticError(
-            f"Hamiltonian part failed to cancel (|l| = {np.abs(lc).max():.3e})")
-    uf = unitality_forms(r_gen)
-    cols = np.column_stack([f.Q.imag.ravel() for f in uf.values()])
-    target = Ct.imag.ravel()
-    alpha, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    residual = target - cols @ alpha
-    gauge_residual = float(np.abs(residual).max())
-    scale = 1.0 + float(np.abs(Ct).max())
-    if gauge_residual > GAUGE_TOL * scale:
-        raise ArithmeticError(
-            f"imaginary part not spanned by unitality forms ({gauge_residual:.3e})")
-    C = Ct.real.copy()
-    return 0.5 * (C + C.T), gauge_residual
+def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
+
+    Sums run in one-point order, so each matrix is bit-identical to its point's alone.
+    """
+    w, cw = _weights(points)
+    Ct = np.zeros((len(points), 4 ** r_gen - 1, 4 ** r_gen - 1), dtype=complex)
+    Ctf = Ct.view(float)
+    lc = l_max = 0.0
+    for c, Qs, ls in zip(cw, *_named_forms(r_gen)):
+        Q, l = _pattern_sum(w, Qs, ls, points)
+        Ctf += c[:, None, None] * Q.view(float)
+        lc = lc + c[:, None] * l
+        l_max = np.maximum(l_max, np.abs(l).max(axis=1))
+    lc_max = np.abs(lc).max(axis=1)
+    _fail_if(lc_max > D_CANCEL_TOL * (1.0 + l_max), ArithmeticError, points,
+             "Hamiltonian part failed to cancel", lc_max)
+    # the imaginary part must lie in the span of the unitality forms
+    unitality_forms(r_gen)
+    _, cols, gram_inv = _UNITALITY_CACHE[r_gen]
+    target = Ct.imag.reshape(len(points), -1)
+    gauge = np.abs(target - (target @ cols) @ gram_inv @ cols.T).max(axis=1)
+    _fail_if(gauge > GAUGE_TOL * (1.0 + np.abs(Ct).max(axis=(1, 2))), ArithmeticError,
+             points, "imaginary part not spanned by unitality forms", gauge)
+    C = 0.5 * (Ct.real + Ct.real.swapaxes(1, 2))
+    if r_gen == 2:
+        S = combination_matrix()
+        C = S.T @ C @ S
+        C = 0.5 * (C + C.swapaxes(1, 2))
+    return C, gauge
 
 
 # combination basis: 9 symmetric then 6 antisymmetric pairings, unit norm
@@ -291,21 +333,18 @@ def combination_matrix() -> np.ndarray:
 
 def assemble_C_2site(params: CanonicalParams) -> ObstructionMatrix:
     """Obstruction matrix of a width-2 generator, in the combination basis."""
-    C, gauge_residual = _assemble_real(2, params)
-    S = combination_matrix()
-    Cc = S.T @ C @ S
-    Cc = 0.5 * (Cc + Cc.T)
+    C, gauge = _assemble(2, _point(params))
     return ObstructionMatrix(
-        C=Cc, basis="two-site combinations: 9 symmetric + 6 antisymmetric, unit norm",
-        params=params, gauge_residual=gauge_residual)
+        C=C[0], basis="two-site combinations: 9 symmetric + 6 antisymmetric, unit norm",
+        params=params, gauge_residual=float(gauge[0]))
 
 
 def assemble_C_3site(params: CanonicalParams) -> ObstructionMatrix:
     """Obstruction matrix of a width-3 generator, over the 63 window strings."""
-    C, gauge_residual = _assemble_real(3, params)
+    C, gauge = _assemble(3, _point(params))
     return ObstructionMatrix(
-        C=C, basis="primitive three-site window strings (63)",
-        params=params, gauge_residual=gauge_residual)
+        C=C[0], basis="primitive three-site window strings (63)",
+        params=params, gauge_residual=float(gauge[0]))
 
 
 def _c2_blocks(mu: float, nu: float, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,8 +417,31 @@ def closed_form_C_2site(params: CanonicalParams) -> ObstructionMatrix:
 # -- definiteness ------------------------------------------------------------
 
 
-def _sylvester_minors(C: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.det(C[:k, :k]) for k in range(1, C.shape[0] + 1)])
+def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessReport]:
+    """Verdicts for a stack of square matrices, one stacked eigensolve."""
+    scale = 1.0 + np.abs(C).max(axis=(1, 2))
+    _fail_if(np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale, ValueError,
+             points, "matrix is not symmetric")
+    ev = np.linalg.eigvalsh(0.5 * (C + C.swapaxes(1, 2)))
+    max_eig = ev[:, -1]
+    tol = zero_band * (1.0 + np.abs(ev).max(axis=1))
+    nullity = np.sum(np.abs(ev) < tol[:, None], axis=1)
+    verdict = np.where(max_eig >= tol, "indefinite",
+                       np.where(max_eig > -tol, "negative_semidefinite", "negative_definite"))
+    minors = [None] * len(C)
+    if C.shape[1] <= 15:
+        k = np.arange(1, C.shape[1] + 1)
+        minors = np.stack([np.linalg.det(C[:, :j, :j]) for j in k], axis=1)
+        # strict alternation of leading minors certifies negative definiteness;
+        # enforce agreement only where every minor is decisively signed
+        norm = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
+        decisive = np.all(np.abs(minors) > tol[:, None] * norm[:, None] ** k, axis=1)
+        alternates = np.all((-1.0) ** k * minors > 0, axis=1)
+        _fail_if(decisive & (alternates != (verdict == "negative_definite")), ArithmeticError,
+                 points, "eigenvalue and Sylvester verdicts disagree")
+    return [DefinitenessReport(eigenvalues=ev[i], max_eigenvalue=float(max_eig[i]),
+                               nullity=int(nullity[i]), verdict=str(verdict[i]),
+                               sylvester_minors=minors[i]) for i in range(len(C))]
 
 
 def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND) -> DefinitenessReport:
@@ -393,33 +455,7 @@ def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND) -> Definit
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
         raise ValueError("matrix must be square and nonempty")
-    scale = 1.0 + float(np.abs(C).max())
-    if np.abs(C - C.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    ev = np.linalg.eigvalsh(0.5 * (C + C.T))
-    max_eig = float(ev[-1])
-    tol = zero_band * (1.0 + float(np.abs(ev).max()))
-    nullity = int(np.sum(np.abs(ev) < tol))
-    if max_eig >= tol:
-        verdict = "indefinite"
-    elif max_eig > -tol:
-        verdict = "negative_semidefinite"
-    else:
-        verdict = "negative_definite"
-    minors = None
-    if C.shape[0] <= 15:
-        minors = _sylvester_minors(C)
-        # strict alternation of leading minors certifies negative definiteness;
-        # enforce agreement only where every minor is decisively signed
-        norm = max(1.0, float(np.abs(C).max()))
-        decisive = all(abs(m) > tol * norm ** k for k, m in enumerate(minors, 1))
-        if decisive:
-            alternates = all((-1) ** k * m > 0 for k, m in enumerate(minors, 1))
-            if alternates != (verdict == "negative_definite"):
-                raise ArithmeticError("eigenvalue and Sylvester verdicts disagree")
-    return DefinitenessReport(eigenvalues=ev, max_eigenvalue=max_eig,
-                              nullity=nullity, verdict=verdict,
-                              sylvester_minors=minors)
+    return _certify(C[None], zero_band)[0]
 
 
 def c2prime_diagnostics(params: CanonicalParams):
@@ -466,11 +502,8 @@ def unitality_witness(gen: LindbladGenerator) -> UnitalityWitness:
     if gen.r != 2:
         raise ValueError("witness extraction needs a two-site window")
     defect = gen.unital_defect()
-    cols = []
     labels = ("X", "Y", "Z")
-    for lab in labels:
-        op = PauliOperator(2, {lab + "I": 1.0, "I" + lab: -1.0})
-        cols.append(op)
+    cols = [PauliOperator(2, {lab + "I": 1.0, "I" + lab: -1.0}) for lab in labels]
     strings = sorted(set(itertools.chain(defect.terms,
                                          *(c.terms for c in cols))))
     M = np.array([[c.terms.get(s, 0.0) for c in cols] for s in strings])
@@ -516,16 +549,7 @@ def family_grid(family: str, mu_axis=None, h_axis=None) -> list[tuple]:
 
 def scan_point(r_gen: int, point, zero_band: float = ZERO_BAND) -> ScanRow:
     """Definiteness verdict at a single grid point."""
-    if r_gen not in (2, 3):
-        raise ValueError("generator width must be 2 or 3")
-    mu, nu, hx, hy, hz = point
-    assemble = assemble_C_2site if r_gen == 2 else assemble_C_3site
-    mat = assemble(CanonicalParams.at(mu, nu, (hx, hy, hz)))
-    rep = certify_definiteness(mat.C, zero_band=zero_band)
-    return ScanRow(mu=float(mu), nu=float(nu), hx=float(hx),
-                   hy=float(hy), hz=float(hz),
-                   max_eig=rep.max_eigenvalue, nullity=rep.nullity,
-                   verdict=rep.verdict)
+    return scan(r_gen, [point], zero_band=zero_band)[0][0]
 
 
 def summarize_rows(r_gen: int, rows) -> dict:
@@ -551,13 +575,23 @@ def summarize_rows(r_gen: int, rows) -> dict:
 def scan(r_gen: int, grid, zero_band: float = ZERO_BAND) -> tuple[list[ScanRow], dict]:
     """Definiteness verdicts over a parameter grid, in grid order.
 
+    Points are assembled and certified in stacked chunks of _CHUNK: one
+    broadcast assembly, one gauge projection and one eigensolve each.
+
     The summary records every semidefinite point and whether all of them
     sit on the mu = nu = h_y = h_z = 0 line, the only place a width-2 or
     width-3 conserver is not excluded.
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
-    rows = [scan_point(r_gen, point, zero_band=zero_band) for point in grid]
+    points = np.array([(mu, nu, hx, hy, hz) for mu, nu, hx, hy, hz in grid],
+                      dtype=float).reshape(-1, 5)
+    rows = []
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start:start + _CHUNK]
+        C, _ = _assemble(r_gen, chunk)
+        rows += [ScanRow(*p, rep.max_eigenvalue, rep.nullity, rep.verdict)
+                 for p, rep in zip(chunk.tolist(), _certify(C, zero_band, chunk))]
     return rows, summarize_rows(r_gen, rows)
 
 

@@ -117,6 +117,19 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
     assert err.count("is not finite") == 3 and "converge" not in err
 
 
+def test_bad_tolerance_exit_2(heis_gen, sx_density, ising_density, capsys):
+    # tolerances must be finite and non-negative (zero stays allowed, see
+    # test_check_indeterminate_exit_3); NaN is not even valid JSON
+    commands = (["kernel", "--gen", heis_gen],
+                ["check", "--gen", heis_gen, "--density", sx_density],
+                ["search", "--density", ising_density, "--r", "2"])
+    for argv in commands:
+        for value in ("nan", "inf", "-1"):
+            assert main(argv + ["--tol", value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("is not finite") == 6 and err.count("is negative") == 3
+
+
 # -- check ---------------------------------------------------------------------
 
 

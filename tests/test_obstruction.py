@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import CanonicalParams, assemble_sum
+from lindring import obstruction
 from lindring.obstruction import (
+    GAUGE_TOL,
     H_AXIS,
+    _CHUNK,
+    _assemble,
     assemble_C_2site,
     assemble_C_3site,
     c2prime_diagnostics,
@@ -16,6 +21,7 @@ from lindring.obstruction import (
     family_grid,
     rows_to_csv,
     scan,
+    scan_point,
     unitality_forms,
     unitality_witness,
 )
@@ -420,6 +426,50 @@ def test_scan_rows_deterministic_and_csv():
     assert lines[0] == "mu,nu,hx,hy,hz,max_eig,nullity,verdict"
     assert len(lines) == 10
     assert rows_to_csv(rows2) == csv
+
+
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_scan_batched_matches_pointwise(r_gen):
+    # full chunks and a partial last one, the Ising-line origin, and fields
+    grid = family_grid("xyz", mu_axis=(0.0, 0.5, 1.0))
+    grid += family_grid("ising-fields", h_axis=(-1.0, 0.0, 0.5))
+    grid += [(0.3, 0.7, 0.2, -1.5, 0.9), (1.0, 0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0, 0.0)]
+    assert len(grid) % _CHUNK and len(grid) > 2 * _CHUNK
+    rows, summary = scan(r_gen, grid)
+    single = [scan_point(r_gen, p) for p in grid]
+    fields = ("mu", "nu", "hx", "hy", "hz", "max_eig", "nullity", "verdict")
+    assert [[getattr(r, f) for f in fields] for r in rows] == \
+        [[getattr(r, f) for f in fields] for r in single]
+    assert rows[0].nullity > 0 and summary["semidefinite_points"][0] == grid[0]
+    assert rows_to_csv(rows) == rows_to_csv(single)
+
+
+def test_scan_check_failures_name_the_point(monkeypatch):
+    grid = [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)]
+    for name in ("D_CANCEL_TOL", "GAUGE_TOL"):
+        with monkeypatch.context() as m:
+            m.setattr(obstruction, name, -1.0)
+            with pytest.raises(ArithmeticError, match=r"= \(0\.5, 0\.25, 0\.0, 0\.0, 0\.0\)"):
+                scan(3, grid)
+    C = np.stack([-np.eye(3)] * 3)
+    C[1, 0, 2] = 1.0
+    with pytest.raises(ValueError, match=r"not symmetric at .* = \(1\.0, 0\.0, 0\.5, -1\.0, 2\.0\)"):
+        obstruction._certify(C, obstruction.ZERO_BAND, np.array(grid + grid[:1]))
+
+
+_unit = st.floats(0.0, 1.0)
+_field = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r_gen=st.sampled_from([2, 3]),
+       grid=st.lists(st.tuples(_unit, _unit, _field, _field, _field), min_size=1, max_size=11))
+def test_batched_assembly_matches_one_point(r_gen, grid):
+    C, gauge = _assemble(r_gen, np.array(grid))
+    assemble = assemble_C_2site if r_gen == 2 else assemble_C_3site
+    for p, Cp, g in zip(grid, C, gauge):
+        assert np.array_equal(Cp, assemble(CanonicalParams.at(p[0], p[1], p[2:])).C)
+        assert g < GAUGE_TOL * (1 + np.abs(Cp).max())
 
 
 def test_family_grid_unknown_name():
