@@ -368,7 +368,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except ParseFailure as exc:
+    except (ParseFailure, OverflowError) as exc:
+        # an overflow means finite input too large for the analysis
         print(f"lindring: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -320,18 +320,29 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
                              r_gen=r, dim_gamma=dim_gamma)
 
 
-def _affine_projector(cons: AffineConstraints):
+def _factor_rows(cons: AffineConstraints):
+    """One SVD of K: the affine projection, the least-squares point and the fixed gammas.
+
+    With Vt an orthonormal basis of the row space and x0 = K^+ b, the map
+    x - Vt^T Vt x + x0 is the orthogonal projection onto the least-squares
+    set of K x = b, which is the affine set whenever the rows are
+    consistent.  A packed gamma direction w is fixed by the rows exactly
+    when (w, 0) lies in their span; with N a basis of the null space of
+    the Hamiltonian columns of Vt, B = Vt_gamma^T N is an orthonormal
+    basis of those directions, the trace among them.  B is far thinner
+    than the conserving span, so every gamma projection goes through it.
+    Returns (project, x0, B).
+    """
     U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
-    keep = sv > sv[0] * 1e-13 if sv.size else slice(0)
-    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
-    K, b = cons.matrix, cons.rhs
+    keep = sv > sv[0] * 1e-13
+    Vt = Vt[keep]
+    x0 = Vt.T @ ((U[:, keep].T @ cons.rhs) / sv[keep])
+    B = Vt[:, :cons.dim_gamma].T @ scipy.linalg.null_space(Vt[:, cons.dim_gamma:].T)
 
     def project(x: np.ndarray) -> np.ndarray:
-        # least-squares correction; an orthogonal projection even when
-        # K x = b has no exact solution
-        return x - Vt.T @ ((U.T @ (K @ x - b)) / sv)
+        return x - Vt.T @ (Vt @ x) + x0
 
-    return project
+    return project, x0, B
 
 
 # -- cone slice projection -----------------------------------------------------
@@ -400,54 +411,27 @@ def _accept(gen: LindbladGenerator, problem: FeasibilityProblem,
     return None
 
 
-def _conserving_complement(cons: AffineConstraints) -> np.ndarray:
-    """Orthonormal basis of the packed directions no conserving gamma has.
-
-    A gamma conserves the targets with the help of some Hamiltonian
-    exactly when its image under the homogeneous gamma rows lies in the
-    range of the Hamiltonian rows; eliminating that range leaves a small
-    matrix whose row space is the orthogonal complement of the
-    conserving gammas.  The complement is far thinner than the span, so
-    every projection downstream goes through it.
-    """
-    hom = cons.matrix[cons.rhs == 0.0]
-    ham_cols = hom[:, cons.dim_gamma:]
-    reduced = hom[:, :cons.dim_gamma]
-    if ham_cols.size:
-        u_ham, sv, _ = np.linalg.svd(ham_cols, full_matrices=False)
-        u_ham = u_ham[:, sv > 1e-12 * max(sv[0] if sv.size else 0.0, 1.0)]
-        reduced = reduced - u_ham @ (u_ham.T @ reduced)
-    q, r, _ = scipy.linalg.qr(reduced.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > 1e-10 * max(diag[0] if diag.size else 0.0, 1.0)).sum())
-    return q[:, :rank]
-
-
 def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
-                      warm_x: np.ndarray) -> np.ndarray | None:
+                      x0: np.ndarray, B: np.ndarray, warm_x: np.ndarray) -> np.ndarray | None:
     """Exact completion once the projections have nearly met.
 
     Near a common face of the cone the outer loop closes the gap only
-    sublinearly, so restrict gamma to the conserving span and finish
-    there: alternate between the span (with the trace pinned) and the
-    cone, which converges geometrically whenever the face has relative
-    interior, and fall back to a low-rank factorization for faces too
-    thin for that.  Returns a packed point or None.
+    sublinearly, so restrict gamma to the conserving span g0 + B^perp,
+    with g0 the gamma part of x0, and finish there: alternate between
+    the span and the cone, which converges geometrically whenever the
+    face has relative interior, and fall back to a low-rank
+    factorization for faces too thin for that.  Returns a packed point
+    or None.
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
-    comp = _conserving_complement(cons)
-    # trace functional in packed coordinates: the first m slots are diag(gamma)
-    d = np.zeros(m * m)
-    d[:m] = 1.0
-    w_t = d - comp @ (comp.T @ d)
-    wt_norm2 = float(w_t[:m].sum())
-    if wt_norm2 < 1e-20:
+    K, b = cons.matrix, cons.rhs
+    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau):
         return None  # every conserving gamma is traceless
+    g0 = x0[:m * m]
 
     def project_affine(v):
-        v = v - comp @ (comp.T @ v)
-        return v + w_t * ((tau - v[:m].sum()) / wt_norm2)
+        return v - B @ (B.T @ (v - g0))
 
     v = project_affine(warm_x[:m * m])
     gamma_ok = None
@@ -468,7 +452,7 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
         best_neg = min(best_neg, neg)
         v = project_affine(_gamma_to_vector((V * np.maximum(lam, 0.0)) @ V.conj().T))
     if gamma_ok is None:
-        gamma_ok = _rank_refine(comp, m, tau, _vector_to_gamma(v, m))
+        gamma_ok = _rank_refine(B, g0, m, tau, _vector_to_gamma(v, m))
         if gamma_ok is None:
             return None
     lam, V = np.linalg.eigh(gamma_ok)
@@ -478,12 +462,11 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
         return None
     gamma_ok = gamma_ok * (tau / trace)
     gpacked = _gamma_to_vector(gamma_ok)
-    K, b = cons.matrix, cons.rhs
     eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
     return np.concatenate([gpacked, eta])
 
 
-def _rank_refine(comp: np.ndarray, m: int, tau: float,
+def _rank_refine(B: np.ndarray, g0: np.ndarray, m: int, tau: float,
                  gamma: np.ndarray) -> np.ndarray | None:
     """Gauss-Newton on a factor U: drive U U^dag onto the span exactly.
 
@@ -491,8 +474,8 @@ def _rank_refine(comp: np.ndarray, m: int, tau: float,
     span) starves alternating projections; parametrizing gamma by a thin
     factor turns membership into a smooth root-finding problem that
     converges quadratically from the stalled iterate.  Residuals are the
-    components along the complement plus the trace, otherwise U = 0 is a
-    root.  Returns the refined gamma (trace tau) or None.
+    components of U U^dag - g0 along B; the trace is one of them,
+    otherwise U = 0 is a root.  Returns the refined gamma or None.
     """
     lam_seed, V_seed = np.linalg.eigh(gamma)
     top = float(lam_seed[-1])
@@ -502,31 +485,29 @@ def _rank_refine(comp: np.ndarray, m: int, tau: float,
     ranks = sorted({max(r0, 1), r0 + 1, min(r0 + 3, m)})
 
     # a direction E_ab touches only row/column a of gamma, so its packed
-    # image lives on 2m-1 slots; gather those complement rows instead of
+    # image lives on 2m-1 slots; gather those rows of B instead of
     # multiplying full columns
     iu, ju = np.triu_indices(m, k=1)
     pair_slot = np.zeros((m, m), dtype=int)
     noff = iu.size
     pair_slot[iu, ju] = m + np.arange(noff)
     others = [np.delete(np.arange(m), a) for a in range(m)]
-    re_rows = [comp[pair_slot[np.minimum(o, a), np.maximum(o, a)]]
+    re_rows = [B[pair_slot[np.minimum(o, a), np.maximum(o, a)]]
                for a, o in enumerate(others)]
-    im_rows = [comp[pair_slot[np.minimum(o, a), np.maximum(o, a)] + noff]
+    im_rows = [B[pair_slot[np.minimum(o, a), np.maximum(o, a)] + noff]
                for a, o in enumerate(others)]
     sqrt2 = np.sqrt(2.0)
 
     def jac_column(a, b, part, U):
-        # d(U U^dag) along dU = part * E_ab, projected on the complement
+        # d(U U^dag) along dU = part * E_ab, projected on B
         z = np.empty(m - 1, dtype=complex)
         o = others[a]
         below = o < a
         z[below] = np.conj(part) * U[o[below], b]
         z[~below] = part * np.conj(U[o[~below], b])
-        dval = 2.0 * (part * np.conj(U[a, b])).real
-        col = comp[a] * dval
+        col = B[a] * (2.0 * (part * np.conj(U[a, b])).real)
         col = col + (sqrt2 * z.real) @ re_rows[a]
-        col = col + (sqrt2 * z.imag) @ im_rows[a]
-        return np.append(col, dval)
+        return col + (sqrt2 * z.imag) @ im_rows[a]
 
     for rank in ranks:
         if rank > m:
@@ -534,9 +515,7 @@ def _rank_refine(comp: np.ndarray, m: int, tau: float,
         U = V_seed[:, -rank:] * np.sqrt(np.clip(lam_seed[-rank:], 1e-12, None))
         ok = False
         for _ in range(60):
-            trace = float(np.einsum("ij,ij->", U, U.conj()).real)
-            resid = np.append(comp.T @ _gamma_to_vector(U @ U.conj().T),
-                              trace - tau)
+            resid = B.T @ (_gamma_to_vector(U @ U.conj().T) - g0)
             if np.linalg.norm(resid) < 1e-13 * max(1.0, tau):
                 ok = True
                 break
@@ -564,7 +543,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     finishes the job; every returned point is re-certified from scratch.
     """
     cons = build_affine_constraints(problem)
-    project_affine = _affine_projector(cons)
+    project_affine, x0, B = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
@@ -610,7 +589,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
         if got is not None:
             return got
     if affine_distance < COMPLETION_DISTANCE * max(1.0, tau):
-        cand = _complete_on_face(problem, cons, x)
+        cand = _complete_on_face(problem, cons, x0, B, x)
         if cand is not None:
             dist = float(np.linalg.norm(cand - project_affine(cand)))
             got = _accept(generator_from_point(problem.r_gen, cand),

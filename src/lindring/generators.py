@@ -38,7 +38,6 @@ from .pauli import (
 GAMMA_HERMITICITY_TOL = 1e-12
 GAMMA_PSD_TOL = 1e-10
 KERNEL_TOL = 1e-10
-UNITAL_TOL = 1e-12
 
 
 def all_strings(r: int) -> list[str]:
@@ -202,9 +201,6 @@ class LindbladGenerator:
     def unital_defect(self) -> PauliOperator:
         """Image of the window identity; zero exactly when the map is unital."""
         return self.apply(PauliOperator.identity(self.r))
-
-    def is_unital(self, tol: float = UNITAL_TOL) -> bool:
-        return self.unital_defect().hs_norm() <= tol
 
 
 def superop_matrix(gen: LindbladGenerator) -> np.ndarray:

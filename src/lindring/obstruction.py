@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import (
-    LindbladGenerator, _splice, _window_column, _window_sites, all_strings, basis_strings,
-    product_table)
+    _splice, _window_column, _window_sites, all_strings, basis_strings, product_table)
 from .pauli import PauliOperator
 from .rings import CanonicalParams, assemble_sum, safe_ring_length
 
@@ -78,12 +77,6 @@ class DefinitenessReport:
     nullity: int
     verdict: str
     sylvester_minors: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class UnitalityWitness:
-    w: PauliOperator
-    residual: float
 
 
 # -- projection equations ----------------------------------------------------
@@ -149,10 +142,13 @@ def _weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, w * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])[:, None]
 
 
-def _fail_if(bad, exc, points, message: str, values=None) -> None:
-    """Raise exc for the first point where `bad` holds, naming that grid point."""
-    if bad.any():
-        i = int(np.argmax(bad))
+def _require(ok, exc, points, message: str, values=None) -> None:
+    """Raise exc for the first point where `ok` fails, naming that grid point.
+
+    Checks are written as value <= bound, so a NaN value fails them.
+    """
+    if not ok.all():
+        i = int(np.argmin(ok))
         if values is not None:
             message += f" ({values[i]:.3e})"
         if points is not None:
@@ -171,7 +167,7 @@ def _pattern_sum(w: np.ndarray, Qs: np.ndarray, ls: np.ndarray, points: np.ndarr
     for wc, Qc in zip(w, Qs):
         Qf += wc[:, None, None] * Qc.view(float)
     l = sum(wc[:, None] * lc for wc, lc in zip(w, ls))
-    _fail_if(np.abs(l.imag).max(axis=1) > 1e-12, ArithmeticError, points,
+    _require(np.abs(l.imag).max(axis=1) <= 1e-12, ArithmeticError, points,
              "Hamiltonian functional is not real")
     return Q, l.real
 
@@ -277,6 +273,8 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
 # -- assembly ----------------------------------------------------------------
 
 
+# overflow is caught by the finiteness check, which names the point
+@np.errstate(over="ignore", invalid="ignore")
 def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
 
@@ -285,21 +283,27 @@ def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, cw = _weights(points)
     Ct = np.zeros((len(points), 4 ** r_gen - 1, 4 ** r_gen - 1), dtype=complex)
     Ctf = Ct.view(float)
-    lc = l_max = 0.0
+    lc = term_max = 0.0
     for c, Qs, ls in zip(cw, *_named_forms(r_gen)):
         Q, l = _pattern_sum(w, Qs, ls, points)
         Ctf += c[:, None, None] * Q.view(float)
-        lc = lc + c[:, None] * l
-        l_max = np.maximum(l_max, np.abs(l).max(axis=1))
+        term = c[:, None] * l
+        lc = lc + term
+        term_max = np.maximum(term_max, np.abs(term).max(axis=1))
     lc_max = np.abs(lc).max(axis=1)
-    _fail_if(lc_max > D_CANCEL_TOL * (1.0 + l_max), ArithmeticError, points,
-             "Hamiltonian part failed to cancel", lc_max)
+    scale = np.abs(Ct).max(axis=(1, 2))
     # the imaginary part must lie in the span of the unitality forms
     unitality_forms(r_gen)
     _, cols, gram_inv = _UNITALITY_CACHE[r_gen]
     target = Ct.imag.reshape(len(points), -1)
     gauge = np.abs(target - (target @ cols) @ gram_inv @ cols.T).max(axis=1)
-    _fail_if(gauge > GAUGE_TOL * (1.0 + np.abs(Ct).max(axis=(1, 2))), ArithmeticError,
+    # finite parameters can still overflow the quadratic weights
+    _require(np.isfinite(lc_max) & np.isfinite(scale) & np.isfinite(gauge), OverflowError,
+             points, "obstruction matrix is not finite")
+    # the cancelling terms set the rounding scale, not the forms alone
+    _require(lc_max <= D_CANCEL_TOL * (1.0 + term_max), ArithmeticError, points,
+             "Hamiltonian part failed to cancel", lc_max)
+    _require(gauge <= GAUGE_TOL * (1.0 + scale), ArithmeticError,
              points, "imaginary part not spanned by unitality forms", gauge)
     C = 0.5 * (Ct.real + Ct.real.swapaxes(1, 2))
     if r_gen == 2:
@@ -420,7 +424,8 @@ def closed_form_C_2site(params: CanonicalParams) -> ObstructionMatrix:
 def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessReport]:
     """Verdicts for a stack of square matrices, one stacked eigensolve."""
     scale = 1.0 + np.abs(C).max(axis=(1, 2))
-    _fail_if(np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * scale, ValueError,
+    _require(np.isfinite(scale), OverflowError, points, "matrix is not finite")
+    _require(np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * scale, ValueError,
              points, "matrix is not symmetric")
     ev = np.linalg.eigvalsh(0.5 * (C + C.swapaxes(1, 2)))
     max_eig = ev[:, -1]
@@ -437,7 +442,7 @@ def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessR
         norm = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
         decisive = np.all(np.abs(minors) > tol[:, None] * norm[:, None] ** k, axis=1)
         alternates = np.all((-1.0) ** k * minors > 0, axis=1)
-        _fail_if(decisive & (alternates != (verdict == "negative_definite")), ArithmeticError,
+        _require(~decisive | (alternates == (verdict == "negative_definite")), ArithmeticError,
                  points, "eigenvalue and Sylvester verdicts disagree")
     return [DefinitenessReport(eigenvalues=ev[i], max_eigenvalue=float(max_eig[i]),
                                nullity=int(nullity[i]), verdict=str(verdict[i]),
@@ -490,31 +495,6 @@ def c2prime_diagnostics(params: CanonicalParams):
     if abs(b2 - expected) > B2_TOL * (1.0 + abs(expected)):
         raise ArithmeticError(f"b2 = {b2!r} deviates from {expected!r}")
     return ev, (b2, b1, b0)
-
-
-def unitality_witness(gen: LindbladGenerator) -> UnitalityWitness:
-    """Extract w with L(11) = w1 - 1w for a width-2 generator.
-
-    The residual reports how far the identity image is from that
-    divergence form; conserving generators on long rings must make it
-    vanish.
-    """
-    if gen.r != 2:
-        raise ValueError("witness extraction needs a two-site window")
-    defect = gen.unital_defect()
-    labels = ("X", "Y", "Z")
-    cols = [PauliOperator(2, {lab + "I": 1.0, "I" + lab: -1.0}) for lab in labels]
-    strings = sorted(set(itertools.chain(defect.terms,
-                                         *(c.terms for c in cols))))
-    M = np.array([[c.terms.get(s, 0.0) for c in cols] for s in strings])
-    rhs = np.array([defect.terms.get(s, 0.0) for s in strings])
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    # identity images of these generators are Hermitian, so w is real;
-    # any imaginary leftover in the fit target lands in the residual
-    sol = sol.real
-    w = PauliOperator(1, {lab: complex(sol[i]) for i, lab in enumerate(labels)})
-    residual = float(np.linalg.norm(M @ sol - rhs))
-    return UnitalityWitness(w=w, residual=residual)
 
 
 # -- parameter scans ---------------------------------------------------------

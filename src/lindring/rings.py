@@ -38,18 +38,6 @@ def assemble_sum(a: PauliOperator, n: int) -> PauliOperator:
     return out
 
 
-def assemble_pairs_sum(a: PauliOperator, n: int) -> PauliOperator:
-    """Sum of a two-site operator over all ordered site pairs (j, k), j != k."""
-    if a.n != 2:
-        raise ValueError("pair sums are defined for two-site operators")
-    out = PauliOperator.zero(n)
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                out = out + a.embed_at_sites(n, (j, k))
-    return out
-
-
 # -- zero TI sums -------------------------------------------------------------
 
 
@@ -140,19 +128,6 @@ def local_conservation_check(
     return offender is None, worst, offender
 
 
-def pairs_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int) -> float:
-    """Residual of the all-pairs generator sum acting on the all-pairs density."""
-    if gen.r != 2:
-        raise ValueError("pair placements need a two-site generator")
-    A = assemble_pairs_sum(a, n)
-    out = PauliOperator.zero(n)
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                out = out + gen.apply_at_sites(A, (j, k))
-    return out.hs_norm()
-
-
 @dataclass(frozen=True)
 class ConservationReport:
     mode: str
@@ -224,31 +199,6 @@ def symmetrize_fields(a: PauliOperator) -> PauliOperator:
             if abs(val) > 0:
                 out[key] = val
     return PauliOperator(2, out)
-
-
-def schmidt_decompose(a: PauliOperator, tol: float = 1e-12):
-    """Operator Schmidt decomposition of a two-site operator.
-
-    Returns (weights, left factors, right factors) with the factors
-    orthonormal in the Hilbert-Schmidt inner product and
-    a = sum_i weights[i] * left[i] x right[i].  Rank is at most 4.
-    """
-    if a.n != 2:
-        raise ValueError("Schmidt decomposition is defined for two-site operators")
-    labels = "IXYZ"
-    C = np.zeros((4, 4), dtype=complex)
-    for p in range(4):
-        for q in range(4):
-            C[p, q] = a.coefficient(labels[p] + labels[q])
-    U, s, Vh = np.linalg.svd(C)
-    keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
-    weights = s[keep]
-    left = []
-    right = []
-    for i in np.nonzero(keep)[0]:
-        left.append(PauliOperator(1, {labels[p]: U[p, i] for p in range(4)}))
-        right.append(PauliOperator(1, {labels[q]: Vh[i, q].conjugate() for q in range(4)}))
-    return weights, left, right
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,12 @@
 """Exit codes, report determinism, and file handling of the command line tool."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindring.cli import main
 from lindring.pauli import PauliOperator
@@ -115,6 +119,32 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
         assert main(["obstruction", "--r", "2", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.count("is not finite") == 3 and "converge" not in err
+    # finite parameters whose obstruction matrix overflows, the point named
+    grid = tmp_path / "huge.grid"
+    grid.write_text("0.1 0.2 0 0 0\n1e200 0 0 0 0\n")
+    for argv in (["obstruction", "--r", "3", "--mu", "1e200"],
+                 ["obstruction", "--r", "2", "--mu", "1e200"],
+                 ["scan", "--r", "2", "--grid", str(grid)]):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("not finite at (mu, nu, hx, hy, hz) = (1e+200, 0.0, 0.0, 0.0, 0.0)") == 3
+    assert "Traceback" not in err and "converge" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.sampled_from([2, 3]),
+       point=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5))
+def test_obstruction_any_finite_point(r, point):
+    argv = ["obstruction", "--r", str(r)]
+    # --flag=value, since argparse reads a lone -1e+200 as a flag
+    argv += [f"--{name}={value!r}" for name, value in zip(("mu", "nu", "hx", "hy", "hz"), point)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert math.isfinite(json.loads(out.getvalue())["result"]["max_eigenvalue"])
 
 
 def test_bad_tolerance_exit_2(heis_gen, sx_density, ising_density, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_hermitian_window
 from lindring.pauli import PauliOperator, parse_operator
@@ -7,6 +8,8 @@ from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import assemble_sum, global_conservation_residual
 from lindring.feasibility import (
     FeasibilityProblem,
+    _complete_on_face,
+    _factor_rows,
     build_affine_constraints,
     format_problem_file,
     generator_from_point,
@@ -170,6 +173,36 @@ def test_constraint_rows_match_generator_action(r, mode):
     assert np.abs(got - np.array(want)).max() < 1e-12
     rows = {lab.rsplit(":", 1)[0] for lab in labels}
     assert not [key for key, c in image.items() if abs(c) > 1e-12 and key not in rows]
+
+
+@pytest.mark.parametrize("r, mode", [(1, "global"), (1, "local"), (2, "global"),
+                                     (2, "local"), (3, "global")])
+def test_one_factorization(r, mode):
+    # the affine projection, the fixed gamma directions B and the face
+    # completion all come from one SVD of the rows
+    prob = ising_problem(mode, r)
+    cons = build_affine_constraints(prob)
+    K, b, m2 = cons.matrix, cons.rhs, cons.dim_gamma
+    project, x0, B = _factor_rows(cons)
+    rng = np.random.default_rng(r)
+    x = rng.standard_normal(K.shape[1])
+    y = project(x)
+    assert np.linalg.norm(project(y) - y) < 1e-10 * (1.0 + np.linalg.norm(x))
+    assert np.linalg.norm(K @ y - b) < 1e-10 * (1.0 + np.linalg.norm(b))
+    assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-10
+    # B spans the row directions with no Hamiltonian part
+    assert B.shape[1] == np.linalg.matrix_rank(K) - np.linalg.matrix_rank(K[:, m2:])
+    # the jump X...X kills every X string, so it conserves the Ising density
+    warm = pack_point(rank_one_gamma(r, "X" * r)) + 1e-3 * rng.standard_normal(K.shape[1])
+    cand = _complete_on_face(prob, cons, x0, B, warm)
+    assert cand is not None
+    assert np.abs(B.T @ (cand[:m2] - x0[:m2])).max() < 1e-10
+    assert np.linalg.norm(K @ cand - b) < 1e-9
+    if r <= 2:
+        # independent reference: B is the complement of the gamma parts of the null space
+        N = scipy.linalg.null_space(K)[:m2]
+        assert np.abs(B.T @ N).max() < 1e-10
+        assert B.shape[1] + np.linalg.matrix_rank(N) == m2
 
 
 def test_trace_row_normalizes():

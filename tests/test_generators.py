@@ -192,9 +192,8 @@ def test_one_site_kernels_at_most_two_dimensional():
 
 
 def test_unitality():
-    assert exchange_generator().is_unital()
+    assert exchange_generator().unital_defect().hs_norm() <= 1e-12
     lowering = LindbladGenerator(1, lindblads=[parse_operator("0.5*X + (0+0.5i)*Y")])
-    assert not lowering.is_unital()
     defect = lowering.unital_defect()
     assert defect.hs_norm() > 0.1
 

@@ -23,7 +23,6 @@ from lindring.obstruction import (
     scan,
     scan_point,
     unitality_forms,
-    unitality_witness,
 )
 
 ISING = CanonicalParams.at(0.0, 0.0)
@@ -152,29 +151,6 @@ def test_unitality_form_matches_identity_image():
         direct = complex(parse_operator(pattern).hs_inner(defect))
         assert uf[name].value(c) == pytest.approx(direct.real, abs=1e-12)
     assert uf["z"].value(c) == pytest.approx(2.0)
-
-
-def test_unitality_witness_recovers_divergence_form():
-    gen = LindbladGenerator(2, lindblads=[
-        PauliOperator(2, {"XI": 0.5, "YI": 0.5j}),
-        PauliOperator(2, {"IX": 0.5, "IY": -0.5j}),
-    ])
-    wit = unitality_witness(gen)
-    assert wit.residual < 1e-12
-    assert set(wit.w.terms) == {"Z"}
-    assert wit.w.terms["Z"] == pytest.approx(2.0, abs=1e-12)
-    assert abs(wit.w.hs_inner(PauliOperator.identity(1))) < 1e-15
-
-
-def test_unitality_witness_flags_bad_defect():
-    # a single raising jump leaks weight that no divergence can absorb
-    gen = LindbladGenerator(2, lindblads=[PauliOperator(2, {"XI": 0.5, "YI": 0.5j})])
-    wit = unitality_witness(gen)
-    assert wit.residual == pytest.approx(np.sqrt(2))
-    unital = LindbladGenerator(2, lindblads=[parse_operator("XX")])
-    assert unitality_witness(unital).residual < 1e-15
-    with pytest.raises(ValueError):
-        unitality_witness(LindbladGenerator(1, lindblads=[parse_operator("X")]))
 
 
 # -- assembly and closed form -------------------------------------------------
@@ -331,6 +307,9 @@ def test_certify_rejects_bad_input():
         certify_definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         certify_definiteness(np.zeros((2, 3)))
+    # NaN fails every check instead of reading as negative definite
+    with pytest.raises(OverflowError, match="not finite"):
+        certify_definiteness(np.array([[-1.0, np.nan], [np.nan, -1.0]]))
 
 
 def test_certify_skips_minors_above_dim_15():

@@ -6,7 +6,6 @@ from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator
 from lindring.rings import (
     CanonicalParams,
-    assemble_pairs_sum,
     assemble_sum,
     canonical_form,
     canonical_residual,
@@ -15,11 +14,9 @@ from lindring.rings import (
     format_density_file,
     global_conservation_residual,
     local_conservation_check,
-    pairs_conservation_residual,
     parse_density_file,
     reconstruct,
     safe_ring_length,
-    schmidt_decompose,
     symmetrize_fields,
     ti_sum_is_zero,
 )
@@ -182,39 +179,6 @@ def test_safe_ring_warning():
     with pytest.warns(UserWarning):
         global_conservation_residual(gen, parse_operator("X"), 4)
     assert safe_ring_length(2, 1) == 6
-
-
-@pytest.mark.filterwarnings("ignore:ring length")
-def test_pairs_sum_and_conservation():
-    A = assemble_pairs_sum(parse_operator("ZZ"), 4)
-    assert A.coefficient("ZZII") == 2  # (0,1) and (1,0)
-    gen = exchange_generator()
-    # every all-pairs sum is permutation invariant, so exchange noise keeps it
-    for text in ("ZZ", "XY + YX", "XY"):
-        assert pairs_conservation_residual(gen, parse_operator(text), 4) < 1e-12
-    noisy = LindbladGenerator(2, lindblads=[parse_operator("XX")])
-    assert pairs_conservation_residual(noisy, parse_operator("XX"), 4) < 1e-12
-    assert pairs_conservation_residual(noisy, parse_operator("ZZ"), 4) > 1.0
-
-
-def test_schmidt_decompose():
-    w, left, right = schmidt_decompose(parse_operator("XX + 0.5*YY"))
-    assert np.allclose(w, [1.0, 0.5])
-    prod = parse_operator("XZ + ZZ")  # (X+Z) x Z
-    w2, _, _ = schmidt_decompose(prod)
-    assert len(w2) == 1 and abs(w2[0] - np.sqrt(2)) < 1e-12
-    rng = np.random.default_rng(4)
-    a = dense_random_hermitian(rng)
-    w3, ls, rs = schmidt_decompose(a)
-    assert len(w3) <= 4
-    rebuilt = PauliOperator.zero(2)
-    for wi, li, ri in zip(w3, ls, rs):
-        rebuilt = rebuilt + wi * (li.embed(2, 0) @ ri.embed(2, 1))
-    assert (rebuilt - a).hs_norm() < 1e-12
-    for i, li in enumerate(ls):
-        for j, lj in enumerate(ls):
-            want = 1.0 if i == j else 0.0
-            assert abs(li.hs_inner(lj) - want) < 1e-12
 
 
 def test_symmetrize_fields_preserves_ring_sum():
