@@ -202,6 +202,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _anisotropy(text: str) -> float:
+    """An anisotropy of the two-site normal form: a float literal in [0, 1]."""
+    if not 0.0 <= (value := _finite_float(text)) <= 1.0:
+        raise argparse.ArgumentTypeError(f"anisotropy {text!r} is outside [0, 1]")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """A tolerance: a finite, non-negative float literal."""
     if (value := _finite_float(text)) < 0:
@@ -216,7 +223,7 @@ def _parse_grid_file(text: str) -> list[tuple]:
         if len(parts) != 5:
             raise ParseFailure(f"grid line {lineno}: need 5 values, got {len(parts)}")
         try:
-            grid.append(tuple(_finite_float(p) for p in parts))
+            grid.append(tuple(map(_anisotropy, parts[:2])) + tuple(map(_finite_float, parts[2:])))
         except argparse.ArgumentTypeError as exc:
             raise ParseFailure(f"grid line {lineno}: {exc}") from exc
     if not grid:
@@ -281,6 +288,7 @@ def _cmd_search(args) -> int:
     }
     if res.generator is not None:
         result["generator"] = format_generator_file(res.generator)
+    result["constraints"] = dict(zip(("rows", "distinct_rows", "rank"), res.constraints))
     if res.certificate is not None:
         result["certificate"] = {
             "verdict": res.certificate.verdict,
@@ -323,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruction", help="build and certify the obstruction matrix")
     p.add_argument("--r", type=int, choices=(2, 3), required=True)
-    p.add_argument("--mu", type=_finite_float, default=0.0)
-    p.add_argument("--nu", type=_finite_float, default=0.0)
+    p.add_argument("--mu", type=_anisotropy, default=0.0)
+    p.add_argument("--nu", type=_anisotropy, default=0.0)
     p.add_argument("--hx", type=_finite_float, default=0.0)
     p.add_argument("--hy", type=_finite_float, default=0.0)
     p.add_argument("--hz", type=_finite_float, default=0.0)

@@ -134,6 +134,7 @@ class FeasibilityResult:
     iterations: int
     affine_distance: float
     certificate: DefinitenessReport | None = None
+    constraints: tuple[int, int, int] | None = None  # rows, distinct rows, rank of K
 
 
 # -- real parametrization of (gamma, H) ---------------------------------------
@@ -320,6 +321,21 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
                              r_gen=r, dim_gamma=dim_gamma)
 
 
+def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
+    """The nonzero rows of [K | b] once each, scaled by sqrt(multiplicity), unlabelled.
+
+    That keeps K^T K and K^T b: the least-squares step, K^+ b and |K x - b|
+    stay the same maps.  Only byte-identical rows merge, with -0.0 read as 0.0.
+    """
+    K, b = cons.matrix, cons.rhs
+    seen: dict[bytes, list[int]] = {}  # row bytes -> [first index, multiplicity]
+    for i in np.flatnonzero(K.any(axis=1) | (b != 0)):
+        seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), [i, 0])[1] += 1
+    index, count = np.array(list(seen.values())).T
+    w = np.sqrt(count)
+    return AffineConstraints(K[index] * w[:, None], b[index] * w, (), cons.r_gen, cons.dim_gamma)
+
+
 def _factor_rows(cons: AffineConstraints):
     """One SVD of K: the affine projection, the least-squares point and the fixed gammas.
 
@@ -331,7 +347,7 @@ def _factor_rows(cons: AffineConstraints):
     the Hamiltonian columns of Vt, B = Vt_gamma^T N is an orthonormal
     basis of those directions, the trace among them.  B is far thinner
     than the conserving span, so every gamma projection goes through it.
-    Returns (project, x0, B).
+    Returns (project, x0, B), with the rank of K as project.rank.
     """
     U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
     keep = sv > sv[0] * 1e-13
@@ -342,6 +358,7 @@ def _factor_rows(cons: AffineConstraints):
     def project(x: np.ndarray) -> np.ndarray:
         return x - Vt.T @ (Vt @ x) + x0
 
+    project.rank = len(Vt)
     return project, x0, B
 
 
@@ -398,8 +415,8 @@ def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport 
         return None
 
 
-def _accept(gen: LindbladGenerator, problem: FeasibilityProblem,
-            iterations: int, affine_distance: float) -> FeasibilityResult | None:
+def _accept(gen: LindbladGenerator, problem: FeasibilityProblem, iterations: int,
+            affine_distance: float, constraints: tuple) -> FeasibilityResult | None:
     """Independent certification of a candidate; None when it does not pass."""
     residual = verify_candidate(gen, problem)
     eigs = np.linalg.eigvalsh(gen.gamma)
@@ -407,7 +424,7 @@ def _accept(gen: LindbladGenerator, problem: FeasibilityProblem,
     if residual < VERIFY_TOL and eigs[0] > -PSD_TOL and trace_err < TRACE_TOL:
         return FeasibilityResult(
             status="feasible", generator=gen, residual=float(residual),
-            iterations=iterations, affine_distance=affine_distance)
+            iterations=iterations, affine_distance=affine_distance, constraints=constraints)
     return None
 
 
@@ -443,12 +460,9 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
         if neg < 1e-14 * max(1.0, tau):
             gamma_ok = gamma
             break
-        if neg > best_neg * (1.0 - 1e-2):
-            stall += 1
-            if stall >= 25:
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if neg > best_neg * (1.0 - 1e-2) else 0
+        if stall >= 25:
+            break
         best_neg = min(best_neg, neg)
         v = project_affine(_gamma_to_vector((V * np.maximum(lam, 0.0)) @ V.conj().T))
     if gamma_ok is None:
@@ -513,12 +527,10 @@ def _rank_refine(B: np.ndarray, g0: np.ndarray, m: int, tau: float,
         if rank > m:
             continue
         U = V_seed[:, -rank:] * np.sqrt(np.clip(lam_seed[-rank:], 1e-12, None))
-        ok = False
         for _ in range(60):
             resid = B.T @ (_gamma_to_vector(U @ U.conj().T) - g0)
             if np.linalg.norm(resid) < 1e-13 * max(1.0, tau):
-                ok = True
-                break
+                return U @ U.conj().T
             J = np.column_stack([jac_column(a, b, part, U)
                                  for b in range(rank)
                                  for a in range(m)
@@ -526,8 +538,6 @@ def _rank_refine(B: np.ndarray, g0: np.ndarray, m: int, tau: float,
             delta, *_ = np.linalg.lstsq(J, -resid, rcond=None)
             dU = (delta[0::2] + 1j * delta[1::2]).reshape(rank, m).T
             U = U + dU
-        if ok:
-            return U @ U.conj().T
     return None
 
 
@@ -542,20 +552,19 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     the sets nearly touch an exact completion on the conserving span
     finishes the job; every returned point is re-certified from scratch.
     """
-    cons = build_affine_constraints(problem)
+    cons = _distinct_rows(full := build_affine_constraints(problem))
     project_affine, x0, B = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
 
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(cons.matrix.shape[1]) * (tau / m)
+    x = rng.standard_normal(K.shape[1]) * (tau / m)
     x = _project_cone(x, m, tau)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     converged = False
     iterations = 0
-    gap = np.inf
     best_gap = np.inf
     since_best = 0
     snapshot = np.inf
@@ -583,9 +592,10 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
             snapshot = gap
 
     affine_distance = float(np.linalg.norm(x - project_affine(x)))
+    shape = (len(full.rhs), len(b), project_affine.rank)
     if converged:
         got = _accept(generator_from_point(problem.r_gen, x),
-                      problem, iterations, affine_distance)
+                      problem, iterations, affine_distance, shape)
         if got is not None:
             return got
     if affine_distance < COMPLETION_DISTANCE * max(1.0, tau):
@@ -593,13 +603,13 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
         if cand is not None:
             dist = float(np.linalg.norm(cand - project_affine(cand)))
             got = _accept(generator_from_point(problem.r_gen, cand),
-                          problem, iterations, dist)
+                          problem, iterations, dist, shape)
             if got is not None:
                 return got
     return FeasibilityResult(
         status="not_found", generator=None, residual=None,
         iterations=iterations, affine_distance=affine_distance,
-        certificate=_obstruction_certificate(problem))
+        certificate=_obstruction_certificate(problem), constraints=shape)
 
 
 # -- problem files -------------------------------------------------------------

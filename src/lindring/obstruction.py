@@ -436,12 +436,15 @@ def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessR
     minors = [None] * len(C)
     if C.shape[1] <= 15:
         k = np.arange(1, C.shape[1] + 1)
-        minors = np.stack([np.linalg.det(C[:, :j, :j]) for j in k], axis=1)
+        norm = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
+        # minors of C / norm, as those of C overflow; one below the float range reads 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            unit = np.stack([np.linalg.det(C[:, :j, :j] / norm[:, None, None]) for j in k], axis=1)
+            minors = unit * norm[:, None] ** k  # the minors of C; not finite where they overflow
         # strict alternation of leading minors certifies negative definiteness;
         # enforce agreement only where every minor is decisively signed
-        norm = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
-        decisive = np.all(np.abs(minors) > tol[:, None] * norm[:, None] ** k, axis=1)
-        alternates = np.all((-1.0) ** k * minors > 0, axis=1)
+        decisive = np.all(np.abs(unit) > tol[:, None], axis=1)
+        alternates = np.all((-1.0) ** k * unit > 0, axis=1)
         _require(~decisive | (alternates == (verdict == "negative_definite")), ArithmeticError,
                  points, "eigenvalue and Sylvester verdicts disagree")
     return [DefinitenessReport(eigenvalues=ev[i], max_eigenvalue=float(max_eig[i]),

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,14 +122,45 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
     assert err.count("is not finite") == 3 and "converge" not in err
     # finite parameters whose obstruction matrix overflows, the point named
     grid = tmp_path / "huge.grid"
-    grid.write_text("0.1 0.2 0 0 0\n1e200 0 0 0 0\n")
-    for argv in (["obstruction", "--r", "3", "--mu", "1e200"],
-                 ["obstruction", "--r", "2", "--mu", "1e200"],
+    grid.write_text("0.1 0.2 0 0 0\n0 0 1e200 0 0\n")
+    for argv in (["obstruction", "--r", "3", "--hx", "1e200"],
+                 ["obstruction", "--r", "2", "--hx", "1e200"],
                  ["scan", "--r", "2", "--grid", str(grid)]):
         assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("not finite at (mu, nu, hx, hy, hz) = (1e+200, 0.0, 0.0, 0.0, 0.0)") == 3
+    assert err.count("not finite at (mu, nu, hx, hy, hz) = (0.0, 0.0, 1e+200, 0.0, 0.0)") == 3
     assert "Traceback" not in err and "converge" not in err
+
+
+def test_anisotropy_out_of_range_exit_2(tmp_path, capsys):
+    # the two-site normal form has mu, nu in [0, 1]; anything else is refused
+    for flag, value in (("--mu", "-3"), ("--nu", "2"), ("--mu", "1e200"), ("--nu", "1.0000001")):
+        assert main(["obstruction", "--r", "2", f"{flag}={value}"]) == 2
+        assert f"{value!r} is outside [0, 1]" in capsys.readouterr().err
+    assert main(["obstruction", "--r", "3", "--mu=-3", "--nu", "2"]) == 2
+    assert "'-3' is outside [0, 1]" in capsys.readouterr().err
+    for line, value in (("1.5 0 0 0 0", "1.5"), ("0.5 -0.1 0 0 0", "-0.1")):
+        grid = tmp_path / "range.grid"
+        grid.write_text(f"0.1 0.2 0 0 0\n{line}\n")
+        assert main(["scan", "--r", "2", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert "grid line 2" in err and f"{value!r} is outside [0, 1]" in err
+    # the ends of the range are in range
+    assert main(["obstruction", "--r", "2", "--mu", "0", "--nu", "1", "--out",
+                 str(tmp_path / "edge.json")]) == 0
+
+
+def test_sylvester_check_without_overflow(tmp_path):
+    # the leading minors of C overflow at large fields; the cross-check reads
+    # those of C / max|C| and warns of nothing
+    for argv in (["--r", "2", "--mu", "0.5", "--nu", "0.5", "--hx", "1e100"],
+                 ["--r", "3", "--mu", "0.5", "--nu", "0.5", "--hx", "1e100"],
+                 ["--r", "2", "--mu", "1", "--nu", "1", "--hx", "1e100", "--hz", "1e100"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(["obstruction"] + argv, tmp_path)
+        assert code == 0
+        assert math.isfinite(rep["result"]["max_eigenvalue"])
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,6 +175,23 @@ def test_obstruction_any_finite_point(r, point):
         code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert math.isfinite(json.loads(out.getvalue())["result"]["max_eigenvalue"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.sampled_from([2, 3]),
+       mu=st.floats(0.0, 1.0), nu=st.floats(0.0, 1.0),
+       field=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+def test_obstruction_any_field_in_range(r, mu, nu, field):
+    # anisotropies in range reach the assembly for every finite field
+    argv = ["obstruction", "--r", str(r), f"--mu={mu!r}", f"--nu={nu!r}"]
+    argv += [f"--{name}={value!r}" for name, value in zip(("hx", "hy", "hz"), field)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue() and "outside" not in err.getvalue()
     if code == 0:
         assert math.isfinite(json.loads(out.getvalue())["result"]["max_eigenvalue"])
 
@@ -316,6 +365,8 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert rep["result"]["status"] == "not_found"
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
     assert "generator" not in rep["result"]
+    # the search solved the distinct rows of its linear system
+    assert rep["result"]["constraints"] == {"rows": 399, "distinct_rows": 67, "rank": 61}
 
 
 def test_search_problem_section(ising_density, tmp_path):

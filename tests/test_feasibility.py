@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +9,10 @@ from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import assemble_sum, global_conservation_residual
 from lindring.feasibility import (
+    VERIFY_TOL,
     FeasibilityProblem,
     _complete_on_face,
+    _distinct_rows,
     _factor_rows,
     build_affine_constraints,
     format_problem_file,
@@ -205,6 +209,56 @@ def test_one_factorization(r, mode):
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
 
 
+def row_space(K):
+    """Orthonormal basis of the row space of K and the pseudo-inverse, one SVD."""
+    U, sv, Vt = np.linalg.svd(K, full_matrices=False)
+    rank = int((sv > sv[0] * max(K.shape) * np.finfo(float).eps).sum())
+    return Vt[:rank].T, (Vt[:rank].T / sv[:rank]) @ U[:, :rank].T
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_distinct_rows_same_system(r, mode):
+    # the search reads the distinct rows of [K | b], each scaled by
+    # sqrt(multiplicity): the same least-squares system as all the rows
+    cons = build_affine_constraints(FeasibilityProblem(PauliOperator(1, {"Z": 1.0}),
+                                                       r_gen=r, mode=mode))
+    K = cons.matrix
+    red = _distinct_rows(cons)
+    Kb = np.column_stack([K, cons.rhs]) + 0.0
+    assert red.matrix.any(axis=1).all()
+    assert len({row.tobytes() for row in np.column_stack([red.matrix, red.rhs])}) == len(red.rhs)
+    assert len(red.rhs) == len(np.unique(Kb[Kb.any(axis=1)], axis=0)) < len(K)
+    # a copy of every row with its zeros signed -0.0 merges with the row
+    twin = dataclasses.replace(cons, matrix=np.vstack([K, np.where(K == 0, -0.0, K)]),
+                               rhs=np.concatenate([cons.rhs, cons.rhs]))
+    assert np.allclose(_distinct_rows(twin).matrix, np.sqrt(2.0) * red.matrix, rtol=1e-14, atol=0)
+    # the reference keeps every copy; a zero row of K with a zero entry of b
+    # adds nothing to the row space or the step, and leaving those rows out
+    # keeps the reference SVD small
+    nonzero = K.any(axis=1)
+    Q, pinv = row_space(K[nonzero])
+    rng = np.random.default_rng(r)
+    # copies of a row of K that get different entries of b make the system
+    # inconsistent; the copies that still agree in [K | b] keep their weights
+    b_off = cons.rhs + 0.1 * rng.integers(0, 2, len(K)) * nonzero
+    assert np.linalg.norm(K[nonzero] @ (pinv @ b_off[nonzero]) - b_off[nonzero]) > 1e-2
+    for b in (cons.rhs, b_off):
+        assert not b[~nonzero].any()
+        red = _distinct_rows(dataclasses.replace(cons, rhs=b))
+        assert len(red.rhs) < np.count_nonzero(nonzero)
+        Qr, pinv_r = row_space(red.matrix)
+        # equal ranks: |P - P'| is the sine of the largest principal angle
+        assert Qr.shape[1] == Q.shape[1]
+        assert np.linalg.norm(Q - Qr @ (Qr.T @ Q), 2) < 1e-12
+        for _ in range(3):
+            x = rng.standard_normal(K.shape[1])
+            tol = 1e-12 * (1.0 + np.linalg.norm(x))
+            step = x - pinv @ (K[nonzero] @ x - b[nonzero])
+            assert np.linalg.norm(x - pinv_r @ (red.matrix @ x - red.rhs) - step) < tol
+            assert abs(np.linalg.norm(red.matrix @ x - red.rhs) - np.linalg.norm(K @ x - b)) < tol
+
+
 def test_trace_row_normalizes():
     prob = ising_problem()
     cons = build_affine_constraints(prob)
@@ -305,6 +359,13 @@ def test_search_wider_window_still_finds_ising():
     prob = ising_problem(r_gen=3)
     res = search(prob, seed=1)
     assert_feasible(res, prob)
+
+
+def test_search_wider_window_local_finds_ising():
+    prob = ising_problem("local", r_gen=3)
+    res = search(prob, seed=1)
+    assert_feasible(res, prob, tol=VERIFY_TOL)
+    assert res.constraints == (3841, 744, 316)
 
 
 def test_search_wider_window_still_rejects_heisenberg():
