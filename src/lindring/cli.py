@@ -283,6 +283,7 @@ def _cmd_search(args) -> int:
     result = {
         "status": res.status,
         "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
         "affine_distance": res.affine_distance,
         "residual": res.residual,
     }

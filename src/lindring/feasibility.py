@@ -135,6 +135,9 @@ class FeasibilityResult:
     affine_distance: float
     certificate: DefinitenessReport | None = None
     constraints: tuple[int, int, int] | None = None  # rows, distinct rows, rank of K
+    # converged | completed_on_face, or the rule that ended the iteration:
+    # plateau | creep | max_iter
+    stop_reason: str | None = None
 
 
 # -- real parametrization of (gamma, H) ---------------------------------------
@@ -155,13 +158,14 @@ def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
 
 
 def _vector_to_gamma(v: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of _gamma_to_vector, over the last axis of v."""
     iu, ju = np.triu_indices(m, 1)
     m2 = iu.size
-    gamma = np.zeros((m, m), dtype=complex)
-    gamma[np.arange(m), np.arange(m)] = v[:m]
-    upper = (v[m:m + m2] + 1j * v[m + m2:m + 2 * m2]) / np.sqrt(2.0)
-    gamma[iu, ju] = upper
-    gamma[ju, iu] = upper.conj()
+    gamma = np.zeros(v.shape[:-1] + (m, m), dtype=complex)
+    gamma[..., np.arange(m), np.arange(m)] = v[..., :m]
+    upper = (v[..., m:m + m2] + 1j * v[..., m + m2:m + 2 * m2]) / np.sqrt(2.0)
+    gamma[..., iu, ju] = upper
+    gamma[..., ju, iu] = upper.conj()
     return gamma
 
 
@@ -416,16 +420,39 @@ def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport 
 
 
 def _accept(gen: LindbladGenerator, problem: FeasibilityProblem, iterations: int,
-            affine_distance: float, constraints: tuple) -> FeasibilityResult | None:
-    """Independent certification of a candidate; None when it does not pass."""
+            affine_distance: float, constraints: tuple, stop_reason: str) -> FeasibilityResult | None:
+    """Independent certification of a candidate; None when it does not pass.
+
+    Conservation is invariant under gamma -> s gamma and under a -> s a, so
+    the bounds scale: the residual with the trace and the largest target,
+    the PSD and trace errors with the trace.
+    """
     residual = verify_candidate(gen, problem)
     eigs = np.linalg.eigvalsh(gen.gamma)
     trace_err = abs(float(np.trace(gen.gamma).real) - problem.gamma_trace)
-    if residual < VERIFY_TOL and eigs[0] > -PSD_TOL and trace_err < TRACE_TOL:
+    scale = max(1.0, problem.gamma_trace)
+    size = max(1.0, max(a.hs_norm() for a in problem.targets))
+    if (residual < VERIFY_TOL * scale * size and eigs[0] > -PSD_TOL * scale
+            and trace_err < TRACE_TOL * scale):
         return FeasibilityResult(
             status="feasible", generator=gen, residual=float(residual),
-            iterations=iterations, affine_distance=affine_distance, constraints=constraints)
+            iterations=iterations, affine_distance=affine_distance, constraints=constraints,
+            stop_reason=stop_reason)
     return None
+
+
+def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
+    """Residuals Re tr(B_k U U^dag) - c_k and their Jacobian over (Re U, Im U).
+
+    The packing is an isometry, so the residual along column k of B is
+    Re tr(B_k U U^dag) with B_k its Hermitian matrix; its derivative along
+    dU is 2 Re tr(U^dag B_k dU), which reads 2 Re (B_k U)_ab for Re dU_ab
+    and 2 Im (B_k U)_ab for Im dU_ab.
+    """
+    BU = Bk @ U
+    resid = np.einsum("kab,ab->k", BU, U.conj()).real - c
+    flat = BU.reshape(len(Bk), -1)
+    return resid, 2.0 * np.concatenate([flat.real, flat.imag], axis=1)
 
 
 def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
@@ -433,111 +460,36 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
     """Exact completion once the projections have nearly met.
 
     Near a common face of the cone the outer loop closes the gap only
-    sublinearly, so restrict gamma to the conserving span g0 + B^perp,
-    with g0 the gamma part of x0, and finish there: alternate between
-    the span and the cone, which converges geometrically whenever the
-    face has relative interior, and fall back to a low-rank
-    factorization for faces too thin for that.  Returns a packed point
-    or None.
+    sublinearly.  Project the iterate onto the conserving span g0 + B^perp,
+    with g0 the gamma part of x0, seed a thin factor U (gamma = U U^dag)
+    from its top eigenpairs and drive the components of U U^dag - g0 along
+    B to zero by Gauss-Newton, which converges quadratically even on a
+    face with no relative interior.  U U^dag is PSD by construction, and
+    the trace is one of the components, so U = 0 is no root.  Returns a
+    packed point or None.
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
     K, b = cons.matrix, cons.rhs
-    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau):
+    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau) * max(1.0, np.abs(K).max()):
         return None  # every conserving gamma is traceless
     g0 = x0[:m * m]
-
-    def project_affine(v):
-        return v - B @ (B.T @ (v - g0))
-
-    v = project_affine(warm_x[:m * m])
-    gamma_ok = None
-    best_neg, stall = np.inf, 0
-    for _ in range(500):
-        gamma = _vector_to_gamma(v, m)
-        lam, V = np.linalg.eigh(gamma)
-        neg = float(np.linalg.norm(np.minimum(lam, 0.0)))
-        if neg < 1e-14 * max(1.0, tau):
-            gamma_ok = gamma
-            break
-        stall = stall + 1 if neg > best_neg * (1.0 - 1e-2) else 0
-        if stall >= 25:
-            break
-        best_neg = min(best_neg, neg)
-        v = project_affine(_gamma_to_vector((V * np.maximum(lam, 0.0)) @ V.conj().T))
-    if gamma_ok is None:
-        gamma_ok = _rank_refine(B, g0, m, tau, _vector_to_gamma(v, m))
-        if gamma_ok is None:
-            return None
-    lam, V = np.linalg.eigh(gamma_ok)
-    gamma_ok = (V * np.maximum(lam, 0.0)) @ V.conj().T
-    trace = float(np.trace(gamma_ok).real)
-    if trace <= 1e-12 * tau:
+    v = warm_x[:m * m]
+    lam, V = np.linalg.eigh(_vector_to_gamma(v - B @ (B.T @ (v - g0)), m))
+    if lam[-1] <= 0.0:
         return None
-    gamma_ok = gamma_ok * (tau / trace)
-    gpacked = _gamma_to_vector(gamma_ok)
-    eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
-    return np.concatenate([gpacked, eta])
-
-
-def _rank_refine(B: np.ndarray, g0: np.ndarray, m: int, tau: float,
-                 gamma: np.ndarray) -> np.ndarray | None:
-    """Gauss-Newton on a factor U: drive U U^dag onto the span exactly.
-
-    A face with no relative interior (an isolated PSD ray inside a large
-    span) starves alternating projections; parametrizing gamma by a thin
-    factor turns membership into a smooth root-finding problem that
-    converges quadratically from the stalled iterate.  Residuals are the
-    components of U U^dag - g0 along B; the trace is one of them,
-    otherwise U = 0 is a root.  Returns the refined gamma or None.
-    """
-    lam_seed, V_seed = np.linalg.eigh(gamma)
-    top = float(lam_seed[-1])
-    if top <= 0.0:
-        return None
-    r0 = int((lam_seed > 1e-2 * top).sum())
-    ranks = sorted({max(r0, 1), r0 + 1, min(r0 + 3, m)})
-
-    # a direction E_ab touches only row/column a of gamma, so its packed
-    # image lives on 2m-1 slots; gather those rows of B instead of
-    # multiplying full columns
-    iu, ju = np.triu_indices(m, k=1)
-    pair_slot = np.zeros((m, m), dtype=int)
-    noff = iu.size
-    pair_slot[iu, ju] = m + np.arange(noff)
-    others = [np.delete(np.arange(m), a) for a in range(m)]
-    re_rows = [B[pair_slot[np.minimum(o, a), np.maximum(o, a)]]
-               for a, o in enumerate(others)]
-    im_rows = [B[pair_slot[np.minimum(o, a), np.maximum(o, a)] + noff]
-               for a, o in enumerate(others)]
-    sqrt2 = np.sqrt(2.0)
-
-    def jac_column(a, b, part, U):
-        # d(U U^dag) along dU = part * E_ab, projected on B
-        z = np.empty(m - 1, dtype=complex)
-        o = others[a]
-        below = o < a
-        z[below] = np.conj(part) * U[o[below], b]
-        z[~below] = part * np.conj(U[o[~below], b])
-        col = B[a] * (2.0 * (part * np.conj(U[a, b])).real)
-        col = col + (sqrt2 * z.real) @ re_rows[a]
-        return col + (sqrt2 * z.imag) @ im_rows[a]
-
-    for rank in ranks:
-        if rank > m:
-            continue
-        U = V_seed[:, -rank:] * np.sqrt(np.clip(lam_seed[-rank:], 1e-12, None))
+    Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
+    r0 = int((lam > 1e-2 * lam[-1]).sum())
+    for rank in sorted({r0, min(r0 + 1, m), min(r0 + 3, m)}):
+        U = V[:, -rank:] * np.sqrt(np.clip(lam[-rank:], 1e-12, None))
         for _ in range(60):
-            resid = B.T @ (_gamma_to_vector(U @ U.conj().T) - g0)
+            resid, J = _gauss_newton_system(Bk, c, U)
             if np.linalg.norm(resid) < 1e-13 * max(1.0, tau):
-                return U @ U.conj().T
-            J = np.column_stack([jac_column(a, b, part, U)
-                                 for b in range(rank)
-                                 for a in range(m)
-                                 for part in (1.0, 1j)])
+                gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
+                eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
+                return np.concatenate([gpacked, eta])
             delta, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-            dU = (delta[0::2] + 1j * delta[1::2]).reshape(rank, m).T
-            U = U + dU
+            U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
     return None
 
 
@@ -563,7 +515,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     x = _project_cone(x, m, tau)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     best_gap = np.inf
     since_best = 0
@@ -577,7 +529,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
         x = z
         gap = float(np.linalg.norm(z - y))
         if gap < tol and np.linalg.norm(K @ z - b) < 0.5 * VERIFY_TOL:
-            converged = True
+            stop_reason = "converged"
             break
         if gap < best_gap * (1.0 - STALL_RELATIVE):
             best_gap = gap
@@ -585,17 +537,19 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
         else:
             since_best += 1
             if iterations >= STALL_MIN_ITER and since_best >= STALL_WINDOW:
+                stop_reason = "plateau"
                 break
         if iterations % SNAPSHOT_PERIOD == 0:
             if iterations >= STALL_MIN_ITER and gap > snapshot * (1.0 - SNAPSHOT_MIN_DROP):
+                stop_reason = "creep"
                 break
             snapshot = gap
 
     affine_distance = float(np.linalg.norm(x - project_affine(x)))
     shape = (len(full.rhs), len(b), project_affine.rank)
-    if converged:
+    if stop_reason == "converged":
         got = _accept(generator_from_point(problem.r_gen, x),
-                      problem, iterations, affine_distance, shape)
+                      problem, iterations, affine_distance, shape, stop_reason)
         if got is not None:
             return got
     if affine_distance < COMPLETION_DISTANCE * max(1.0, tau):
@@ -603,13 +557,14 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
         if cand is not None:
             dist = float(np.linalg.norm(cand - project_affine(cand)))
             got = _accept(generator_from_point(problem.r_gen, cand),
-                          problem, iterations, dist, shape)
+                          problem, iterations, dist, shape, "completed_on_face")
             if got is not None:
                 return got
     return FeasibilityResult(
         status="not_found", generator=None, residual=None,
         iterations=iterations, affine_distance=affine_distance,
-        certificate=_obstruction_certificate(problem), constraints=shape)
+        certificate=_obstruction_certificate(problem), constraints=shape,
+        stop_reason=stop_reason)
 
 
 # -- problem files -------------------------------------------------------------

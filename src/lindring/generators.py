@@ -238,11 +238,15 @@ def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperato
 
 
 def validate_psd(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> np.ndarray:
-    """Eigenvalues of gamma, raising if any is below -tol."""
+    """Eigenvalues of gamma, raising if any is below -tol * max(1, max |eigenvalue|).
+
+    The bound scales with gamma, as the rounding of a written and re-read
+    gamma does.
+    """
     if gen.form != "structure":
         raise ValueError("only structure-form generators carry gamma")
     w = np.linalg.eigvalsh(gen.gamma)
-    if w.min() < -tol:
+    if w.min() < -tol * max(1.0, np.abs(w).max()):
         raise ValueError(f"gamma is not positive semidefinite (min eig {w.min():.3e})")
     return w
 
@@ -340,7 +344,8 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     per line or [gamma] with an optional `order = <strings>` line
     followed by the rows of the structure matrix (entries are decimals
     or (a+bi) literals).  Non-finite coefficients and a structure matrix
-    with an eigenvalue below -GAMMA_PSD_TOL are refused.
+    with an eigenvalue below -GAMMA_PSD_TOL * max(1, max |eigenvalue|) are
+    refused.
     """
     sections: dict[str, list[str]] = {}
     current = None

@@ -355,6 +355,7 @@ def test_search_feasible_exit_0(ising_density, tmp_path):
         assert rep["result"]["status"] == "feasible"
         assert rep["result"]["residual"] < 1e-8
         assert "[gamma]" in rep["result"]["generator"]
+        assert rep["result"]["stop_reason"] == "completed_on_face"
 
 
 def test_search_not_found_exit_3(heis_density, tmp_path):
@@ -367,6 +368,8 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert "generator" not in rep["result"]
     # the search solved the distinct rows of its linear system
     assert rep["result"]["constraints"] == {"rows": 399, "distinct_rows": 67, "rank": 61}
+    # the projection gap crept along a shared face until the window rule stopped it
+    assert rep["result"]["stop_reason"] == "creep"
 
 
 def test_search_problem_section(ising_density, tmp_path):

@@ -14,6 +14,8 @@ from lindring.feasibility import (
     _complete_on_face,
     _distinct_rows,
     _factor_rows,
+    _gauss_newton_system,
+    _vector_to_gamma,
     build_affine_constraints,
     format_problem_file,
     generator_from_point,
@@ -209,6 +211,31 @@ def test_one_factorization(r, mode):
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_gauss_newton_jacobian(r):
+    # the completion's closed-form Jacobian against central differences of
+    # the residual B^T (pack(U U^dag) - g0) along random complex dU
+    _, x0, B = _factor_rows(_distinct_rows(build_affine_constraints(ising_problem(r_gen=r))))
+    m = len(basis_strings(r))
+    g0 = x0[:m * m]
+    Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
+
+    def resid(U):
+        return B.T @ (pack_point(U @ U.conj().T)[:m * m] - g0)
+
+    rng = np.random.default_rng(r)
+    h = 1e-6
+    for rank in (1, 2):
+        U = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        got, J = _gauss_newton_system(Bk, c, U)
+        assert np.linalg.norm(got - resid(U)) < 1e-12 * np.linalg.norm(resid(U))
+        for _ in range(3):
+            dU = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+            diff = (resid(U + h * dU) - resid(U - h * dU)) / (2.0 * h)
+            lin = J @ np.concatenate([dU.real.ravel(), dU.imag.ravel()])
+            assert np.linalg.norm(lin - diff) < 1e-6 * np.linalg.norm(diff)
+
+
 def row_space(K):
     """Orthonormal basis of the row space of K and the pseudo-inverse, one SVD."""
     U, sv, Vt = np.linalg.svd(K, full_matrices=False)
@@ -327,6 +354,7 @@ def test_search_rejects_heisenberg(seed):
     prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=2)
     res = search(prob, seed=seed)
     assert res.status == "not_found"
+    assert res.stop_reason == "creep"
     assert res.generator is None
     assert res.affine_distance > 1e-3
     assert res.certificate is not None
@@ -340,6 +368,31 @@ def test_search_rejects_transverse_ising(seed):
     assert res.status == "not_found"
     assert res.certificate is not None
     assert res.certificate.verdict == "negative_definite"
+
+
+@pytest.mark.parametrize("tau, size", [(1e5, 1.0), (1e8, 1.0), (1.0, 1e5)])
+def test_search_scales_with_the_problem(tau, size):
+    # conservation is invariant under gamma -> s gamma and a -> s a, and so
+    # are the search's verdicts: its bounds scale with the trace and the target
+    target = PauliOperator(2, {s: size * c for s, c in ISING.items()})
+    prob = FeasibilityProblem(target, r_gen=2, gamma_trace=tau)
+    res = search(prob, seed=1)
+    assert res.status == "feasible"
+    bound = VERIFY_TOL * tau * max(1.0, target.hs_norm())
+    assert res.residual < bound
+    assert verify_candidate(res.generator, prob) < bound
+    gam = res.generator.gamma
+    assert np.linalg.eigvalsh(gam)[0] > -1e-9 * tau
+    assert np.trace(gam).real == pytest.approx(tau, rel=1e-9)
+
+
+def test_search_says_how_it_ended():
+    # the identity density is conserved by every generator, so the
+    # projections meet outright; the Ising density needs the completion
+    ident = search(FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), seed=3)
+    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "converged", 28)
+    ising = search(ising_problem(), seed=1)
+    assert (ising.status, ising.stop_reason) == ("feasible", "completed_on_face")
 
 
 def test_search_custom_trace_scale():

@@ -318,6 +318,28 @@ def test_certify_skips_minors_above_dim_15():
     assert rep.verdict == "negative_definite"
 
 
+@pytest.mark.parametrize("r_gen, point", [(2, (0.5, 0.5, 10.0, 0.3, 0.2)),
+                                           (3, (0.5, 0.25, 0.0, 0.0, 0.0))])
+def test_cholesky_check_catches_a_wrong_eigenvalue(monkeypatch, r_gen, point):
+    # a negative definite C whose top eigenvalue comes back with the wrong
+    # sign reads indefinite; the Cholesky check must refuse that verdict,
+    # also where the minors are too small to decide and above 15x15
+    assert scan_point(r_gen, point).verdict == "negative_definite"
+    eigvalsh = np.linalg.eigvalsh
+
+    def flipped(a):
+        ev = eigvalsh(a).copy()
+        ev[..., -1] *= -1.0
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flipped)
+    with pytest.raises(ArithmeticError, match=r"Cholesky check at .* = \(0\.5, "):
+        scan_point(r_gen, point)
+    # and an indefinite matrix read as negative definite
+    with pytest.raises(ArithmeticError, match="Cholesky"):
+        certify_definiteness(np.diag([-1.0, -2.0, 3.0]))
+
+
 def test_eigenvalue_and_sylvester_agree_on_scan_points():
     rng = np.random.default_rng(31)
     for _ in range(10):
