@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .pauli import PauliOperator, content_lines, format_operator
 from .generators import (
@@ -376,9 +378,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
-    except (ParseFailure, OverflowError) as exc:
-        # an overflow means finite input too large for the analysis
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.run(args)
+    except (ParseFailure, OverflowError, FloatingPointError) as exc:
+        # an overflow or a non-finite intermediate: finite input too large for the analysis
         print(f"lindring: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

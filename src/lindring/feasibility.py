@@ -22,6 +22,7 @@ for two-site targets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
 from .generators import (
-    LindbladGenerator, _splice, _window_column, _window_sites, all_strings, basis_strings)
+    LindbladGenerator, _is_hermitian, _window_column, all_strings, basis_strings)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -89,8 +90,11 @@ class FeasibilityProblem:
                 raise TypeError("targets must be PauliOperators")
             if not a.is_hermitian(1e-12):
                 raise ValueError("targets must be Hermitian")
-            if a.is_zero():
-                raise ValueError("target is zero")
+        # Hermitian means real Pauli coefficients; the rows read real parts only
+        targets = tuple(PauliOperator(a.n, {s: c.real for s, c in a.terms.items()})
+                        for a in targets)
+        if any(a.is_zero() for a in targets):
+            raise ValueError("target is zero")
         if r_gen not in (1, 2, 3):
             raise ValueError("generator width must be 1, 2, or 3")
         if mode not in ("local", "global"):
@@ -146,9 +150,18 @@ class FeasibilityResult:
 # computed on matrices stay projections on vectors
 
 
+@functools.cache
+def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strict upper triangle of an m x m gamma, made once per width."""
+    iu, ju = np.triu_indices(m, 1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
     m = gamma.shape[0]
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _upper_indices(m)
     upper = gamma[iu, ju]
     return np.concatenate([
         np.real(np.diag(gamma)),
@@ -159,7 +172,7 @@ def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
 
 def _vector_to_gamma(v: np.ndarray, m: int) -> np.ndarray:
     """Inverse of _gamma_to_vector, over the last axis of v."""
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _upper_indices(m)
     m2 = iu.size
     gamma = np.zeros(v.shape[:-1] + (m, m), dtype=complex)
     gamma[..., np.arange(m), np.arange(m)] = v[..., :m]
@@ -173,7 +186,7 @@ def pack_point(gamma, eta=None) -> np.ndarray:
     """Pack a Hermitian gamma and real Hamiltonian coefficients into x."""
     gamma = np.asarray(gamma, dtype=complex)
     m = gamma.shape[0]
-    if gamma.shape != (m, m) or np.abs(gamma - gamma.conj().T).max() > 1e-10:
+    if gamma.shape != (m, m) or not _is_hermitian(gamma, 1e-10):
         raise ValueError("gamma must be square Hermitian")
     if eta is None:
         eta = np.zeros(m)
@@ -205,114 +218,96 @@ def _class_representative(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
-def _image_terms(r: int, A: PauliOperator, offsets, reduce_rows: bool):
-    """Images of A under unit generator parts placed at `offsets`, per row key.
+def _image_terms(r: int, A: PauliOperator, reduce_rows: bool):
+    """Images of A under unit generator parts on window sites 0..r-1, per row key.
 
-    Every (offset, ring string) pair reaches ring strings through the
-    window terms of its window piece.  Returns the row keys and complex
+    A ring string u reaches the strings piece + u[r:] through the window
+    terms of its window piece u[:r].  Returns the row keys and complex
     arrays G, H with G[row, j, k] the image coefficient of unit gamma_jk
     and H[row, j] that of unit Hamiltonian string j.  With reduce_rows
     the keys are translation class representatives and a whole class
-    piles onto one row; for a translationally invariant image that only
-    rescales rows, which a homogeneous system does not feel.  Rows are
-    numbered by first touch over (column, pair, term), with the columns
-    of j ordered (j, 0), ..., (j, m-1), then Hamiltonian j; each entry
-    sums its terms in (pair, term) order.
+    piles onto one row.  Rows follow key insertion order; each entry sums
+    its terms in (string of A, term) order.
     """
-    n = A.n
     strings = all_strings(r)
     pos = {t: i for i, t in enumerate(strings)}
     m = len(strings) - 1
     ids: dict[str, int] = {}
     columns: dict[int, tuple] = {}
-    terms, g_keys, h_keys = [], [], []
-    for s in offsets:
-        sites = _window_sites(s, r, n)
-        for u, coeff in A.terms.items():
-            keys = [_splice(u, sites, piece) for piece in strings]
-            if reduce_rows:
-                keys = [_class_representative(key) for key in keys]
-            key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int32)
-            b = pos["".join(u[w] for w in sites)]
-            if b not in columns:
-                columns[b] = _window_column(r, b)
-            rows, vals, h_rows, h_vals = columns[b]
-            # basis string j is window string j + 1
-            terms.append((coeff, vals, h_vals[:, 1:]))
-            g_keys.append(key_ids[rows])
-            h_keys.append(key_ids[h_rows[1:]])
-    g_keys, h_keys = np.stack(g_keys), np.stack(h_keys)
-    touch = np.concatenate([g_keys.transpose(2, 3, 0, 1).reshape(m, -1), h_keys.T], axis=1)
-    touch = touch.ravel()
-    first = np.full(len(ids), touch.size)
-    np.minimum.at(first, touch, np.arange(touch.size))
-    order = np.argsort(first)[:np.count_nonzero(first < touch.size)]
-    row_of = np.empty(len(ids), dtype=np.int32)
-    row_of[order] = np.arange(order.size)
+    terms = []
+    for u, coeff in A.terms.items():
+        keys = [piece + u[r:] for piece in strings]
+        if reduce_rows:
+            keys = [_class_representative(key) for key in keys]
+        key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys])
+        b = pos[u[:r]]
+        if b not in columns:
+            columns[b] = _window_column(r, b)
+        terms.append((coeff, key_ids, columns[b]))
 
-    G = np.zeros((order.size, m, m), dtype=complex)
-    H = np.zeros((order.size, m), dtype=complex)
+    G = np.zeros((len(ids), m, m), dtype=complex)
+    H = np.zeros((len(ids), m), dtype=complex)
     cols = np.arange(m)
     j, k = np.indices((m, m))
-    for (coeff, vals, h_vals), g_row, h_row in zip(terms, row_of[g_keys], row_of[h_keys]):
+    for coeff, key_ids, (rows, vals, h_rows, h_vals) in terms:
+        g_row = key_ids[rows]
         for t in range(3):
             G[g_row[t], j, k] += coeff * vals[t]
-        for half in h_vals:
-            H[h_row, cols] += coeff * half
-    keys = list(ids)
-    return [keys[i] for i in order], G, H
+        # basis string j is window string j + 1
+        for half in h_vals[:, 1:]:
+            H[key_ids[h_rows[1:]], cols] += coeff * half
+    return list(ids), G, H
 
 
-def _constraint_block(r: int, A: PauliOperator, offsets, reduce_rows: bool):
-    """Real rows of the image of A, a re and an im row per key, and the keys.
+def _constraint_block(r: int, A: PauliOperator, reduce_rows: bool):
+    """Real rows of the image of A, one per key, and the keys.
 
     Columns follow the packed (gamma, H) layout; with G_jk the image of
     unit gamma_jk, the slot sqrt2 Re gamma_jk (j < k) reads
-    (G_jk + G_kj) / sqrt2 and the slot sqrt2 Im gamma_jk reads
-    i (G_jk - G_kj) / sqrt2.
+    Re (G_jk + G_kj) / sqrt2 and the slot sqrt2 Im gamma_jk reads
+    Re i (G_jk - G_kj) / sqrt2.  A Hermitian gamma and real Hamiltonian
+    coefficients map the Hermitian A to a Hermitian image, whose Pauli
+    coefficients are real, so the imaginary parts carry no rows.
     """
-    keys, G, H = _image_terms(r, A, offsets, reduce_rows)
+    keys, G, H = _image_terms(r, A, reduce_rows)
     m = H.shape[1]
-    cols = np.arange(m)
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _upper_indices(m)
     inv = 1.0 / np.sqrt(2.0)
-    block = np.zeros((2 * len(keys), m * m + m))
+    block = np.zeros((len(keys), m * m + m))
     for c in range(0, len(keys), _PACK_ROWS):
         g, h = G[c:c + _PACK_ROWS], H[c:c + _PACK_ROWS]
         up_re, lo_re = g.real[:, iu, ju] * inv, g.real[:, ju, iu] * inv
         up_im, lo_im = g.imag[:, iu, ju] * inv, g.imag[:, ju, iu] * inv
-        block[2 * c:2 * (c + len(g)):2] = np.concatenate(
-            [g.real[:, cols, cols], up_re + lo_re, lo_im - up_im, h.real], axis=1)
-        block[2 * c + 1:2 * (c + len(g)):2] = np.concatenate(
-            [g.imag[:, cols, cols], up_im + lo_im, up_re - lo_re, h.imag], axis=1)
+        block[c:c + len(g)] = np.concatenate(
+            [np.diagonal(g.real, 0, 1, 2), up_re + lo_re, lo_im - up_im, h.real], axis=1)
     return block, keys
 
 
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     """Linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
-    Global mode projects the residual of each target's ring sum onto
-    translation classes of ring strings; local mode keeps one row per
-    placement of each target and per ring string.  Real and imaginary
-    parts of each projection become separate rows.
+    The window sits on sites 0..r-1 in both modes.  Global mode piles the
+    image of each target's ring sum onto translation classes of ring
+    strings and scales by n: the ring sum is translation invariant, so the
+    class sums of its image under all n placements are n times those
+    under one.  Local mode keeps one row per placement of each target and
+    per ring string.  Each row is the real part of an image coefficient.
     """
     r, n = problem.r_gen, problem.n
     m = len(basis_strings(r))
     dim_gamma = m * m
     if problem.mode == "global":
-        blocks = [(f"target{t}", assemble_sum(a, n), range(n))
-                  for t, a in enumerate(problem.targets)]
+        blocks = [(f"target{t}", assemble_sum(a, n), n) for t, a in enumerate(problem.targets)]
     else:
-        blocks = [(f"target{t}@{k}", a.embed(n, k), (0,))
+        blocks = [(f"target{t}@{k}", a.embed(n, k), 1)
                   for t, a in enumerate(problem.targets) for k in range(n)]
     rows = []
     labels = []
-    for prefix, A, offsets in blocks:
-        block, keys = _constraint_block(r, A, offsets, problem.mode == "global")
+    for prefix, A, weight in blocks:
+        block, keys = _constraint_block(r, A, problem.mode == "global")
+        block *= weight
         rows.append(block)
-        for s in keys:
-            labels.append(f"{prefix}:{s}:re")
-            labels.append(f"{prefix}:{s}:im")
+        labels.extend(f"{prefix}:{s}" for s in keys)
 
     trace_row = np.zeros((1, dim_gamma + m))
     trace_row[0, :m] = 1.0

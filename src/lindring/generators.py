@@ -79,6 +79,11 @@ def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
     return "".join(chars)
 
 
+def _is_hermitian(g: np.ndarray, tol: float) -> bool:
+    """|g - g^dag| within tol * max(1, max |g|): the bound scales with g, as in validate_psd."""
+    return np.abs(g - g.conj().T).max() <= tol * max(1.0, np.abs(g).max())
+
+
 def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Terms of the image of window string b under unit generator parts.
 
@@ -156,7 +161,7 @@ class LindbladGenerator:
             m = len(basis_strings(self.r))
             if g.shape != (m, m):
                 raise ValueError(f"gamma must be {m}x{m} for r={self.r}")
-            if np.abs(g - g.conj().T).max() > GAMMA_HERMITICITY_TOL:
+            if not _is_hermitian(g, GAMMA_HERMITICITY_TOL):
                 raise ValueError("gamma must be Hermitian")
             self.gamma = g
             self.lindblads = None

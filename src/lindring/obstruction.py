@@ -20,6 +20,7 @@ that width with a nonzero dissipative part conserves the density.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -122,18 +123,14 @@ def _pattern_forms(pattern: str, n: int, r: int):
     return np.ascontiguousarray(Qs.transpose(0, 2, 1)), ls
 
 
-# the six named-pattern tables per width, stacked (pattern, component, ...)
-_FORM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _named_forms(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    if r_gen not in _FORM_CACHE:
-        n, m = safe_ring_length(r_gen, 2), 4 ** r_gen - 1
-        Q, l = np.empty((6, 6, m, m), dtype=complex), np.empty((6, 6, m), dtype=complex)
-        for i, p in enumerate(NAMED_PATTERNS):
-            Q[i], l[i] = _pattern_forms(_PATTERN_STRINGS[p].ljust(n, "I"), n, r_gen)
-        _FORM_CACHE[r_gen] = Q, l
-    return _FORM_CACHE[r_gen]
+    """The six named-pattern tables of one width, stacked (pattern, component, ...)."""
+    n, m = safe_ring_length(r_gen, 2), 4 ** r_gen - 1
+    Q, l = np.empty((6, 6, m, m), dtype=complex), np.empty((6, 6, m), dtype=complex)
+    for i, p in enumerate(NAMED_PATTERNS):
+        Q[i], l[i] = _pattern_forms(_PATTERN_STRINGS[p].ljust(n, "I"), n, r_gen)
+    return Q, l
 
 
 def _weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +232,6 @@ def _unitality_patterns(r_gen: int) -> dict[str, dict[str, float]]:
     return pats
 
 
-# per width: the unitality forms, their gauge columns Im U.ravel() and
-# the pseudo-inverse of the columns' Gram matrix
-_UNITALITY_CACHE: dict[int, tuple[dict[str, QuadraticForm], np.ndarray, np.ndarray]] = {}
-
-
 def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
     """Quadratic forms of the window identity image, projected per class.
 
@@ -250,24 +242,28 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
-    if r_gen not in _UNITALITY_CACHE:
-        basis = tuple(basis_strings(r_gen))
-        zero_d = np.zeros(len(basis))
-        pos = {s: i for i, s in enumerate(all_strings(r_gen))}
-        phase, index = product_table(r_gen)
-        # P_j P_k and P_k P_j are the same string, so one lookup serves both
-        ph, prod = phase[1:, 1:], index[1:, 1:]
-        forms = {}
-        for name, terms in _unitality_patterns(r_gen).items():
-            coeff = np.zeros(len(pos))
-            for s, c in terms.items():
-                coeff[pos[s]] = c
-            w = coeff[prod]
-            U = np.where(w != 0, 2.0 * w * ph - 2.0 * w * ph.T, 0.0)
-            forms[name] = QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
-        cols = np.column_stack([f.Q.imag.ravel() for f in forms.values()])
-        _UNITALITY_CACHE[r_gen] = forms, cols, np.linalg.pinv(cols.T @ cols, hermitian=True)
-    return _UNITALITY_CACHE[r_gen][0]
+    basis = tuple(basis_strings(r_gen))
+    zero_d = np.zeros(len(basis))
+    pos = {s: i for i, s in enumerate(all_strings(r_gen))}
+    phase, index = product_table(r_gen)
+    # P_j P_k and P_k P_j are the same string, so one lookup serves both
+    ph, prod = phase[1:, 1:], index[1:, 1:]
+    forms = {}
+    for name, terms in _unitality_patterns(r_gen).items():
+        coeff = np.zeros(len(pos))
+        for s, c in terms.items():
+            coeff[pos[s]] = c
+        w = coeff[prod]
+        U = np.where(w != 0, 2.0 * w * ph - 2.0 * w * ph.T, 0.0)
+        forms[name] = QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
+    return forms
+
+
+@functools.cache
+def _gauge_projection(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge columns Im U.ravel() of the unitality forms and their Gram pseudo-inverse."""
+    cols = np.column_stack([f.Q.imag.ravel() for f in unitality_forms(r_gen).values()])
+    return cols, np.linalg.pinv(cols.T @ cols, hermitian=True)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -293,8 +289,7 @@ def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lc_max = np.abs(lc).max(axis=1)
     scale = np.abs(Ct).max(axis=(1, 2))
     # the imaginary part must lie in the span of the unitality forms
-    unitality_forms(r_gen)
-    _, cols, gram_inv = _UNITALITY_CACHE[r_gen]
+    cols, gram_inv = _gauge_projection(r_gen)
     target = Ct.imag.reshape(len(points), -1)
     gauge = np.abs(target - (target @ cols) @ gram_inv @ cols.T).max(axis=1)
     # finite parameters can still overflow the quadratic weights

@@ -6,12 +6,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindring.cli import main
 from lindring.pauli import PauliOperator
-from lindring.generators import LindbladGenerator, format_generator_file
+from lindring.generators import LindbladGenerator, basis_strings, format_generator_file
 from lindring.rings import format_density_file
 
 
@@ -92,6 +93,37 @@ def test_non_psd_gamma_exit_2(tmp_path, capsys):
     gen.write_text("[gamma]\norder = X Y Z\n-1 0 0\n0 0 0\n0 0 0\n")
     assert main(["kernel", "--gen", str(gen)]) == 2
     assert "positive semidefinite" in capsys.readouterr().err
+
+
+def test_large_gamma_with_rounding_exit_0(tmp_path):
+    # a [gamma] file at scale 1e5 with one entry moved by one part in 1e15
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((15, 2))
+    gamma = 1e5 * F @ F.T
+    gamma = 0.5 * (gamma + gamma.T)
+    i, j = np.unravel_index(np.argmax(np.abs(np.triu(gamma, 1))), gamma.shape)
+    gamma[i, j] *= 1.0 + 1e-15
+    assert gamma[i, j] != gamma[j, i]
+    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in gamma)
+    path = tmp_path / "large.gen"
+    path.write_text(f"[gamma]\norder = {' '.join(basis_strings(2))}\n{rows}\n")
+    code, rep = run_json(["kernel", "--gen", str(path)], tmp_path)
+    assert code == 0
+    assert rep["result"]["r"] == 2
+
+
+def test_overflow_in_analysis_exit_2(tmp_path, capsys):
+    # finite input whose analysis overflows fails closed, with no verdict
+    # read off inf or nan entries
+    big_jump = tmp_path / "big.gen"
+    big_jump.write_text("[lindblad]\n1e200*X\n")
+    big_density = tmp_path / "big.op"
+    big_density.write_text("r=1\n-1e308*I\n")
+    for argv in (["kernel", "--gen", str(big_jump)],
+                 ["check", "--gen", str(big_jump), "--density", str(big_density)],
+                 ["search", "--density", str(big_density), "--r", "1"]):
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert "overflow encountered" in capsys.readouterr().err
 
 
 def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
@@ -367,7 +399,7 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
     assert "generator" not in rep["result"]
     # the search solved the distinct rows of its linear system
-    assert rep["result"]["constraints"] == {"rows": 399, "distinct_rows": 67, "rank": 61}
+    assert rep["result"]["constraints"] == {"rows": 200, "distinct_rows": 67, "rank": 61}
     # the projection gap crept along a shared face until the window rule stopped it
     assert rep["result"]["stop_reason"] == "creep"
 

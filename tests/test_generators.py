@@ -9,7 +9,9 @@ from conftest import (
     random_structure_generator,
 )
 from lindring.pauli import PauliOperator, mul_strings, parse_operator, partial_trace
+from lindring.feasibility import pack_point
 from lindring.generators import (
+    GAMMA_HERMITICITY_TOL,
     LindbladGenerator,
     all_strings,
     basis_strings,
@@ -323,6 +325,25 @@ def test_generator_file_errors():
                  "[gamma]\norder = X Y Z\n1 (0+1e999i) 0\n(0-1e999i) 0 0\n0 0 0\n"):
         with pytest.raises(ValueError, match="not finite"):
             parse_generator_file(text)
+
+
+def test_hermiticity_bound_scales_with_gamma():
+    # 1e5 * F @ F.T is not formed as a symmetric product, so its rounding
+    # leaves an asymmetry in proportion to its size
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        F = rng.standard_normal((15, 2))
+        gamma = 1e5 * F @ F.T
+        assert np.abs(gamma - gamma.T).max() > GAMMA_HERMITICITY_TOL
+        assert LindbladGenerator(2, gamma=gamma).form == "structure"
+        assert pack_point(gamma).shape == (15 * 15 + 15,)
+    # an asymmetry far above rounding is refused at this scale too
+    bad = 0.5 * (gamma + gamma.T)
+    bad[0, 1] += 1e-6 * np.abs(gamma).max()
+    with pytest.raises(ValueError, match="Hermitian"):
+        LindbladGenerator(2, gamma=bad)
+    with pytest.raises(ValueError, match="Hermitian"):
+        pack_point(bad)
 
 
 def test_nontrivial_gamma_psd_eigenvalues():
