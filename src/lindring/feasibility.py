@@ -29,8 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
-from .generators import (
-    LindbladGenerator, _is_hermitian, _window_column, all_strings, basis_strings)
+from .generators import LindbladGenerator, _image_terms, _is_hermitian, basis_strings
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -212,51 +211,6 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 
 
 # -- constraint rows -----------------------------------------------------------
-
-
-def _class_representative(s: str) -> str:
-    return min(s[i:] + s[:i] for i in range(len(s)))
-
-
-def _image_terms(r: int, A: PauliOperator, reduce_rows: bool):
-    """Images of A under unit generator parts on window sites 0..r-1, per row key.
-
-    A ring string u reaches the strings piece + u[r:] through the window
-    terms of its window piece u[:r].  Returns the row keys and complex
-    arrays G, H with G[row, j, k] the image coefficient of unit gamma_jk
-    and H[row, j] that of unit Hamiltonian string j.  With reduce_rows
-    the keys are translation class representatives and a whole class
-    piles onto one row.  Rows follow key insertion order; each entry sums
-    its terms in (string of A, term) order.
-    """
-    strings = all_strings(r)
-    pos = {t: i for i, t in enumerate(strings)}
-    m = len(strings) - 1
-    ids: dict[str, int] = {}
-    columns: dict[int, tuple] = {}
-    terms = []
-    for u, coeff in A.terms.items():
-        keys = [piece + u[r:] for piece in strings]
-        if reduce_rows:
-            keys = [_class_representative(key) for key in keys]
-        key_ids = np.array([ids.setdefault(key, len(ids)) for key in keys])
-        b = pos[u[:r]]
-        if b not in columns:
-            columns[b] = _window_column(r, b)
-        terms.append((coeff, key_ids, columns[b]))
-
-    G = np.zeros((len(ids), m, m), dtype=complex)
-    H = np.zeros((len(ids), m), dtype=complex)
-    cols = np.arange(m)
-    j, k = np.indices((m, m))
-    for coeff, key_ids, (rows, vals, h_rows, h_vals) in terms:
-        g_row = key_ids[rows]
-        for t in range(3):
-            G[g_row[t], j, k] += coeff * vals[t]
-        # basis string j is window string j + 1
-        for half in h_vals[:, 1:]:
-            H[key_ids[h_rows[1:]], cols] += coeff * half
-    return list(ids), G, H
 
 
 def _constraint_block(r: int, A: PauliOperator, reduce_rows: bool):

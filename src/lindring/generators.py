@@ -107,6 +107,57 @@ def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return rows, vals, index[b, m], np.stack([1j * phase[b, m], -1j * phase[m, b]])
 
 
+def _class_representative(s: str) -> str:
+    return min(s[i:] + s[:i] for i in range(len(s)))
+
+
+def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
+    """Images of A under unit generator parts on window sites 0..r-1, per row key.
+
+    A ring string u reaches the strings piece + u[r:] through the window
+    terms of its window piece u[:r].  Returns the row keys and complex
+    arrays G, H with G[row, j, k] the image coefficient of unit gamma_jk
+    and H[row, j] that of unit Hamiltonian string j.  With reduce_rows
+    the keys are translation class representatives and a whole class
+    piles onto one row.  Rows follow key insertion order, unless a `keys`
+    mapping gives the row of each key it names: several keys may share a
+    row, and every other term lands on a sink row that is dropped.  Each
+    entry sums its terms in (string of A, term) order.
+    """
+    strings = all_strings(r)
+    pos = {t: i for i, t in enumerate(strings)}
+    m = len(strings) - 1
+    ids = {} if keys is None else keys
+    columns: dict[int, tuple] = {}
+    terms = []
+    for u, coeff in A.terms.items():
+        images = [piece + u[r:] for piece in strings]
+        if reduce_rows:
+            images = [_class_representative(key) for key in images]
+        if keys is None:
+            key_ids = np.array([ids.setdefault(key, len(ids)) for key in images])
+        else:  # row -1 is the sink
+            key_ids = np.array([keys.get(key, -1) for key in images])
+        b = pos[u[:r]]
+        if b not in columns:
+            columns[b] = _window_column(r, b)
+        terms.append((coeff, key_ids, columns[b]))
+
+    size = max(ids.values(), default=-1) + 1
+    G = np.zeros((size + 1, m, m), dtype=complex)
+    H = np.zeros((size + 1, m), dtype=complex)
+    cols = np.arange(m)
+    j, k = np.indices((m, m))
+    for coeff, key_ids, (rows, vals, h_rows, h_vals) in terms:
+        g_row = key_ids[rows]
+        for t in range(3):
+            G[g_row[t], j, k] += coeff * vals[t]
+        # basis string j is window string j + 1
+        for half in h_vals[:, 1:]:
+            H[key_ids[h_rows[1:]], cols] += coeff * half
+    return list(ids), G[:size], H[:size]
+
+
 def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
     """Entry (a, b): string-a amplitude of the structure-form image of string b.
 
@@ -257,19 +308,19 @@ def validate_psd(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> np.ndarr
 
 
 def diagonalize_structure(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> LindbladGenerator:
-    """Equivalent diagonal form: jump operators from the eigenbasis of gamma."""
+    """Equivalent diagonal form: jump operators from the eigenbasis of gamma.
+
+    gamma is refused as validate_psd refuses it.  Every positive eigenvalue
+    keeps its jump operator: one below the refusal bound may still be
+    genuine, and dropping it would move the action by up to that bound.
+    """
     if gen.form != "structure":
         raise ValueError("generator is already diagonal")
+    validate_psd(gen, tol)
     w, v = np.linalg.eigh(gen.gamma)
-    if w.min() < -tol:
-        raise ValueError(f"gamma is not positive semidefinite (min eig {w.min():.3e})")
     basis = basis_strings(gen.r)
-    ls = []
-    for k in range(len(w)):
-        if w[k] <= tol:
-            continue
-        coeff = np.sqrt(w[k]) * v[:, k]
-        ls.append(PauliOperator(gen.r, {s: coeff[i] for i, s in enumerate(basis)}))
+    ls = [PauliOperator(gen.r, dict(zip(basis, np.sqrt(w[k]) * v[:, k])))
+          for k in np.flatnonzero(w > 0.0)]
     return LindbladGenerator(gen.r, hamiltonian=gen.hamiltonian, lindblads=ls)
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (
-    _splice, _window_column, _window_sites, all_strings, basis_strings, product_table)
+from .generators import _class_representative, _image_terms, basis_strings
 from .pauli import PauliOperator
 from .rings import CanonicalParams, assemble_sum, safe_ring_length
 
@@ -77,60 +76,47 @@ class DefinitenessReport:
     max_eigenvalue: float
     nullity: int
     verdict: str
-    sylvester_minors: np.ndarray | None = None
 
 
 # -- projection equations ----------------------------------------------------
 
 
-def _component_ring_terms(n: int) -> dict[str, dict[str, complex]]:
-    """Ring sums of the six density components, as coefficient tables."""
-    comps = {
-        "xx": {"XX": 1.0}, "yy": {"YY": 1.0}, "zz": {"ZZ": 1.0},
-        "x": {"XI": 1.0, "IX": 1.0}, "y": {"YI": 1.0, "IY": 1.0},
-        "z": {"ZI": 1.0, "IZ": 1.0},
-    }
-    return {name: assemble_sum(PauliOperator(2, terms), n).terms
-            for name, terms in comps.items()}
+def _component_ring_sums(n: int) -> list[PauliOperator]:
+    """Ring sums of the six density components, in NAMED_PATTERNS order."""
+    comps = ({"XX": 1.0}, {"YY": 1.0}, {"ZZ": 1.0}, {"XI": 1.0, "IX": 1.0},
+             {"YI": 1.0, "IY": 1.0}, {"ZI": 1.0, "IZ": 1.0})
+    return [assemble_sum(PauliOperator(2, terms), n) for terms in comps]
 
 
-def _pattern_forms(pattern: str, n: int, r: int):
-    """Q and l tables of one pattern projection against all six components.
+def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q and l tables of pattern projections against all six components.
 
-    A window at offset s maps a ring string u to L_W(u_W) (x) u_rest, so
-    u reaches the pattern only when its letters off the window match, and
-    then through the terms of the window column of u_W that land on the
-    pattern's window piece.  Tables are stacked in component order.
+    The image of a ring sum under all n window placements is translation
+    invariant, so its coefficient on a pattern p is n / |class(p)| times
+    the class row of the image under the one placement of _image_terms.
+    Patterns are site-0 anchored strings of distinct classes; tables are
+    stacked (pattern, component, ...).
     """
     m = 4 ** r - 1
-    pos = {s: i for i, s in enumerate(all_strings(r))}
-    comps = _component_ring_terms(n)
-    Qs = np.zeros((len(comps), m, m), dtype=complex)
-    ls = np.zeros((len(comps), m), dtype=complex)
-    blank = "I" * r
-    for s in range(n):
-        sites = _window_sites(s, r, n)
-        rest = _splice(pattern, sites, blank)
-        row = pos["".join(pattern[w] for w in sites)]
-        for c, terms in enumerate(comps.values()):
-            for u, coeff in terms.items():
-                if _splice(u, sites, blank) != rest:
-                    continue
-                rows, vals, h_rows, h_vals = _window_column(r, pos["".join(u[w] for w in sites)])
-                Qs[c] += coeff * np.where(rows == row, vals, 0).sum(axis=0)
-                ls[c] += coeff * np.where(h_rows == row, h_vals, 0).sum(axis=0)[1:]
-    # adjoint bookkeeping: the form acts on c from both sides
-    return np.ascontiguousarray(Qs.transpose(0, 2, 1)), ls
+    rings = [p.ljust(n, "I") for p in patterns]
+    weight = np.array([n / len({p[i:] + p[:i] for i in range(n)}) for p in rings])
+    keys = {_class_representative(p): i for i, p in enumerate(rings)}
+    sums = _component_ring_sums(n)
+    Q = np.empty((len(rings), len(sums), m, m), dtype=complex)
+    l = np.empty((len(rings), len(sums), m), dtype=complex)
+    for c, A in enumerate(sums):
+        _, G, H = _image_terms(r, A, True, keys=keys)
+        # adjoint bookkeeping: the form acts on c from both sides
+        Q[:, c] = weight[:, None, None] * G.transpose(0, 2, 1)
+        l[:, c] = weight[:, None] * H
+    return Q, l
 
 
 @functools.cache
 def _named_forms(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
     """The six named-pattern tables of one width, stacked (pattern, component, ...)."""
-    n, m = safe_ring_length(r_gen, 2), 4 ** r_gen - 1
-    Q, l = np.empty((6, 6, m, m), dtype=complex), np.empty((6, 6, m), dtype=complex)
-    for i, p in enumerate(NAMED_PATTERNS):
-        Q[i], l[i] = _pattern_forms(_PATTERN_STRINGS[p].ljust(n, "I"), n, r_gen)
-    return Q, l
+    return _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
+                          safe_ring_length(r_gen, 2), r_gen)
 
 
 def _weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +183,12 @@ def conservation_forms(r_gen: int, params: CanonicalParams,
         string = _PATTERN_STRINGS.get(pat, pat.upper())
         if not string or string.strip("IXYZ"):
             raise ValueError(f"bad pattern string: {pat!r}")
+        if len(string) > n:
+            raise ValueError(f"pattern {pat!r} is longer than the ring (n={n})")
         if string.lower() in NAMED_PATTERNS:
             Qs, ls = (t[NAMED_PATTERNS.index(string.lower())] for t in _named_forms(r_gen))
         else:
-            Qs, ls = _pattern_forms(string.ljust(n, "I"), n, r_gen)
+            Qs, ls = (t[0] for t in _pattern_forms([string], n, r_gen))
         Q, l = _pattern_sum(w, Qs, ls, point)
         out[pat] = QuadraticForm(name=pat, basis=basis, Q=Q[0], d_linear=l[0])
     return out
@@ -209,26 +197,27 @@ def conservation_forms(r_gen: int, params: CanonicalParams,
 # -- unitality forms ---------------------------------------------------------
 
 
-def _unitality_patterns(r_gen: int) -> dict[str, dict[str, float]]:
+def _unitality_patterns(r_gen: int) -> dict[str, tuple[str, ...]]:
+    """Each pattern's window strings, summed with weight one; no string is in two patterns."""
     ax = "XYZ"
-    pats: dict[str, dict[str, float]] = {}
+    pats: dict[str, tuple[str, ...]] = {}
     if r_gen == 2:
         for a in ax:
-            pats[2 * a.lower()] = {a + a: 1.0}
+            pats[2 * a.lower()] = (a + a,)
         for a, b in (("X", "Y"), ("X", "Z"), ("Y", "Z")):
-            pats[(a + b).lower()] = {a + b: 1.0, b + a: 1.0}
+            pats[(a + b).lower()] = (a + b, b + a)
         for a in ax:
-            pats[a.lower()] = {a + "I": 1.0, "I" + a: 1.0}
+            pats[a.lower()] = (a + "I", "I" + a)
         return pats
     # width 3: full windows, gapped windows, and placement sums
     for a, b, c in itertools.product(ax, repeat=3):
-        pats[(a + b + c).lower()] = {a + b + c: 1.0}
+        pats[(a + b + c).lower()] = (a + b + c,)
     for a, b in itertools.product(ax, repeat=2):
-        pats[f"{a.lower()}_{b.lower()}"] = {a + "I" + b: 1.0}
+        pats[f"{a.lower()}_{b.lower()}"] = (a + "I" + b,)
     for a, b in itertools.product(ax, repeat=2):
-        pats[(a + b).lower()] = {a + b + "I": 1.0, "I" + a + b: 1.0}
+        pats[(a + b).lower()] = (a + b + "I", "I" + a + b)
     for a in ax:
-        pats[a.lower()] = {a + "II": 1.0, "I" + a + "I": 1.0, "II" + a: 1.0}
+        pats[a.lower()] = (a + "II", "I" + a + "I", "II" + a)
     return pats
 
 
@@ -244,19 +233,12 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
         raise ValueError("generator width must be 2 or 3")
     basis = tuple(basis_strings(r_gen))
     zero_d = np.zeros(len(basis))
-    pos = {s: i for i, s in enumerate(all_strings(r_gen))}
-    phase, index = product_table(r_gen)
-    # P_j P_k and P_k P_j are the same string, so one lookup serves both
-    ph, prod = phase[1:, 1:], index[1:, 1:]
-    forms = {}
-    for name, terms in _unitality_patterns(r_gen).items():
-        coeff = np.zeros(len(pos))
-        for s, c in terms.items():
-            coeff[pos[s]] = c
-        w = coeff[prod]
-        U = np.where(w != 0, 2.0 * w * ph - 2.0 * w * ph.T, 0.0)
-        forms[name] = QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
-    return forms
+    pats = _unitality_patterns(r_gen)
+    # one row per pattern: its strings pile onto it
+    rows = {s: i for i, strings in enumerate(pats.values()) for s in strings}
+    _, G, _ = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
+    return {name: QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
+            for name, U in zip(pats, G)}
 
 
 @functools.cache
@@ -449,17 +431,9 @@ def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessR
              for i in range(len(C))]
     _require(np.array(agree), ArithmeticError, points,
              "eigenvalue verdict fails its Cholesky check")
-    minors = [None] * len(C)
-    if C.shape[1] <= 15:
-        k = np.arange(1, C.shape[1] + 1)
-        norm = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
-        # minors of C / norm, as those of C overflow; one below the float range reads 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            unit = np.stack([np.linalg.det(C[:, :j, :j] / norm[:, None, None]) for j in k], axis=1)
-            minors = unit * norm[:, None] ** k  # the minors of C; not finite where they overflow
     return [DefinitenessReport(eigenvalues=ev[i], max_eigenvalue=float(max_eig[i]),
-                               nullity=int(nullity[i]), verdict=str(verdict[i]),
-                               sylvester_minors=minors[i]) for i in range(len(C))]
+                               nullity=int(nullity[i]), verdict=str(verdict[i]))
+            for i in range(len(C))]
 
 
 def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND) -> DefinitenessReport:

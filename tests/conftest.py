@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from lindring.pauli import PauliOperator
 from lindring.generators import LindbladGenerator, basis_strings
@@ -56,3 +57,21 @@ def dense_lindblad_apply(gen, rho, offset=0, sites=None):
                     continue
                 out += g * (2 * ps[j] @ d @ ps[k] - ps[k] @ ps[j] @ d - d @ ps[k] @ ps[j])
     return out
+
+
+def psd_gammas(r):
+    """Hypothesis strategy: PSD gammas on r sites of any rank, at scales 1e-6...1e8."""
+    m = len(basis_strings(r))
+    unit = st.floats(-1.0, 1.0)
+    return st.tuples(st.integers(0, m), st.floats(-6.0, 8.0), st.booleans()).flatmap(
+        lambda spec: st.lists(unit, min_size=2 * m * spec[0], max_size=2 * m * spec[0]).map(
+            lambda xs: _low_rank_gamma(np.array(xs), m, spec[0], 10.0 ** spec[1], spec[2])))
+
+
+def _low_rank_gamma(xs, m, rank, scale, complex_factor):
+    """scale * F F^dag for an m x rank factor F read off xs."""
+    F = xs[:m * rank].reshape(m, rank) + 0j
+    if complex_factor:
+        F = F + 1j * xs[m * rank:].reshape(m, rank)
+    gamma = scale * (F @ F.conj().T)
+    return 0.5 * (gamma + gamma.conj().T)

@@ -8,9 +8,10 @@ and an amplitude that is left at most PRUNE_TOL is pruned.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import psd_gammas
 from lindring.pauli import PRUNE_TOL, PauliOperator, format_operator, parse_operator
 from lindring.generators import (
-    LindbladGenerator, basis_strings, format_generator_file, parse_generator_file)
+    LindbladGenerator, format_generator_file, parse_generator_file)
 from lindring.rings import format_density_file, parse_density_file
 from lindring.feasibility import FeasibilityProblem, format_problem_file, parse_problem_file
 
@@ -67,25 +68,8 @@ def test_problem_roundtrip(a, r_gen, extra, mode, gamma_trace):
     assert again.target.terms == prob.target.terms
 
 
-def _gammas(r):
-    m = len(basis_strings(r))
-    unit = st.floats(-1.0, 1.0)
-    return st.tuples(st.integers(0, m), st.floats(-6.0, 8.0), st.booleans()).flatmap(
-        lambda spec: st.lists(unit, min_size=2 * m * spec[0], max_size=2 * m * spec[0]).map(
-            lambda xs: _low_rank_gamma(np.array(xs), m, spec[0], 10.0 ** spec[1], spec[2])))
-
-
-def _low_rank_gamma(xs, m, rank, scale, complex_factor):
-    """scale * F F^dag for an m x rank factor F read off xs."""
-    F = xs[:m * rank].reshape(m, rank) + 0j
-    if complex_factor:
-        F = F + 1j * xs[m * rank:].reshape(m, rank)
-    gamma = scale * (F @ F.conj().T)
-    return 0.5 * (gamma + gamma.conj().T)
-
-
 _generators = st.integers(1, 2).flatmap(lambda r: st.tuples(
-    _operators(r, _finite, min_size=0), _gammas(r), st.lists(_operators(r), min_size=1, max_size=3),
+    _operators(r, _finite, min_size=0), psd_gammas(r), st.lists(_operators(r), min_size=1, max_size=3),
     st.booleans()))
 
 

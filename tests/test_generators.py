@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     dense_lindblad_apply,
+    psd_gammas,
     random_hermitian_window,
     random_operator,
     random_psd,
@@ -218,6 +220,32 @@ def test_diagonalize_structure_roundtrip():
         dgen = diagonalize_structure(gen)
         rho = random_operator(rng, 2)
         assert (gen.apply(rho) - dgen.apply(rho)).hs_norm() < 1e-10
+
+
+def _gamma_and_hamiltonian(r):
+    m = len(basis_strings(r))
+    return st.tuples(st.just(r), psd_gammas(r),
+                     st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+
+
+_rng = np.random.default_rng(3)
+_F = _rng.standard_normal((15, 2)) + 1j * _rng.standard_normal((15, 2))
+_LARGE = 1e5 * _F @ _F.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([1, 2]).flatmap(_gamma_and_hamiltonian))
+# rank 2 at scale 1e5: rounding leaves eigenvalues near -3e-10, below -GAMMA_PSD_TOL
+@example(case=(2, 0.5 * (_LARGE + _LARGE.conj().T), [1.0] * 15))
+def test_structure_and_diagonal_forms_act_alike(case):
+    # PSD gamma of any rank at scales 1e-6...1e8; rounding must neither
+    # refuse gamma nor move the action
+    r, gamma, eta = case
+    ham = PauliOperator(r, dict(zip(basis_strings(r), eta)))
+    gen = LindbladGenerator(r, hamiltonian=ham, gamma=gamma)
+    M = superop_matrix(gen)
+    D = superop_matrix(diagonalize_structure(gen))
+    assert np.abs(D - M).max() <= 1e-12 * max(1.0, np.abs(M).max())
 
 
 def test_gamma_validation():
