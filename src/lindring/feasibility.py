@@ -420,7 +420,8 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
     K, b = cons.matrix, cons.rhs
-    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau) * max(1.0, np.abs(K).max()):
+    row_scale = max(1.0, np.abs(K).max())
+    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau) * row_scale:
         return None  # every conserving gamma is traceless
     g0 = x0[:m * m]
     v = warm_x[:m * m]
@@ -431,14 +432,16 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
     r0 = int((lam > 1e-2 * lam[-1]).sum())
     for rank in sorted({r0, min(r0 + 1, m), min(r0 + 3, m)}):
         U = V[:, -rank:] * np.sqrt(np.clip(lam[-rank:], 1e-12, None))
-        for _ in range(60):
+        for step in range(61):
             resid, J = _gauss_newton_system(Bk, c, U)
-            if np.linalg.norm(resid) < 1e-13 * max(1.0, tau):
+            # steps stop on the absolute bound; the last iterate is judged on the scale of K
+            if np.linalg.norm(resid) < 1e-13 * max(1.0, tau) * (row_scale if step == 60 else 1.0):
                 gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
                 eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
                 return np.concatenate([gpacked, eta])
-            delta, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-            U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
+            if step < 60:
+                delta, *_ = np.linalg.lstsq(J, -resid, rcond=None)
+                U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
     return None
 
 

@@ -16,6 +16,10 @@ gauge spanned by the unitality forms (the freedom of adding a
 divergence to the window identity image), and its real part is the
 obstruction matrix C.  When C is negative definite, no generator of
 that width with a nonzero dissipative part conserves the density.
+
+With a = (1, mu, nu, h_x, h_y, h_z), C = sum_{i<=j} a_i a_j T_ij is a
+quadratic matrix polynomial: 21 real symmetric tables per width, built
+once.  Each term is Hamiltonian-free and pure gauge on its own.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class QuadraticForm:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionMatrix:
+    """C at one point; gauge_residual is sum_k |a_i a_j| times the per-term gauge residuals."""
+
     C: np.ndarray
     basis: str
     params: CanonicalParams
@@ -112,19 +118,6 @@ def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return Q, l
 
 
-@functools.cache
-def _named_forms(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """The six named-pattern tables of one width, stacked (pattern, component, ...)."""
-    return _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
-                          safe_ring_length(r_gen, 2), r_gen)
-
-
-def _weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Density weights (1, mu, nu, h) and combination weights (1, mu, nu, 2h), one column per point."""
-    w = np.vstack([np.ones(len(points)), points.T])
-    return w, w * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])[:, None]
-
-
 def _require(ok, exc, points, message: str, values=None) -> None:
     """Raise exc for the first point where `ok` fails, naming that grid point.
 
@@ -137,22 +130,6 @@ def _require(ok, exc, points, message: str, values=None) -> None:
         if points is not None:
             message += f" at (mu, nu, hx, hy, hz) = {tuple(points[i].tolist())}"
         raise exc(message)
-
-
-def _pattern_sum(w: np.ndarray, Qs: np.ndarray, ls: np.ndarray, points: np.ndarray):
-    """One pattern's form at a stack of points: sum_c w_c Q_c and the real sum_c w_c l_c.
-
-    Terms are added to zero in component order, as for one point alone; a real
-    weight scaling both parts apart then equals the complex product bit for bit.
-    """
-    Q = np.zeros((len(points),) + Qs.shape[1:], dtype=complex)
-    Qf = Q.view(float)
-    for wc, Qc in zip(w, Qs):
-        Qf += wc[:, None, None] * Qc.view(float)
-    l = sum(wc[:, None] * lc for wc, lc in zip(w, ls))
-    _require(np.abs(l.imag).max(axis=1) <= 1e-12, ArithmeticError, points,
-             "Hamiltonian functional is not real")
-    return Q, l.real
 
 
 def _point(params: CanonicalParams) -> np.ndarray:
@@ -174,24 +151,23 @@ def conservation_forms(r_gen: int, params: CanonicalParams,
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
-    point = _point(params)
+    a = np.array([1.0, *_point(params)[0]])
     basis = tuple(basis_strings(r_gen))
     n = safe_ring_length(r_gen, 2)
-    w, _ = _weights(point)
-    out = {}
+    classes = {}
     for pat in NAMED_PATTERNS if patterns is None else patterns:
         string = _PATTERN_STRINGS.get(pat, pat.upper())
         if not string or string.strip("IXYZ"):
             raise ValueError(f"bad pattern string: {pat!r}")
         if len(string) > n:
             raise ValueError(f"pattern {pat!r} is longer than the ring (n={n})")
-        if string.lower() in NAMED_PATTERNS:
-            Qs, ls = (t[NAMED_PATTERNS.index(string.lower())] for t in _named_forms(r_gen))
-        else:
-            Qs, ls = (t[0] for t in _pattern_forms([string], n, r_gen))
-        Q, l = _pattern_sum(w, Qs, ls, point)
-        out[pat] = QuadraticForm(name=pat, basis=basis, Q=Q[0], d_linear=l[0])
-    return out
+        classes[pat] = _class_representative(string.ljust(n, "I"))
+    rows = {key: i for i, key in enumerate(dict.fromkeys(classes.values()))}
+    Q, l = (np.tensordot(a, t, axes=(0, 1)) for t in _pattern_forms(list(rows), n, r_gen))
+    if np.abs(l.imag).max() > 1e-12:
+        raise ArithmeticError("Hamiltonian functional is not real")
+    return {pat: QuadraticForm(name=pat, basis=basis, Q=Q[rows[key]], d_linear=l[rows[key]].real)
+            for pat, key in classes.items()}
 
 
 # -- unitality forms ---------------------------------------------------------
@@ -241,14 +217,45 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
             for name, U in zip(pats, G)}
 
 
-@functools.cache
-def _gauge_projection(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge columns Im U.ravel() of the unitality forms and their Gram pseudo-inverse."""
-    cols = np.column_stack([f.Q.imag.ravel() for f in unitality_forms(r_gen).values()])
-    return cols, np.linalg.pinv(cols.T @ cols, hermitian=True)
-
-
 # -- assembly ----------------------------------------------------------------
+
+
+# the 21 terms a_i a_j (i <= j) of C, a = (1, mu, nu, hx, hy, hz), in a fixed order
+_I, _J = np.triu_indices(6)
+
+
+@functools.cache
+def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """C(p) = sum_k a_i a_j T_k over the terms k = (i, j), with per-term check data.
+
+    Pattern i enters the combination with weight f_i a_i, f = (1, 1, 1, 2,
+    2, 2), and its form against component j with weight a_j, so term k
+    collects P_k = f_i Q[i, j] + f_j Q[j, i] (f_i Q[i, i] on the diagonal).
+    Returns the real symmetric tables T_k = sym Re P_k (at r=2 in the
+    combination basis) and, per term, the largest Hamiltonian coefficient,
+    the larger of the two pieces that cancel in it, and the largest part
+    of Im P_k off the span of the unitality forms.
+    """
+    Q, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
+                          safe_ring_length(r_gen, 2), r_gen)
+    f = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    Q *= f[:, None, None, None]
+    l *= f[:, None, None]
+    half = np.where(_I == _J, 0.5, 1.0)
+    P = half[:, None, None] * (Q + Q.swapaxes(0, 1))[_I, _J]
+    del Q  # the complex tables are not kept
+    L = half[:, None] * (l + l.swapaxes(0, 1))[_I, _J]
+    pieces = np.maximum(np.abs(l), np.abs(l).swapaxes(0, 1))[_I, _J]
+    # the imaginary part must lie in the span of the unitality forms
+    cols = np.column_stack([u.Q.imag.ravel() for u in unitality_forms(r_gen).values()])
+    target = P.imag.reshape(len(P), -1)
+    off_span = target - (target @ cols) @ np.linalg.pinv(cols.T @ cols, hermitian=True) @ cols.T
+    T = P.real
+    if r_gen == 2:
+        S = combination_matrix()
+        T = S.T @ T @ S
+    T = 0.5 * (T + T.swapaxes(1, 2))
+    return T, np.abs(L).max(axis=1), pieces.max(axis=1), np.abs(off_span).max(axis=1)
 
 
 # overflow is caught by the finiteness check, which names the point
@@ -256,37 +263,26 @@ def _gauge_projection(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
 def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
 
-    Sums run in one-point order, so each matrix is bit-identical to its point's alone.
+    Terms are summed elementwise in a fixed order, so each matrix is
+    bit-identical to its point's alone.  The checks bound the Hamiltonian
+    part and the gauge residual by the per-term values times |a_i a_j|.
     """
-    w, cw = _weights(points)
-    Ct = np.zeros((len(points), 4 ** r_gen - 1, 4 ** r_gen - 1), dtype=complex)
-    Ctf = Ct.view(float)
-    lc = term_max = 0.0
-    for c, Qs, ls in zip(cw, *_named_forms(r_gen)):
-        Q, l = _pattern_sum(w, Qs, ls, points)
-        Ctf += c[:, None, None] * Q.view(float)
-        term = c[:, None] * l
-        lc = lc + term
-        term_max = np.maximum(term_max, np.abs(term).max(axis=1))
-    lc_max = np.abs(lc).max(axis=1)
-    scale = np.abs(Ct).max(axis=(1, 2))
-    # the imaginary part must lie in the span of the unitality forms
-    cols, gram_inv = _gauge_projection(r_gen)
-    target = Ct.imag.reshape(len(points), -1)
-    gauge = np.abs(target - (target @ cols) @ gram_inv @ cols.T).max(axis=1)
+    T, ham, ham_pieces, gauge_terms = _polynomial(r_gen)
+    a = np.column_stack([np.ones(len(points)), points])
+    w = a[:, _I] * a[:, _J]
+    C = sum(wk[:, None, None] * Tk for wk, Tk in zip(w.T, T))
+    lc = (np.abs(w) * ham).sum(axis=1)
+    term_max = (np.abs(w) * ham_pieces).max(axis=1)
+    gauge = (np.abs(w) * gauge_terms).sum(axis=1)
+    scale = np.abs(C).max(axis=(1, 2))
     # finite parameters can still overflow the quadratic weights
-    _require(np.isfinite(lc_max) & np.isfinite(scale) & np.isfinite(gauge), OverflowError,
+    _require(np.isfinite(lc) & np.isfinite(scale) & np.isfinite(gauge), OverflowError,
              points, "obstruction matrix is not finite")
     # the cancelling terms set the rounding scale, not the forms alone
-    _require(lc_max <= D_CANCEL_TOL * (1.0 + term_max), ArithmeticError, points,
-             "Hamiltonian part failed to cancel", lc_max)
+    _require(lc <= D_CANCEL_TOL * (1.0 + term_max), ArithmeticError, points,
+             "Hamiltonian part failed to cancel", lc)
     _require(gauge <= GAUGE_TOL * (1.0 + scale), ArithmeticError,
              points, "imaginary part not spanned by unitality forms", gauge)
-    C = 0.5 * (Ct.real + Ct.real.swapaxes(1, 2))
-    if r_gen == 2:
-        S = combination_matrix()
-        C = S.T @ C @ S
-        C = 0.5 * (C + C.swapaxes(1, 2))
     return C, gauge
 
 
@@ -543,7 +539,7 @@ def scan(r_gen: int, grid, zero_band: float = ZERO_BAND) -> tuple[list[ScanRow],
     """Definiteness verdicts over a parameter grid, in grid order.
 
     Points are assembled and certified in stacked chunks of _CHUNK: one
-    broadcast assembly, one gauge projection and one eigensolve each.
+    evaluation of the matrix polynomial and one eigensolve each.
 
     The summary records every semidefinite point and whether all of them
     sit on the mu = nu = h_y = h_z = 0 line, the only place a width-2 or

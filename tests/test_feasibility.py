@@ -341,6 +341,16 @@ def test_search_finds_dephasing():
     assert_feasible(res, prob)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_finds_weakly_coupled_dephasing(seed):
+    # Z dephasing conserves II + 0.01 ZZ; Gauss-Newton ends near 1e-12,
+    # below the rows' scale (max|K| = 362) but above the absolute step bound
+    prob = FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2)
+    res = search(prob, seed=seed)
+    assert_feasible(res, prob)
+    assert res.stop_reason == "completed_on_face"
+
+
 def test_search_conserves_all_exchange_charges():
     charges = [PauliOperator(1, {p: 1.0}) for p in "XYZI"]
     prob = FeasibilityProblem(charges, r_gen=2, mode="global")

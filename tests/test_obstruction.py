@@ -189,6 +189,46 @@ def test_gauge_residual_certificate_is_small():
         assert m.gauge_residual < 1e-10 * (1 + np.abs(m.C).max())
 
 
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_polynomial_terms_cancel_hamiltonian_and_gauge(r_gen):
+    # each of the 21 terms a_i a_j is Hamiltonian-free and pure gauge on its own
+    T, ham, ham_pieces, gauge = obstruction._polynomial(r_gen)
+    assert len(T) == 21
+    assert np.array_equal(T, T.swapaxes(1, 2))
+    assert ham.max() == 0.0 and ham_pieces.max() > 1.0
+    assert gauge.max() < 1e-12
+
+
+def test_perturbed_hamiltonian_table_is_caught(monkeypatch):
+    pattern_forms = obstruction._pattern_forms
+
+    def perturbed(*args):
+        Q, l = pattern_forms(*args)
+        l[0, 1, 0] += 1e-3
+        return Q, l
+
+    monkeypatch.setattr(obstruction, "_pattern_forms", perturbed)
+    obstruction._polynomial.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"failed to cancel .* = \(0\.5, 0\.25, "):
+            scan(3, [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)])
+    finally:
+        obstruction._polynomial.cache_clear()
+
+
+def test_3site_matrix_matches_forms():
+    # C is the real part of the combination sum_i f_i a_i Q_i, f = (1, 1, 1, 2, 2, 2)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = random_params(rng)
+        forms = conservation_forms(3, p)
+        hx, hy, hz = p.h
+        w = {"xx": 1.0, "yy": p.mu, "zz": p.nu, "x": 2 * hx, "y": 2 * hy, "z": 2 * hz}
+        R = sum(w[k] * forms[k].Q for k in forms).real
+        C = assemble_C_3site(p).C
+        assert np.abs(C - 0.5 * (R + R.T)).max() < 1e-12 * np.abs(C).max()
+
+
 def test_combination_has_gauge_content_before_subtraction():
     # the raw Hermitian combination is genuinely complex; only after
     # removing the unitality span does it become the real matrix C
