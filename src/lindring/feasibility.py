@@ -22,14 +22,14 @@ for two-site targets.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
-from .generators import LindbladGenerator, _image_terms, _is_hermitian, basis_strings
+from .generators import (LindbladGenerator, _gamma_to_vector, _image_terms, _is_hermitian,
+                         _vector_to_gamma, basis_strings)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -61,9 +61,6 @@ SNAPSHOT_PERIOD = 250
 SNAPSHOT_MIN_DROP = 0.08
 # the exact face completion only pays off when the sets nearly touch
 COMPLETION_DISTANCE = 1e-2
-# constraint rows packed per pass; packing all r=3 rows in one pass raised
-# the peak memory of the build by about 90 MB
-_PACK_ROWS = 64
 
 
 class FeasibilityProblem:
@@ -143,42 +140,7 @@ class FeasibilityResult:
     stop_reason: str | None = None
 
 
-# -- real parametrization of (gamma, H) ---------------------------------------
-# layout: [diag(gamma)] [sqrt2 * Re upper] [sqrt2 * Im upper] [H coefficients];
-# the sqrt2 makes packing an isometry for the Frobenius norm, so projections
-# computed on matrices stay projections on vectors
-
-
-@functools.cache
-def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the strict upper triangle of an m x m gamma, made once per width."""
-    iu, ju = np.triu_indices(m, 1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
-
-
-def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
-    m = gamma.shape[0]
-    iu, ju = _upper_indices(m)
-    upper = gamma[iu, ju]
-    return np.concatenate([
-        np.real(np.diag(gamma)),
-        np.sqrt(2.0) * upper.real,
-        np.sqrt(2.0) * upper.imag,
-    ])
-
-
-def _vector_to_gamma(v: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of _gamma_to_vector, over the last axis of v."""
-    iu, ju = _upper_indices(m)
-    m2 = iu.size
-    gamma = np.zeros(v.shape[:-1] + (m, m), dtype=complex)
-    gamma[..., np.arange(m), np.arange(m)] = v[..., :m]
-    upper = (v[..., m:m + m2] + 1j * v[..., m + m2:m + 2 * m2]) / np.sqrt(2.0)
-    gamma[..., iu, ju] = upper
-    gamma[..., ju, iu] = upper.conj()
-    return gamma
+# -- packed points: x = [_gamma_to_vector(gamma)] [H coefficients] ---------------
 
 
 def pack_point(gamma, eta=None) -> np.ndarray:
@@ -213,30 +175,6 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 # -- constraint rows -----------------------------------------------------------
 
 
-def _constraint_block(r: int, A: PauliOperator, reduce_rows: bool):
-    """Real rows of the image of A, one per key, and the keys.
-
-    Columns follow the packed (gamma, H) layout; with G_jk the image of
-    unit gamma_jk, the slot sqrt2 Re gamma_jk (j < k) reads
-    Re (G_jk + G_kj) / sqrt2 and the slot sqrt2 Im gamma_jk reads
-    Re i (G_jk - G_kj) / sqrt2.  A Hermitian gamma and real Hamiltonian
-    coefficients map the Hermitian A to a Hermitian image, whose Pauli
-    coefficients are real, so the imaginary parts carry no rows.
-    """
-    keys, G, H = _image_terms(r, A, reduce_rows)
-    m = H.shape[1]
-    iu, ju = _upper_indices(m)
-    inv = 1.0 / np.sqrt(2.0)
-    block = np.zeros((len(keys), m * m + m))
-    for c in range(0, len(keys), _PACK_ROWS):
-        g, h = G[c:c + _PACK_ROWS], H[c:c + _PACK_ROWS]
-        up_re, lo_re = g.real[:, iu, ju] * inv, g.real[:, ju, iu] * inv
-        up_im, lo_im = g.imag[:, iu, ju] * inv, g.imag[:, ju, iu] * inv
-        block[c:c + len(g)] = np.concatenate(
-            [np.diagonal(g.real, 0, 1, 2), up_re + lo_re, lo_im - up_im, h.real], axis=1)
-    return block, keys
-
-
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     """Linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
@@ -245,7 +183,9 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     strings and scales by n: the ring sum is translation invariant, so the
     class sums of its image under all n placements are n times those
     under one.  Local mode keeps one row per placement of each target and
-    per ring string.  Each row is the real part of an image coefficient.
+    per ring string.  Each row is the image coefficient as a functional
+    of (gamma, H) in real coordinates; the packing's sqrt2 on Re gamma_jk
+    and Im gamma_jk (j < k) divides those columns by sqrt2.
     """
     r, n = problem.r_gen, problem.n
     m = len(basis_strings(r))
@@ -255,10 +195,10 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     else:
         blocks = [(f"target{t}@{k}", a.embed(n, k), 1)
                   for t, a in enumerate(problem.targets) for k in range(n)]
-    rows = []
-    labels = []
+    rows, labels = [], []
     for prefix, A, weight in blocks:
-        block, keys = _constraint_block(r, A, problem.mode == "global")
+        keys, block = _image_terms(r, A, problem.mode == "global")
+        block[:, m:dim_gamma] *= 1.0 / np.sqrt(2.0)
         block *= weight
         rows.append(block)
         labels.extend(f"{prefix}:{s}" for s in keys)
@@ -456,7 +396,8 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     the sets nearly touch an exact completion on the conserving span
     finishes the job; every returned point is re-certified from scratch.
     """
-    cons = _distinct_rows(full := build_affine_constraints(problem))
+    cons, rows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
+    del full  # the copied rows are not kept through the factorization and the search
     project_affine, x0, B = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
@@ -498,7 +439,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
             snapshot = gap
 
     affine_distance = float(np.linalg.norm(x - project_affine(x)))
-    shape = (len(full.rhs), len(b), project_affine.rank)
+    shape = (rows, len(b), project_affine.rank)
     if stop_reason == "converged":
         got = _accept(generator_from_point(problem.r_gen, x),
                       problem, iterations, affine_distance, shape, stop_reason)

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .pauli import (
-    _DECIMAL,
+    _COMPLEX_RE,
+    _REAL_RE,
     PauliOperator,
     _coefficient,
     _format_coeff,
@@ -111,51 +112,109 @@ def _class_representative(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
+# -- real coordinates of (gamma, H) ----------------------------------------------
+# [gamma_jj] [Re gamma_jk] [Im gamma_jk] (j < k) [H_j].  Packing scales the
+# off-diagonal slots by sqrt2, an isometry for the Frobenius norm.
+
+
+@functools.cache
+def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strict upper triangle of an m x m gamma, made once per width."""
+    iu, ju = np.triu_indices(m, 1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
+def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
+    upper = gamma[_upper_indices(gamma.shape[0])]
+    return np.concatenate([np.real(np.diag(gamma)),
+                           np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag])
+
+
+def _vector_to_gamma(v: np.ndarray, m: int, off: float = np.sqrt(2.0)) -> np.ndarray:
+    """Inverse of _gamma_to_vector over the last axis of v; off-diagonal slots divide by `off`.
+
+    With off = 2, real image coordinates become the Hermitian Q of the
+    same functional: c^dag Q c at gamma = c c^dag.
+    """
+    iu, ju = _upper_indices(m)
+    m2 = iu.size
+    gamma = np.zeros(v.shape[:-1] + (m, m), dtype=complex)
+    gamma[..., np.arange(m), np.arange(m)] = v[..., :m]
+    upper = (v[..., m:m + m2] + 1j * v[..., m + m2:m + 2 * m2]) / off
+    gamma[..., iu, ju] = upper
+    gamma[..., ju, iu] = upper.conj()
+    return gamma
+
+
+def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero terms of the image of window string b: vals[i] on string rows[i], coordinate cols[i].
+
+    A Hermitian gamma and a real H map Hermitian operators to real Pauli
+    coefficients, and Re sum_jk gamma_jk G_jk reads Re G_jj on gamma_jj,
+    Re (G_jk + G_kj) on Re gamma_jk and Im (G_kj - G_jk) on Im gamma_jk
+    (j < k).  gamma_jk and gamma_kj land on one string, so each coordinate
+    takes one small integer per window term of _window_column, exactly.
+    """
+    rows, vals, h_rows, h_vals = _window_column(r, b)
+    m = rows.shape[1]
+    iu, ju = _upper_indices(m)
+    diag = np.arange(m)
+    up, lo = vals[:, iu, ju], vals[:, ju, iu]
+    pair = rows[:, iu, ju]
+    # then the Hamiltonian terms; basis string j is window string j + 1
+    rows = np.append(np.concatenate([rows[:, diag, diag], pair, pair], axis=1), h_rows[1:])
+    cols = np.append(np.tile(np.arange(m * m), 3), m * m + diag)
+    vals = np.append(np.concatenate([vals[:, diag, diag].real, (up + lo).real, (lo - up).imag], 1),
+                     h_vals[:, 1:].real.sum(axis=0))
+    nz = np.flatnonzero(vals)
+    return rows[nz], cols[nz], vals[nz]
+
+
 def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
-    """Images of A under unit generator parts on window sites 0..r-1, per row key.
+    """Image of A under generators on window sites 0..r-1, as real functionals per row key.
 
     A ring string u reaches the strings piece + u[r:] through the window
-    terms of its window piece u[:r].  Returns the row keys and complex
-    arrays G, H with G[row, j, k] the image coefficient of unit gamma_jk
-    and H[row, j] that of unit Hamiltonian string j.  With reduce_rows
-    the keys are translation class representatives and a whole class
-    piles onto one row.  Rows follow key insertion order, unless a `keys`
-    mapping gives the row of each key it names: several keys may share a
-    row, and every other term lands on a sink row that is dropped.  Each
-    entry sums its terms in (string of A, term) order.
+    terms of its window piece u[:r].  Returns the keys and a real array
+    whose row i is the coefficient of key i, a functional of (gamma, H)
+    in real coordinates.  A must have real Pauli coefficients.  With
+    reduce_rows the keys are translation class representatives.  Rows
+    follow key insertion order, unless a `keys` mapping gives the row of
+    each key it names (several may share one); other terms are dropped.
+    Entries sum their terms in (string of A, window term) order.
     """
     strings = all_strings(r)
     pos = {t: i for i, t in enumerate(strings)}
-    m = len(strings) - 1
+    ncols = len(strings) ** 2 - len(strings)
     ids = {} if keys is None else keys
     columns: dict[int, tuple] = {}
-    terms = []
+    flat, weights = [], []
     for u, coeff in A.terms.items():
+        coeff = complex(coeff)
+        if coeff.imag:
+            raise ValueError("image coordinates need real coefficients")
+        if not np.isfinite(coeff.real):
+            raise OverflowError(f"coefficient of {u} is not finite")
         images = [piece + u[r:] for piece in strings]
         if reduce_rows:
             images = [_class_representative(key) for key in images]
         if keys is None:
             key_ids = np.array([ids.setdefault(key, len(ids)) for key in images])
-        else:  # row -1 is the sink
+        else:  # row -1 drops the term
             key_ids = np.array([keys.get(key, -1) for key in images])
         b = pos[u[:r]]
         if b not in columns:
-            columns[b] = _window_column(r, b)
-        terms.append((coeff, key_ids, columns[b]))
+            columns[b] = _real_column(r, b)
+        rows, cols, vals = columns[b]
+        row = key_ids[rows]
+        kept = row >= 0
+        flat.append(row[kept] * ncols + cols[kept])
+        weights.append(coeff.real * vals[kept])
 
     size = max(ids.values(), default=-1) + 1
-    G = np.zeros((size + 1, m, m), dtype=complex)
-    H = np.zeros((size + 1, m), dtype=complex)
-    cols = np.arange(m)
-    j, k = np.indices((m, m))
-    for coeff, key_ids, (rows, vals, h_rows, h_vals) in terms:
-        g_row = key_ids[rows]
-        for t in range(3):
-            G[g_row[t], j, k] += coeff * vals[t]
-        # basis string j is window string j + 1
-        for half in h_vals[:, 1:]:
-            H[key_ids[h_rows[1:]], cols] += coeff * half
-    return list(ids), G[:size], H[:size]
+    R = np.bincount(np.concatenate(flat), np.concatenate(weights), size * ncols)
+    return list(ids), R.reshape(size, ncols)
 
 
 def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
@@ -380,16 +439,15 @@ def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
 # -- file format ---------------------------------------------------------------
 
 _SECTION_RE = re.compile(r"^\[(hamiltonian|lindblad|gamma)\]$")
-_COMPLEX_TOKEN = re.compile(
-    rf"^\(?\s*([+-]?{_DECIMAL})\s*(?:([+-]\s*{_DECIMAL})\s*i)?\s*\)?$"
-)
 
 
 def _parse_complex_token(tok: str) -> complex:
-    m = _COMPLEX_TOKEN.match(tok.strip())
-    if not m:
-        raise ValueError(f"bad matrix entry {tok!r}")
-    return _coefficient(m.group(1), m.group(2))
+    """A decimal or an (a+bi) literal, the whole token and nothing else."""
+    if m := _COMPLEX_RE.fullmatch(tok):
+        return _coefficient(m.group(1), m.group(2))
+    if _REAL_RE.fullmatch(tok):
+        return _coefficient(tok)
+    raise ValueError(f"bad matrix entry {tok!r}")
 
 
 def parse_generator_file(text: str) -> LindbladGenerator:

@@ -2,24 +2,20 @@
 
 Whether a width-r generator can conserve the ring sum of the canonical
 density a = XX + mu YY + nu ZZ + w1 + 1w is decided by a finite family
-of quadratic forms.  Each translation class of Pauli strings defines a
-linear functional on the image of the summed density; expanding a
-single unknown Lindblad operator L = sum_j c_j P_j and a window
-Hamiltonian sum_m d_m Q_m turns the functional into c^dag Q c plus a
-real linear term in d.  The forms are extracted numerically on a ring
-long enough that a window cannot meet its own periodic image.
+of quadratic forms.  The coefficient of each translation class of Pauli
+strings in the image of the summed density is a real functional of
+(gamma, H), read off generators._image_terms in real coordinates on a
+ring long enough that a window cannot meet its own periodic image; at
+gamma = c c^dag it is c^dag Q c plus a real linear term in H.  The
+Hermitian Q is made only where a form is returned.
 
-Combining the six primitive projections with weights
-(1, mu, nu, 2h_x, 2h_y, 2h_z) cancels the Hamiltonian term
-identically.  The combination is Hermitian; its imaginary part is pure
-gauge spanned by the unitality forms (the freedom of adding a
-divergence to the window identity image), and its real part is the
-obstruction matrix C.  When C is negative definite, no generator of
-that width with a nonzero dissipative part conserves the density.
-
-With a = (1, mu, nu, h_x, h_y, h_z), C = sum_{i<=j} a_i a_j T_ij is a
-quadratic matrix polynomial: 21 real symmetric tables per width, built
-once.  Each term is Hamiltonian-free and pure gauge on its own.
+Weights (1, mu, nu, 2h_x, 2h_y, 2h_z) on the six primitive projections
+cancel the Hamiltonian term identically.  The imaginary part of the
+combination is pure gauge, spanned by the unitality forms, and its real
+part is the obstruction matrix C = sum_{i<=j} a_i a_j T_ij, a = (1, mu,
+nu, h_x, h_y, h_z): 21 real symmetric tables per width, built once.
+When C is negative definite, no generator of that width with a nonzero
+dissipative part conserves the density.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _class_representative, _image_terms, basis_strings
+from .generators import _class_representative, _image_terms, _vector_to_gamma, basis_strings
 from .pauli import PauliOperator
 from .rings import CanonicalParams, assemble_sum, safe_ring_length
 
@@ -95,27 +91,24 @@ def _component_ring_sums(n: int) -> list[PauliOperator]:
 
 
 def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q and l tables of pattern projections against all six components.
+    """Real coordinates of pattern projections against all six components.
 
     The image of a ring sum under all n window placements is translation
     invariant, so its coefficient on a pattern p is n / |class(p)| times
-    the class row of the image under the one placement of _image_terms.
-    Patterns are site-0 anchored strings of distinct classes; tables are
-    stacked (pattern, component, ...).
+    the sum of the rows of all rotations of p in the image under the one
+    placement of _image_terms.  Patterns are site-0 anchored strings of
+    distinct classes.  Returns the gamma coordinates and the Hamiltonian
+    coefficients, stacked (pattern, component, ...).
     """
     m = 4 ** r - 1
-    rings = [p.ljust(n, "I") for p in patterns]
-    weight = np.array([n / len({p[i:] + p[:i] for i in range(n)}) for p in rings])
-    keys = {_class_representative(p): i for i, p in enumerate(rings)}
+    rotations = [{p[i:] + p[:i] for i in range(n)} for p in (p.ljust(n, "I") for p in patterns)]
+    keys = {s: i for i, rots in enumerate(rotations) for s in rots}
+    weight = n / np.array([len(rots) for rots in rotations])
     sums = _component_ring_sums(n)
-    Q = np.empty((len(rings), len(sums), m, m), dtype=complex)
-    l = np.empty((len(rings), len(sums), m), dtype=complex)
+    forms = np.empty((len(rotations), len(sums), m * m + m))
     for c, A in enumerate(sums):
-        _, G, H = _image_terms(r, A, True, keys=keys)
-        # adjoint bookkeeping: the form acts on c from both sides
-        Q[:, c] = weight[:, None, None] * G.transpose(0, 2, 1)
-        l[:, c] = weight[:, None] * H
-    return Q, l
+        forms[:, c] = weight[:, None] * _image_terms(r, A, False, keys=keys)[1]
+    return forms[..., :m * m], forms[..., m * m:]
 
 
 def _require(ok, exc, points, message: str, values=None) -> None:
@@ -163,10 +156,9 @@ def conservation_forms(r_gen: int, params: CanonicalParams,
             raise ValueError(f"pattern {pat!r} is longer than the ring (n={n})")
         classes[pat] = _class_representative(string.ljust(n, "I"))
     rows = {key: i for i, key in enumerate(dict.fromkeys(classes.values()))}
-    Q, l = (np.tensordot(a, t, axes=(0, 1)) for t in _pattern_forms(list(rows), n, r_gen))
-    if np.abs(l.imag).max() > 1e-12:
-        raise ArithmeticError("Hamiltonian functional is not real")
-    return {pat: QuadraticForm(name=pat, basis=basis, Q=Q[rows[key]], d_linear=l[rows[key]].real)
+    g, l = (np.tensordot(a, t, axes=(0, 1)) for t in _pattern_forms(list(rows), n, r_gen))
+    Q = _vector_to_gamma(g, len(basis), 2.0)
+    return {pat: QuadraticForm(name=pat, basis=basis, Q=Q[rows[key]], d_linear=l[rows[key]])
             for pat, key in classes.items()}
 
 
@@ -197,6 +189,13 @@ def _unitality_patterns(r_gen: int) -> dict[str, tuple[str, ...]]:
     return pats
 
 
+def _unitality_coordinates(r_gen: int) -> np.ndarray:
+    """Gamma coordinates of the window identity image; each pattern's strings pile onto its row."""
+    rows = {s: i for i, strings in enumerate(_unitality_patterns(r_gen).values()) for s in strings}
+    _, R = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
+    return R[:, :-(4 ** r_gen - 1)]
+
+
 def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
     """Quadratic forms of the window identity image, projected per class.
 
@@ -209,12 +208,9 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
         raise ValueError("generator width must be 2 or 3")
     basis = tuple(basis_strings(r_gen))
     zero_d = np.zeros(len(basis))
-    pats = _unitality_patterns(r_gen)
-    # one row per pattern: its strings pile onto it
-    rows = {s: i for i, strings in enumerate(pats.values()) for s in strings}
-    _, G, _ = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
-    return {name: QuadraticForm(name=name, basis=basis, Q=U.T, d_linear=zero_d)
-            for name, U in zip(pats, G)}
+    Q = _vector_to_gamma(_unitality_coordinates(r_gen), len(basis), 2.0)
+    return {name: QuadraticForm(name=name, basis=basis, Q=q, d_linear=zero_d)
+            for name, q in zip(_unitality_patterns(r_gen), Q)}
 
 
 # -- assembly ----------------------------------------------------------------
@@ -230,32 +226,36 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
     Pattern i enters the combination with weight f_i a_i, f = (1, 1, 1, 2,
     2, 2), and its form against component j with weight a_j, so term k
-    collects P_k = f_i Q[i, j] + f_j Q[j, i] (f_i Q[i, i] on the diagonal).
-    Returns the real symmetric tables T_k = sym Re P_k (at r=2 in the
-    combination basis) and, per term, the largest Hamiltonian coefficient,
-    the larger of the two pieces that cancel in it, and the largest part
-    of Im P_k off the span of the unitality forms.
+    collects P_k = f_i Q[i, j] + f_j Q[j, i] (f_i Q[i, i] on the diagonal),
+    read here in real coordinates.  Returns the real symmetric tables
+    T_k = Re P_k (at r=2 in the combination basis) and, per term, the
+    largest Hamiltonian coefficient, the larger of the two pieces that
+    cancel in it, and the largest part of Im P_k off the span of the
+    unitality forms.
     """
-    Q, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
+    g, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
                           safe_ring_length(r_gen, 2), r_gen)
     f = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-    Q *= f[:, None, None, None]
+    g *= f[:, None, None]
     l *= f[:, None, None]
     half = np.where(_I == _J, 0.5, 1.0)
-    P = half[:, None, None] * (Q + Q.swapaxes(0, 1))[_I, _J]
-    del Q  # the complex tables are not kept
-    L = half[:, None] * (l + l.swapaxes(0, 1))[_I, _J]
-    pieces = np.maximum(np.abs(l), np.abs(l).swapaxes(0, 1))[_I, _J]
-    # the imaginary part must lie in the span of the unitality forms
-    cols = np.column_stack([u.Q.imag.ravel() for u in unitality_forms(r_gen).values()])
-    target = P.imag.reshape(len(P), -1)
+    P = half[:, None] * (g + g.swapaxes(0, 1))[_I, _J]
+    ham = np.abs(half[:, None] * (l + l.swapaxes(0, 1))[_I, _J]).max(axis=1)
+    pieces = np.maximum(np.abs(l), np.abs(l).swapaxes(0, 1))[_I, _J].max(axis=1)
+    m = l.shape[-1]
+    del g, l  # the tables are not kept
+    # Im P must lie in the span of the unitality forms; coordinates read 2 Im Q_jk (j < k)
+    im = slice(m * (m + 1) // 2, m * m)
+    cols = _unitality_coordinates(r_gen)[:, im].T
+    target = P[:, im]
     off_span = target - (target @ cols) @ np.linalg.pinv(cols.T @ cols, hermitian=True) @ cols.T
-    T = P.real
+    del cols
+    T = _vector_to_gamma(P, m, 2.0).real
     if r_gen == 2:
         S = combination_matrix()
         T = S.T @ T @ S
     T = 0.5 * (T + T.swapaxes(1, 2))
-    return T, np.abs(L).max(axis=1), pieces.max(axis=1), np.abs(off_span).max(axis=1)
+    return T, ham, pieces, 0.5 * np.abs(off_span).max(axis=1)
 
 
 # overflow is caught by the finiteness check, which names the point

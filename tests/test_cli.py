@@ -95,6 +95,15 @@ def test_non_psd_gamma_exit_2(tmp_path, capsys):
     assert "positive semidefinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["(1", "1)", "(1+2i", "1+2i)", "1+2i"])
+def test_unbalanced_gamma_entry_exit_2(entry, tmp_path, capsys):
+    # a [gamma] entry is a decimal or a whole (a+bi) literal
+    gen = tmp_path / "bad.gen"
+    gen.write_text(f"[gamma]\norder = X Y Z\n{entry} 0 0\n0 0 0\n0 0 0\n")
+    assert main(["kernel", "--gen", str(gen)]) == 2
+    assert "bad matrix entry" in capsys.readouterr().err
+
+
 def test_large_gamma_with_rounding_exit_0(tmp_path):
     # a [gamma] file at scale 1e5 with one entry moved by one part in 1e15
     rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ def test_distinct_rows_same_system(r, mode):
             step = x - pinv @ (K[nonzero] @ x - b[nonzero])
             assert np.linalg.norm(x - pinv_r @ (red.matrix @ x - red.rhs) - step) < tol
             assert abs(np.linalg.norm(red.matrix @ x - red.rhs) - np.linalg.norm(K @ x - b)) < tol
+
+
+def test_build_peak_stays_near_one_copy_of_the_rows():
+    # the image is scattered straight into the real rows: no complex
+    # (rows x m x m) tensor, and one copy when the trace row is stacked
+    prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=3, mode="global")
+    build_affine_constraints(prob)
+    tracemalloc.start()
+    try:
+        K = build_affine_constraints(prob).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * K.nbytes
 
 
 def test_trace_row_normalizes():

@@ -115,14 +115,17 @@ def oracle_generators(rng, r):
             LindbladGenerator(r, hamiltonian=ham, lindblads=jumps))
 
 
-def test_superop_matrix_full_rank_against_dense_oracle():
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_superop_matrix_full_rank_against_dense_oracle(r):
+    # the window kernel shared by the verifier and the constraint builder,
+    # on every basis string
     rng = np.random.default_rng(31)
-    gen = random_structure_generator(rng, 3)
-    assert np.linalg.matrix_rank(gen.gamma) == 63
+    gen = random_structure_generator(rng, r)
+    assert np.linalg.matrix_rank(gen.gamma) == 4 ** r - 1
     M = superop_matrix(gen)
-    strings = all_strings(3)
+    strings = all_strings(r)
     for k, s in enumerate(strings):
-        column = PauliOperator(3, {t: M[a, k] for a, t in enumerate(strings)})
+        column = PauliOperator(r, {t: M[a, k] for a, t in enumerate(strings)})
         want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
         assert np.abs(column.to_dense() - want).max() < 1e-10
 
