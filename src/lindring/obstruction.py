@@ -101,7 +101,7 @@ def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     coefficients, stacked (pattern, component, ...).
     """
     m = 4 ** r - 1
-    rotations = [{p[i:] + p[:i] for i in range(n)} for p in (p.ljust(n, "I") for p in patterns)]
+    rotations = [{q[i:] + q[:i] for i in range(n)} for q in (p.ljust(n, "I") for p in patterns)]
     keys = {s: i for i, rots in enumerate(rotations) for s in rots}
     weight = n / np.array([len(rots) for rots in rotations])
     sums = _component_ring_sums(n)
@@ -243,7 +243,7 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     ham = np.abs(half[:, None] * (l + l.swapaxes(0, 1))[_I, _J]).max(axis=1)
     pieces = np.maximum(np.abs(l), np.abs(l).swapaxes(0, 1))[_I, _J].max(axis=1)
     m = l.shape[-1]
-    del g, l  # the tables are not kept
+    del g, l  # the (6, 6) tables are not kept through the rest of the build
     # Im P must lie in the span of the unitality forms; coordinates read 2 Im Q_jk (j < k)
     im = slice(m * (m + 1) // 2, m * m)
     cols = _unitality_coordinates(r_gen)[:, im].T

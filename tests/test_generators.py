@@ -15,6 +15,7 @@ from lindring.feasibility import pack_point
 from lindring.generators import (
     GAMMA_HERMITICITY_TOL,
     LindbladGenerator,
+    _image_terms,
     all_strings,
     basis_strings,
     diagonalize_structure,
@@ -128,6 +129,13 @@ def test_superop_matrix_full_rank_against_dense_oracle(r):
         column = PauliOperator(r, {t: M[a, k] for a, t in enumerate(strings)})
         want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
         assert np.abs(column.to_dense() - want).max() < 1e-10
+
+
+def test_image_terms_refuse_non_real_coefficients():
+    # the real coordinates hold the image of an operator with real Pauli
+    # coefficients, as a Hermitian one has
+    with pytest.raises(ValueError, match="real coefficients"):
+        _image_terms(1, PauliOperator(1, {"X": 1.0, "Z": 0.5j}), False)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
