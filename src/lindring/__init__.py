@@ -1,5 +1,7 @@
 """Conserved quantities of translationally invariant Lindblad dynamics on spin-1/2 rings."""
 
+import types
+
 __version__ = "0.1.0"
 
 from .pauli import (
@@ -53,46 +55,6 @@ from .feasibility import (
     verify_candidate,
 )
 
-__all__ = [
-    "PauliOperator",
-    "LocalityReport",
-    "locality",
-    "commutator",
-    "anticommutator",
-    "parse_operator",
-    "format_operator",
-    "LindbladGenerator",
-    "basis_strings",
-    "kernel",
-    "superop_matrix",
-    "CanonicalParams",
-    "canonical_form",
-    "classify_ising",
-    "check_conservation",
-    "global_conservation_residual",
-    "local_conservation_check",
-    "QuadraticForm",
-    "ObstructionMatrix",
-    "DefinitenessReport",
-    "conservation_forms",
-    "unitality_forms",
-    "assemble_C_2site",
-    "closed_form_C_2site",
-    "assemble_C_3site",
-    "certify_definiteness",
-    "c2prime_diagnostics",
-    "scan",
-    "family_grid",
-    "FeasibilityProblem",
-    "FeasibilityResult",
-    "AffineConstraints",
-    "build_affine_constraints",
-    "search",
-    "verify_candidate",
-    "pack_point",
-    "unpack_point",
-    "generator_from_point",
-    "parse_problem_file",
-    "format_problem_file",
-    "__version__",
-]
+# the public names are those imported above, plus the version
+__all__ = ["__version__"] + [name for name, value in globals().items()
+                             if name[0] != "_" and not isinstance(value, types.ModuleType)]

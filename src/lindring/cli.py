@@ -12,6 +12,7 @@ unknown subcommand.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -288,6 +289,7 @@ def _cmd_search(args) -> int:
         "stop_reason": res.stop_reason,
         "affine_distance": res.affine_distance,
         "residual": res.residual,
+        "gap_trace": res.gap_trace,
     }
     if res.generator is not None:
         result["generator"] = format_generator_file(res.generator)
@@ -298,6 +300,8 @@ def _cmd_search(args) -> int:
             "max_eigenvalue": res.certificate.max_eigenvalue,
             "nullity": res.certificate.nullity,
         }
+    if res.separation is not None:
+        result["separation"] = dataclasses.asdict(res.separation)
     _emit(_report(config, result), args.out)
     return EXIT_OK if res.status == "feasible" else EXIT_INDETERMINATE
 

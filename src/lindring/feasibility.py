@@ -11,25 +11,28 @@ genuine dissipative part is therefore a point in the intersection of
 an affine set with a compact slice of the PSD cone, and the search runs
 alternating projections with Dykstra's correction between the two.
 
-A point found this way is certified independently: the returned
-generator is re-checked through the ring residuals, never through the
-search state.  Failure to close the gap is reported as not_found with
-the final distance to the affine set; it is not a proof that nothing
-exists.  The matching impossibility certificate is the negative
-definite obstruction matrix, which is attached to not_found results
-for two-site targets.
+The search stops at its first proof.  A point found this way is
+certified independently: the returned generator is re-checked through
+the ring residuals, never through the search state.  A refusal is proved
+by a hyperplane that separates the rows from the cone slice, a conic
+Farkas certificate read off the Dykstra displacement and confirmed by a
+Cholesky factorization and on the ring image of LindbladGenerator.apply.
+A search that finds neither proof by max_iter reports not_found without
+one.  The paper's impossibility certificate, the negative definite
+obstruction matrix, is attached to not_found results for two-site targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
-from .generators import (LindbladGenerator, _gamma_to_vector, _image_terms, _is_hermitian,
-                         _vector_to_gamma, basis_strings)
+from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector,
+                         _image_terms, _is_hermitian, _vector_to_gamma, basis_strings)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -41,6 +44,7 @@ from .rings import (
 )
 from .obstruction import (
     DefinitenessReport,
+    _factors,
     assemble_C_2site,
     assemble_C_3site,
     certify_definiteness,
@@ -51,14 +55,10 @@ GAP_TOL = 1e-9
 VERIFY_TOL = 1e-8
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
-# a gap that stops improving marks a positive distance between the sets
-STALL_MIN_ITER = 500
-STALL_WINDOW = 250
-STALL_RELATIVE = 1e-6
-# window rule for the sublinear regime: the projections creep along a
-# common face of the cone instead of plateauing outright
-SNAPSHOT_PERIOD = 250
-SNAPSHOT_MIN_DROP = 0.08
+# iterations between two looks for a proof
+CHECK_PERIOD = 25
+# a separating margin counts above this share of tau |K^T y|
+SEPARATION_TOL = 1e-6
 # the exact face completion only pays off when the sets nearly touch
 COMPLETION_DISTANCE = 1e-2
 
@@ -124,6 +124,21 @@ class AffineConstraints:
     labels: tuple[str, ...]
     r_gen: int
     dim_gamma: int
+    multiplicity: np.ndarray | None = None  # copies of each distinct row
+
+
+@dataclass(frozen=True)
+class Separation:
+    """A checked separating hyperplane y: margin = tau lambda_min(W) - y^T b > 0.
+
+    W is the Hermitian matrix of the gamma part of K^T y, and null_dim the
+    dimension of the y with no Hamiltonian part, K_H^T y = 0.
+    """
+
+    margin: float
+    lambda_min: float
+    y_dot_b: float
+    null_dim: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +150,10 @@ class FeasibilityResult:
     affine_distance: float
     certificate: DefinitenessReport | None = None
     constraints: tuple[int, int, int] | None = None  # rows, distinct rows, rank of K
-    # converged | completed_on_face, or the rule that ended the iteration:
-    # plateau | creep | max_iter
+    # the proof that ended the search (converged | completed_on_face | separated) or max_iter
     stop_reason: str | None = None
+    separation: Separation | None = None
+    gap_trace: tuple[tuple[int, float], ...] = ()  # (iteration, gap) at each check
 
 
 # -- packed points: x = [_gamma_to_vector(gamma)] [H coefficients] ---------------
@@ -175,6 +191,15 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 # -- constraint rows -----------------------------------------------------------
 
 
+def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator, int]]:
+    """(label prefix, ring operator, weight) of each block of conservation rows."""
+    n = problem.n
+    if problem.mode == "global":
+        return [(f"target{t}", assemble_sum(a, n), n) for t, a in enumerate(problem.targets)]
+    return [(f"target{t}@{k}", a.embed(n, k), 1)
+            for t, a in enumerate(problem.targets) for k in range(n)]
+
+
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     """Linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
@@ -187,16 +212,11 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     of (gamma, H) in real coordinates; the packing's sqrt2 on Re gamma_jk
     and Im gamma_jk (j < k) divides those columns by sqrt2.
     """
-    r, n = problem.r_gen, problem.n
+    r = problem.r_gen
     m = len(basis_strings(r))
     dim_gamma = m * m
-    if problem.mode == "global":
-        blocks = [(f"target{t}", assemble_sum(a, n), n) for t, a in enumerate(problem.targets)]
-    else:
-        blocks = [(f"target{t}@{k}", a.embed(n, k), 1)
-                  for t, a in enumerate(problem.targets) for k in range(n)]
     rows, labels = [], []
-    for prefix, A, weight in blocks:
+    for prefix, A, weight in _blocks(problem):
         keys, block = _image_terms(r, A, problem.mode == "global")
         block[:, m:dim_gamma] *= 1.0 / np.sqrt(2.0)
         block *= weight
@@ -215,10 +235,11 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
 
 
 def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
-    """The nonzero rows of [K | b] once each, scaled by sqrt(multiplicity), unlabelled.
+    """The nonzero rows of [K | b] once each, scaled by sqrt(multiplicity).
 
     That keeps K^T K and K^T b: the least-squares step, K^+ b and |K x - b|
     stay the same maps.  Only byte-identical rows merge, with -0.0 read as 0.0.
+    Each row keeps the label of its first copy and its multiplicity.
     """
     K, b = cons.matrix, cons.rhs
     seen: dict[bytes, list[int]] = {}  # row bytes -> [first index, multiplicity]
@@ -226,10 +247,22 @@ def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
         seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), [i, 0])[1] += 1
     index, count = np.array(list(seen.values())).T
     w = np.sqrt(count)
-    return AffineConstraints(K[index] * w[:, None], b[index] * w, (), cons.r_gen, cons.dim_gamma)
+    return AffineConstraints(K[index] * w[:, None], b[index] * w,
+                             tuple(cons.labels[i] for i in index), cons.r_gen, cons.dim_gamma,
+                             count)
 
 
-def _factor_rows(cons: AffineConstraints):
+class _RowFactor(NamedTuple):
+    Vt: np.ndarray  # orthonormal basis of the row space
+    x0: np.ndarray  # K^+ b
+    B: np.ndarray  # orthonormal basis of the gamma directions the rows fix
+    dual: np.ndarray  # U / sv: K^T (dual @ Vt @ u) = u for u in the row space
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x - self.Vt.T @ (self.Vt @ x) + self.x0
+
+
+def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     """One SVD of K: the affine projection, the least-squares point and the fixed gammas.
 
     With Vt an orthonormal basis of the row space and x0 = K^+ b, the map
@@ -240,19 +273,14 @@ def _factor_rows(cons: AffineConstraints):
     the Hamiltonian columns of Vt, B = Vt_gamma^T N is an orthonormal
     basis of those directions, the trace among them.  B is far thinner
     than the conserving span, so every gamma projection goes through it.
-    Returns (project, x0, B), with the rank of K as project.rank.
+    The rank of K is len(Vt).
     """
     U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
     keep = sv > sv[0] * 1e-13
-    Vt = Vt[keep]
-    x0 = Vt.T @ ((U[:, keep].T @ cons.rhs) / sv[keep])
+    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
+    x0 = Vt.T @ ((U.T @ cons.rhs) / sv)
     B = Vt[:, :cons.dim_gamma].T @ scipy.linalg.null_space(Vt[:, cons.dim_gamma:].T)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return x - Vt.T @ (Vt @ x) + x0
-
-    project.rank = len(Vt)
-    return project, x0, B
+    return _RowFactor(Vt, x0, B, U / sv)
 
 
 # -- cone slice projection -----------------------------------------------------
@@ -284,38 +312,29 @@ def _project_cone(x: np.ndarray, m: int, tau: float) -> np.ndarray:
 
 def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> float:
     """Worst conservation residual of the candidate, straight off the ring."""
-    worst = 0.0
-    for a in problem.targets:
-        if problem.mode == "global":
-            res = global_conservation_residual(gen, a, problem.n)
-        else:
-            _, res, _ = local_conservation_check(gen, a, problem.n)
-        worst = max(worst, res)
-    return worst
+    if problem.mode == "global":
+        return max(global_conservation_residual(gen, a, problem.n) for a in problem.targets)
+    return max(local_conservation_check(gen, a, problem.n)[1] for a in problem.targets)
 
 
 def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport | None:
-    if len(problem.targets) != 1 or problem.r_gen not in (2, 3):
-        return None
-    a = problem.targets[0]
-    if a.n != 2:
+    if len(problem.targets) != 1 or problem.r_gen not in (2, 3) or problem.target.n != 2:
         return None
     try:
-        params = canonical_form(a)
         assemble = assemble_C_2site if problem.r_gen == 2 else assemble_C_3site
-        return certify_definiteness(assemble(params).C)
+        return certify_definiteness(assemble(canonical_form(problem.target)).C)
     except (ValueError, ArithmeticError):
         return None
 
 
-def _accept(gen: LindbladGenerator, problem: FeasibilityProblem, iterations: int,
-            affine_distance: float, constraints: tuple, stop_reason: str) -> FeasibilityResult | None:
-    """Independent certification of a candidate; None when it does not pass.
+def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerator, float] | None:
+    """Independent certification of a packed point: its generator and residual, or None.
 
     Conservation is invariant under gamma -> s gamma and under a -> s a, so
     the bounds scale: the residual with the trace and the largest target,
     the PSD and trace errors with the trace.
     """
+    gen = generator_from_point(problem.r_gen, x)
     residual = verify_candidate(gen, problem)
     eigs = np.linalg.eigvalsh(gen.gamma)
     trace_err = abs(float(np.trace(gen.gamma).real) - problem.gamma_trace)
@@ -323,11 +342,58 @@ def _accept(gen: LindbladGenerator, problem: FeasibilityProblem, iterations: int
     size = max(1.0, max(a.hs_norm() for a in problem.targets))
     if (residual < VERIFY_TOL * scale * size and eigs[0] > -PSD_TOL * scale
             and trace_err < TRACE_TOL * scale):
-        return FeasibilityResult(
-            status="feasible", generator=gen, residual=float(residual),
-            iterations=iterations, affine_distance=affine_distance, constraints=constraints,
-            stop_reason=stop_reason)
+        return gen, float(residual)
     return None
+
+
+def _hyperplane(cons: AffineConstraints, rows: _RowFactor, v: np.ndarray) -> np.ndarray:
+    """y with K^T y the best fit to v among the K^T y with K_H^T y = 0, which are (B c, 0)."""
+    u = rows.B @ (rows.B.T @ v[:cons.dim_gamma])
+    return rows.dual @ (rows.Vt[:, :cons.dim_gamma] @ u)
+
+
+def _ring_check(problem: FeasibilityProblem, cons: AffineConstraints, y: np.ndarray,
+                u: np.ndarray, seed: int) -> bool:
+    """Whether y, read on the ring image of a random (gamma, H), is <W, gamma>, W from u = K^T y.
+
+    The image comes from LindbladGenerator.apply, not from the rows; each
+    row reads its first label's class sum (global) or string coefficient
+    (local), times sqrt(multiplicity).
+    """
+    x = np.random.default_rng(seed).standard_normal(len(u))
+    gen = generator_from_point(problem.r_gen, x)
+    values = {"trace": float(np.trace(gen.gamma).real)}
+    for prefix, A, weight in _blocks(problem):
+        for s, c in gen.apply(A).terms.items():
+            key = f"{prefix}:{_class_representative(s) if problem.mode == 'global' else s}"
+            values[key] = values.get(key, 0.0) + weight * c.real
+    terms = y * np.sqrt(cons.multiplicity) * np.array([values.get(k, 0.0) for k in cons.labels])
+    want = float(u[:cons.dim_gamma] @ x[:cons.dim_gamma])
+    return abs(terms.sum() - want) <= 1e-9 * (np.abs(terms).sum() + abs(want))
+
+
+def _separation(problem: FeasibilityProblem, cons: AffineConstraints, rows: _RowFactor,
+                v: np.ndarray, seed: int) -> Separation | None:
+    """A hyperplane between the rows and the cone slice from the displacement v, or None.
+
+    Dykstra's v = z - y tends to the gap between the sets (Bauschke and
+    Borwein, J. Approx. Theory 79, 1994).  For K_H^T y = 0 and conserving
+    (gamma, H), y^T b = <W, gamma> >= tau lambda_min(W): a positive margin
+    is a conic Farkas certificate.  It must clear the bound, a Cholesky
+    factorization of W - (y^T b + bound / 2) / tau I and the ring check.
+    """
+    m, tau = len(basis_strings(problem.r_gen)), problem.gamma_trace
+    y = _hyperplane(cons, rows, v)
+    u = cons.matrix.T @ y
+    W = _vector_to_gamma(u[:cons.dim_gamma], m)
+    y_dot_b = float(y @ cons.rhs)
+    lam = float(np.linalg.eigvalsh(W)[0])
+    bound = SEPARATION_TOL * tau * np.linalg.norm(u)
+    if (tau * lam - y_dot_b <= bound
+            or not _factors(W - (y_dot_b + 0.5 * bound) / tau * np.eye(m))
+            or not _ring_check(problem, cons, y, u, seed)):
+        return None
+    return Separation(tau * lam - y_dot_b, lam, y_dot_b, len(y) - len(rows.Vt) + rows.B.shape[1])
 
 
 def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
@@ -344,8 +410,8 @@ def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
     return resid, 2.0 * np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
-                      x0: np.ndarray, B: np.ndarray, warm_x: np.ndarray) -> np.ndarray | None:
+def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows: _RowFactor,
+                      warm_x: np.ndarray, row_scale: float) -> np.ndarray | None:
     """Exact completion once the projections have nearly met.
 
     Near a common face of the cone the outer loop closes the gap only
@@ -354,16 +420,13 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints,
     from its top eigenpairs and drive the components of U U^dag - g0 along
     B to zero by Gauss-Newton, which converges quadratically even on a
     face with no relative interior.  U U^dag is PSD by construction, and
-    the trace is one of the components, so U = 0 is no root.  Returns a
-    packed point or None.
+    the trace is one of the components, so U = 0 is no root.  K x0 = b must
+    hold; row_scale is max(1, max |K|).  Returns a packed point or None.
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
-    K, b = cons.matrix, cons.rhs
-    row_scale = max(1.0, np.abs(K).max())
-    if np.linalg.norm(K @ x0 - b) > 1e-9 * max(1.0, tau) * row_scale:
-        return None  # every conserving gamma is traceless
-    g0 = x0[:m * m]
+    K, b, B = cons.matrix, cons.rhs, rows.B
+    g0 = rows.x0[:m * m]
     v = warm_x[:m * m]
     lam, V = np.linalg.eigh(_vector_to_gamma(v - B @ (B.T @ (v - g0)), m))
     if lam[-1] <= 0.0:
@@ -389,75 +452,61 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
            tol: float = GAP_TOL, seed: int = 0) -> FeasibilityResult:
     """Dykstra alternating projections between the affine rows and the cone slice.
 
-    Runs until the two projections agree to `tol` and the affine rows are
-    satisfied tightly enough for the independent verifier, or until the
-    gap stops closing (a plateau marks a positive distance between the
-    sets, slow creep marks a shared tangent face), or to max_iter.  When
-    the sets nearly touch an exact completion on the conserving span
-    finishes the job; every returned point is re-certified from scratch.
+    Every CHECK_PERIOD iterations, and once the projections agree to `tol`
+    with the rows satisfied tightly enough for the verifier, the search
+    looks for a proof and stops at the first: a separating hyperplane
+    (`separated`), the met point (`converged`) or, once the sets nearly
+    touch, the exact completion on the conserving span
+    (`completed_on_face`).  Every returned point is re-certified from
+    scratch.  Without a proof it runs to max_iter.
     """
-    cons, rows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
+    cons, nrows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
     del full  # the copied rows are not kept through the factorization and the search
-    project_affine, x0, B = _factor_rows(cons)
+    rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
+    row_scale = max(1.0, np.abs(K).max())
+    # K x0 != b leaves only traceless conserving gammas: nothing to complete
+    completes = np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * max(1.0, tau) * row_scale
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(K.shape[1]) * (tau / m)
-    x = _project_cone(x, m, tau)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    stop_reason = "max_iter"
-    iterations = 0
-    best_gap = np.inf
-    since_best = 0
-    snapshot = np.inf
+    x = _project_cone(np.random.default_rng(seed).standard_normal(K.shape[1]) * (tau / m), m, tau)
+    p, q = np.zeros_like(x), np.zeros_like(x)
+    stop_reason, got, separation, gaps, iterations = "max_iter", None, None, [], 0
     for iterations in range(1, max_iter + 1):
-        y = project_affine(x + p)
+        y = rows.project(x + p)
         p = x + p - y
         w = y + q
-        z = _project_cone(w, m, tau)
-        q = w - z
-        x = z
-        gap = float(np.linalg.norm(z - y))
-        if gap < tol and np.linalg.norm(K @ z - b) < 0.5 * VERIFY_TOL:
+        x = _project_cone(w, m, tau)
+        q = w - x
+        gap = float(np.linalg.norm(x - y))
+        met = gap < tol and np.linalg.norm(K @ x - b) < 0.5 * VERIFY_TOL
+        if not met and iterations % CHECK_PERIOD:
+            continue
+        gaps.append((iterations, gap))
+        near = (completes and np.linalg.norm(x - rows.project(x))
+                < COMPLETION_DISTANCE * max(1.0, tau))
+        if (separation := _separation(problem, cons, rows, x - y, seed)) is not None:
+            stop_reason = "separated"
+        elif met and (got := _accept(x, problem)):
             stop_reason = "converged"
-            break
-        if gap < best_gap * (1.0 - STALL_RELATIVE):
-            best_gap = gap
-            since_best = 0
+        elif (near and (cand := _complete_on_face(problem, cons, rows, x, row_scale)) is not None
+              and (got := _accept(cand, problem))):
+            stop_reason, x = "completed_on_face", cand
+        elif met:
+            stop_reason = "converged"  # the projections met, but no proof came of it
         else:
-            since_best += 1
-            if iterations >= STALL_MIN_ITER and since_best >= STALL_WINDOW:
-                stop_reason = "plateau"
-                break
-        if iterations % SNAPSHOT_PERIOD == 0:
-            if iterations >= STALL_MIN_ITER and gap > snapshot * (1.0 - SNAPSHOT_MIN_DROP):
-                stop_reason = "creep"
-                break
-            snapshot = gap
+            continue
+        break
 
-    affine_distance = float(np.linalg.norm(x - project_affine(x)))
-    shape = (rows, len(b), project_affine.rank)
-    if stop_reason == "converged":
-        got = _accept(generator_from_point(problem.r_gen, x),
-                      problem, iterations, affine_distance, shape, stop_reason)
-        if got is not None:
-            return got
-    if affine_distance < COMPLETION_DISTANCE * max(1.0, tau):
-        cand = _complete_on_face(problem, cons, x0, B, x)
-        if cand is not None:
-            dist = float(np.linalg.norm(cand - project_affine(cand)))
-            got = _accept(generator_from_point(problem.r_gen, cand),
-                          problem, iterations, dist, shape, "completed_on_face")
-            if got is not None:
-                return got
+    affine_distance = float(np.linalg.norm(x - rows.project(x)))
+    gen, residual = got or (None, None)
     return FeasibilityResult(
-        status="not_found", generator=None, residual=None,
+        status="not_found" if got is None else "feasible", generator=gen, residual=residual,
         iterations=iterations, affine_distance=affine_distance,
-        certificate=_obstruction_certificate(problem), constraints=shape,
-        stop_reason=stop_reason)
+        certificate=None if got else _obstruction_certificate(problem),
+        constraints=(nrows, len(b), len(rows.Vt)), stop_reason=stop_reason,
+        separation=separation, gap_trace=tuple(gaps))
 
 
 # -- problem files -------------------------------------------------------------

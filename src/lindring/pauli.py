@@ -394,15 +394,13 @@ def content_lines(text: str):
 
 
 def _format_coeff(c: complex) -> str:
+    def num(x: float) -> str:
+        return repr(int(x)) if x == int(x) else repr(x)
+
     c = complex(c)
     if abs(c.imag) <= PRUNE_TOL:
-        r = c.real
-        return repr(int(r)) if r == int(r) else repr(r)
-    re_s = repr(int(c.real)) if c.real == int(c.real) else repr(c.real)
-    im = c.imag
-    sign = "+" if im >= 0 else "-"
-    im_s = repr(int(abs(im))) if abs(im) == int(abs(im)) else repr(abs(im))
-    return f"({re_s}{sign}{im_s}i)"
+        return num(c.real)
+    return f"({num(c.real)}{'+' if c.imag >= 0 else '-'}{num(abs(c.imag))}i)"
 
 
 def format_operator(op: PauliOperator) -> str:
@@ -412,12 +410,7 @@ def format_operator(op: PauliOperator) -> str:
     pieces = []
     for s in sorted(op.terms):
         c = op.terms[s]
-        if abs(c.imag) <= PRUNE_TOL and c.real < 0:
-            pieces.append(("-", f"{_format_coeff(-c)}*{s}"))
-        else:
-            pieces.append(("+", f"{_format_coeff(c)}*{s}"))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, piece in pieces[1:]:
-        out += f" {sign} {piece}"
-    return out
+        neg = abs(c.imag) <= PRUNE_TOL and c.real < 0
+        pieces.append(("-" if neg else "+", f"{_format_coeff(-c if neg else c)}*{s}"))
+    (head_sign, head), rest = pieces[0], pieces[1:]
+    return ("-" if head_sign == "-" else "") + head + "".join(f" {sg} {pc}" for sg, pc in rest)

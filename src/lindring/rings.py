@@ -240,19 +240,11 @@ _FLIPS = (
 
 def _fix_column_signs(R1: np.ndarray, R2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic two-sided pi-flip: leading entries of R1's first columns >= 0."""
-    best = None
-    for D in _FLIPS:
-        cand = R1 @ D
-        key = []
-        for col in range(2):
-            v = cand[:, col]
-            lead = next((x for x in v if abs(x) > 1e-12), 0.0)
-            key.append(lead < -1e-12)
-        if not any(key):
-            best = D
-            break
-        if best is None:
-            best = D
+    def negative_lead(D: np.ndarray) -> bool:
+        leads = (next((x for x in col if abs(x) > 1e-12), 0.0) for col in (R1 @ D)[:, :2].T)
+        return any(lead < -1e-12 for lead in leads)
+
+    best = next((D for D in _FLIPS if not negative_lead(D)), _FLIPS[0])
     return R1 @ best, R2 @ best
 
 

@@ -409,8 +409,12 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert "generator" not in rep["result"]
     # the search solved the distinct rows of its linear system
     assert rep["result"]["constraints"] == {"rows": 200, "distinct_rows": 67, "rank": 61}
-    # the projection gap crept along a shared face until the window rule stopped it
-    assert rep["result"]["stop_reason"] == "creep"
+    # a checked separating hyperplane ended the search at its first check
+    assert rep["result"]["stop_reason"] == "separated"
+    sep = rep["result"]["separation"]
+    assert set(sep) == {"margin", "lambda_min", "y_dot_b", "null_dim"}
+    assert sep["margin"] > 0 and isinstance(sep["null_dim"], int)
+    assert rep["result"]["gap_trace"] == [[25, rep["result"]["gap_trace"][0][1]]]
 
 
 def test_search_problem_section(ising_density, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_hermitian_window
+import lindring.feasibility as feasibility
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import assemble_sum, global_conservation_residual
@@ -16,6 +17,8 @@ from lindring.feasibility import (
     _distinct_rows,
     _factor_rows,
     _gauss_newton_system,
+    _ring_check,
+    _separation,
     _vector_to_gamma,
     build_affine_constraints,
     format_problem_file,
@@ -191,7 +194,8 @@ def test_one_factorization(r, mode):
     prob = ising_problem(mode, r)
     cons = build_affine_constraints(prob)
     K, b, m2 = cons.matrix, cons.rhs, cons.dim_gamma
-    project, x0, B = _factor_rows(cons)
+    rows = _factor_rows(cons)
+    project, x0, B = rows.project, rows.x0, rows.B
     rng = np.random.default_rng(r)
     x = rng.standard_normal(K.shape[1])
     y = project(x)
@@ -202,7 +206,7 @@ def test_one_factorization(r, mode):
     assert B.shape[1] == np.linalg.matrix_rank(K) - np.linalg.matrix_rank(K[:, m2:])
     # the jump X...X kills every X string, so it conserves the Ising density
     warm = pack_point(rank_one_gamma(r, "X" * r)) + 1e-3 * rng.standard_normal(K.shape[1])
-    cand = _complete_on_face(prob, cons, x0, B, warm)
+    cand = _complete_on_face(prob, cons, rows, warm, max(1.0, np.abs(K).max()))
     assert cand is not None
     assert np.abs(B.T @ (cand[:m2] - x0[:m2])).max() < 1e-10
     assert np.linalg.norm(K @ cand - b) < 1e-9
@@ -217,7 +221,8 @@ def test_one_factorization(r, mode):
 def test_gauss_newton_jacobian(r):
     # the completion's closed-form Jacobian against central differences of
     # the residual B^T (pack(U U^dag) - g0) along random complex dU
-    _, x0, B = _factor_rows(_distinct_rows(build_affine_constraints(ising_problem(r_gen=r))))
+    rows = _factor_rows(_distinct_rows(build_affine_constraints(ising_problem(r_gen=r))))
+    x0, B = rows.x0, rows.B
     m = len(basis_strings(r))
     g0 = x0[:m * m]
     Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
@@ -380,7 +385,10 @@ def test_search_rejects_heisenberg(seed):
     prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=2)
     res = search(prob, seed=seed)
     assert res.status == "not_found"
-    assert res.stop_reason == "creep"
+    # the refusal is proved at a check, not waited out by a stall rule
+    assert res.stop_reason == "separated"
+    assert res.iterations <= 100
+    assert res.separation.margin > 0
     assert res.generator is None
     assert res.affine_distance > 1e-3
     assert res.certificate is not None
@@ -413,10 +421,14 @@ def test_search_scales_with_the_problem(tau, size):
 
 
 def test_search_says_how_it_ended():
-    # the identity density is conserved by every generator, so the
-    # projections meet outright; the Ising density needs the completion
+    # every width-1 generator is unital, so the projections meet outright;
+    # at width 2 the identity density is completed at the first check, as
+    # the Ising density is at a later one
+    ident = search(FeasibilityProblem(PauliOperator(1, {"I": 1.0}), r_gen=1), seed=3)
+    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "converged", 1)
     ident = search(FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), seed=3)
-    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "converged", 28)
+    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "completed_on_face", 25)
+    assert ident.gap_trace[0][0] == 25
     ising = search(ising_problem(), seed=1)
     assert (ising.status, ising.stop_reason) == ("feasible", "completed_on_face")
 
@@ -426,6 +438,92 @@ def test_search_custom_trace_scale():
     prob = FeasibilityProblem(prob.target, r_gen=2, gamma_trace=2.5)
     res = search(prob, seed=1)
     assert_feasible(res, prob)
+
+
+def spy_hyperplanes(monkeypatch):
+    """Record (constraints, displacement, y) of every hyperplane the search fits."""
+    seen = []
+    fit = feasibility._hyperplane
+
+    def spy(cons, rows, v):
+        y = fit(cons, rows, v)
+        seen.append((cons, rows, v, y))
+        return y
+
+    monkeypatch.setattr(feasibility, "_hyperplane", spy)
+    return seen
+
+
+def farkas_margin(cons, y, tau):
+    """tau lambda_min(W) - y^T b, W the gamma part of K^T y, and K^T y."""
+    m = len(basis_strings(cons.r_gen))
+    u = cons.matrix.T @ y
+    return tau * scipy.linalg.eigvalsh(_vector_to_gamma(u[:m * m], m))[0] - y @ cons.rhs, u
+
+
+@pytest.mark.parametrize("terms, r", [({"XYZ": 1.0, "ZYX": 1.0}, 3),
+                                      ({"XXX": 1.0, "YYY": 1.0}, 2)])
+def test_search_separates_targets_without_certificate(terms, r, monkeypatch):
+    # three-site targets have no obstruction matrix; the refusal is proved
+    # by a hyperplane that the search checks before it reports it
+    seen = spy_hyperplanes(monkeypatch)
+    prob = FeasibilityProblem(PauliOperator(3, terms), r_gen=r, mode="global")
+    res = search(prob, seed=1)
+    assert (res.status, res.stop_reason, res.certificate) == ("not_found", "separated", None)
+    assert res.iterations == 25 and len(seen) == 1
+    cons, _, _, y = seen[-1]
+    margin, u = farkas_margin(cons, y, prob.gamma_trace)
+    m2 = cons.dim_gamma
+    assert res.separation.margin > 1e-3 * np.linalg.norm(u)
+    assert res.separation.margin == pytest.approx(margin, rel=1e-10)
+    assert res.separation.y_dot_b == pytest.approx(y @ cons.rhs, rel=1e-12)
+    assert res.separation.null_dim == len(y) - np.linalg.matrix_rank(cons.matrix[:, m2:])
+    assert np.abs(u[m2:]).max() < 1e-12 * np.linalg.norm(u)
+    # the margin holds on the ring at other random (gamma, H) than the search's
+    for seed in (2, 3, 4):
+        assert _ring_check(prob, cons, y, u, seed)
+
+
+@pytest.mark.parametrize("prob, seed", [
+    (ising_problem("global"), 1),
+    (ising_problem("local"), 1),
+    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 1),
+    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 2),
+    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 3),
+    (FeasibilityProblem(PauliOperator(2, {"XX": 1.0}), r_gen=3), 1),
+])
+def test_feasible_problems_never_separate(prob, seed, monkeypatch):
+    # a conserving generator bounds every margin by zero; a positive one at
+    # any check would be a false proof of impossibility
+    seen = spy_hyperplanes(monkeypatch)
+    res = search(prob, seed=seed)
+    assert res.status == "feasible" and res.separation is None
+    assert len(seen) == len(res.gap_trace) >= 1
+    assert max(farkas_margin(cons, y, prob.gamma_trace)[0] for cons, _, _, y in seen) <= 0.0
+
+
+def test_corrupted_hyperplane_is_refused(monkeypatch):
+    # the ring check reads the image from LindbladGenerator.apply, so a
+    # hyperplane that the rows vouch for but the ring does not is refused
+    seen = spy_hyperplanes(monkeypatch)
+    prob = FeasibilityProblem(PauliOperator(3, {"XXX": 1.0, "YYY": 1.0}), r_gen=2)
+    assert search(prob, seed=1).stop_reason == "separated"
+    cons, rows, v, y = seen[-1]
+    u = cons.matrix.T @ y
+    assert _ring_check(prob, cons, y, u, 1)
+    assert _separation(prob, cons, rows, v, 1) is not None
+    d = int(np.argmax(np.abs(y)))
+    # one entry of y moved, with K^T y kept
+    bent = y.copy()
+    bent[d] *= 1.0 + 1e-6
+    assert not _ring_check(prob, cons, bent, u, 1)
+    # one gamma entry of the row y leans on moved: the rows no longer match the ring
+    j = int(np.argmax(np.abs(cons.matrix[d, :cons.dim_gamma])))
+    K = cons.matrix.copy()
+    K[d, j] *= 1.0 + 1e-6
+    bad = dataclasses.replace(cons, matrix=K)
+    assert not _ring_check(prob, bad, y, K.T @ y, 1)
+    assert _separation(prob, bad, rows, v, 1) is None
 
 
 def test_heisenberg_verdict_stable_across_rings():
