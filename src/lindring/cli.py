@@ -130,6 +130,8 @@ def _cmd_check(args) -> int:
         a = parse_density_file(_read(args.density))
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
+    if args.n is not None and args.n < max(gen.r, a.n):
+        raise ParseFailure("ring shorter than the widest window")
     tol = args.tol if args.tol is not None else ZERO_TOL
     report = check_conservation(gen, a, mode=args.mode, n=args.n, zero_tol=tol)
     config = {
@@ -216,6 +218,13 @@ def _tolerance(text: str) -> float:
     """A tolerance: a finite, non-negative float literal."""
     if (value := _finite_float(text)) < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A random seed: a non-negative integer literal."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
     return value
 
 
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("local", "global"), default="global")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tol", type=_tolerance, default=None, help="projection gap target")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_search)
     return parser

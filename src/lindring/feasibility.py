@@ -17,7 +17,7 @@ the ring residuals, never through the search state.  A refusal is proved
 by a hyperplane that separates the rows from the cone slice, a conic
 Farkas certificate read off the Dykstra displacement and confirmed by a
 Cholesky factorization and on the ring image of LindbladGenerator.apply.
-A search that finds neither proof by max_iter reports not_found without
+A search that finds neither proof by MAX_ITER reports not_found without
 one.  The paper's impossibility certificate, the negative definite
 obstruction matrix, is attached to not_found results for two-site targets.
 """
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .pauli import PauliOperator, content_lines
-from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector,
-                         _image_terms, _is_hermitian, _vector_to_gamma, basis_strings)
+from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector, _image_terms,
+                         _is_hermitian, _null_space, _vector_to_gamma, basis_strings)
 from .rings import (
     safe_ring_length,
     assemble_sum,
@@ -279,7 +278,8 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     keep = sv > sv[0] * 1e-13
     U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
     x0 = Vt.T @ ((U.T @ cons.rhs) / sv)
-    B = Vt[:, :cons.dim_gamma].T @ scipy.linalg.null_space(Vt[:, cons.dim_gamma:].T)
+    H = Vt[:, cons.dim_gamma:].T
+    B = Vt[:, :cons.dim_gamma].T @ _null_space(H, np.finfo(float).eps * max(H.shape))
     return _RowFactor(Vt, x0, B, U / sv)
 
 
@@ -448,8 +448,7 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     return None
 
 
-def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
-           tol: float = GAP_TOL, seed: int = 0) -> FeasibilityResult:
+def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> FeasibilityResult:
     """Dykstra alternating projections between the affine rows and the cone slice.
 
     Every CHECK_PERIOD iterations, and once the projections agree to `tol`
@@ -458,7 +457,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     (`separated`), the met point (`converged`) or, once the sets nearly
     touch, the exact completion on the conserving span
     (`completed_on_face`).  Every returned point is re-certified from
-    scratch.  Without a proof it runs to max_iter.
+    scratch.  Without a proof it runs to MAX_ITER.
     """
     cons, nrows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
     del full  # the copied rows are not kept through the factorization and the search
@@ -473,7 +472,7 @@ def search(problem: FeasibilityProblem, max_iter: int = MAX_ITER,
     x = _project_cone(np.random.default_rng(seed).standard_normal(K.shape[1]) * (tau / m), m, tau)
     p, q = np.zeros_like(x), np.zeros_like(x)
     stop_reason, got, separation, gaps, iterations = "max_iter", None, None, [], 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         y = rows.project(x + p)
         p = x + p - y
         w = y + q

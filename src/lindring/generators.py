@@ -20,7 +20,6 @@ import itertools
 import re
 
 import numpy as np
-import scipy.linalg
 
 from .pauli import (
     _COMPLEX_RE,
@@ -91,9 +90,9 @@ def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     Returns (rows, vals, h_rows, h_vals).  rows[t, j, k] is the window
     string and vals[t, j, k] the value of term t of the dissipator with
     unit gamma_jk (basis strings j, k): 2 P_j b P_k, -P_k P_j b and
-    -b P_k P_j for t = 0, 1, 2.  For every window string m, h_vals[:, m]
-    holds the two halves i b P_m and -i P_m b of i[b, P_m], which both
-    land on string h_rows[m].  Each term is one product-table lookup.
+    -b P_k P_j for t = 0, 1, 2.  For every window string m, h_vals[m] is
+    the amplitude of i[b, P_m] on string h_rows[m].  Each term is one
+    product-table lookup.
     """
     phase, index = product_table(r)
     m = np.arange(phase.shape[0])
@@ -105,7 +104,13 @@ def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
                      -phase[k, j] * phase[kj, b],
                      -phase[k, j] * phase[b, kj]])
     # b P_m and P_m b are the same string
-    return rows, vals, index[b, m], np.stack([1j * phase[b, m], -1j * phase[m, b]])
+    return rows, vals, index[b, m], 1j * (phase[b, m] - phase[m, b])
+
+
+def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal null space basis of A: the right singular vectors not in sv > rcond * max sv."""
+    _, sv, vh = np.linalg.svd(A)
+    return vh[np.count_nonzero(sv > rcond * sv.max()):].conj().T
 
 
 def _class_representative(s: str) -> str:
@@ -167,7 +172,7 @@ def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = np.append(np.concatenate([rows[:, diag, diag], pair, pair], axis=1), h_rows[1:])
     cols = np.append(np.tile(np.arange(m * m), 3), m * m + diag)
     vals = np.append(np.concatenate([vals[:, diag, diag].real, (up + lo).real, (lo - up).imag], 1),
-                     h_vals[:, 1:].real.sum(axis=0))
+                     h_vals[1:].real)
     nz = np.flatnonzero(vals)
     return rows[nz], cols[nz], vals[nz]
 
@@ -233,7 +238,7 @@ def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
     for b in range(d):
         rows, vals, h_rows, h_vals = _window_column(gen.r, b)
         terms = [(rows[t, j, k], g * vals[t, j, k]) for t in range(3)]
-        terms.append((h_rows[h], eta * h_vals[:, h].sum(axis=0)))
+        terms.append((h_rows[h], eta * h_vals[h]))
         for a, v in terms:
             M[:, b] += np.bincount(a, v.real, d) + 1j * np.bincount(a, v.imag, d)
     return M
@@ -339,21 +344,13 @@ def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperato
     Null directions are singular vectors with singular value below
     tol times the largest singular value.
     """
-    M = superop_matrix(gen)
-    if not np.any(M):
-        ns = np.eye(M.shape[0])
-    else:
-        ns = scipy.linalg.null_space(M, rcond=tol)
     strings = all_strings(gen.r)
-    ops = []
-    for col in range(ns.shape[1]):
-        vec = ns[:, col]
-        ops.append(PauliOperator(gen.r, {s: vec[i] for i, s in enumerate(strings)}))
-    return ops
+    return [PauliOperator(gen.r, dict(zip(strings, vec)))
+            for vec in _null_space(superop_matrix(gen), tol).T]
 
 
-def validate_psd(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> np.ndarray:
-    """Eigenvalues of gamma, raising if any is below -tol * max(1, max |eigenvalue|).
+def validate_psd(gen: LindbladGenerator) -> np.ndarray:
+    """Eigenvalues of gamma, raising if any is below -GAMMA_PSD_TOL * max(1, max |eigenvalue|).
 
     The bound scales with gamma, as the rounding of a written and re-read
     gamma does.
@@ -361,12 +358,12 @@ def validate_psd(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> np.ndarr
     if gen.form != "structure":
         raise ValueError("only structure-form generators carry gamma")
     w = np.linalg.eigvalsh(gen.gamma)
-    if w.min() < -tol * max(1.0, np.abs(w).max()):
+    if w.min() < -GAMMA_PSD_TOL * max(1.0, np.abs(w).max()):
         raise ValueError(f"gamma is not positive semidefinite (min eig {w.min():.3e})")
     return w
 
 
-def diagonalize_structure(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) -> LindbladGenerator:
+def diagonalize_structure(gen: LindbladGenerator) -> LindbladGenerator:
     """Equivalent diagonal form: jump operators from the eigenbasis of gamma.
 
     gamma is refused as validate_psd refuses it.  Every positive eigenvalue
@@ -375,7 +372,7 @@ def diagonalize_structure(gen: LindbladGenerator, tol: float = GAMMA_PSD_TOL) ->
     """
     if gen.form != "structure":
         raise ValueError("generator is already diagonal")
-    validate_psd(gen, tol)
+    validate_psd(gen)
     w, v = np.linalg.eigh(gen.gamma)
     basis = basis_strings(gen.r)
     ls = [PauliOperator(gen.r, dict(zip(basis, np.sqrt(w[k]) * v[:, k])))

@@ -510,9 +510,9 @@ def family_grid(family: str, mu_axis=None, h_axis=None) -> list[tuple]:
     raise ValueError(f"unknown family: {family!r}")
 
 
-def scan_point(r_gen: int, point, zero_band: float = ZERO_BAND) -> ScanRow:
+def scan_point(r_gen: int, point) -> ScanRow:
     """Definiteness verdict at a single grid point."""
-    return scan(r_gen, [point], zero_band=zero_band)[0][0]
+    return scan(r_gen, [point])[0][0]
 
 
 def summarize_rows(r_gen: int, rows) -> dict:
@@ -535,7 +535,7 @@ def summarize_rows(r_gen: int, rows) -> dict:
     }
 
 
-def scan(r_gen: int, grid, zero_band: float = ZERO_BAND) -> tuple[list[ScanRow], dict]:
+def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
     """Definiteness verdicts over a parameter grid, in grid order.
 
     Points are assembled and certified in stacked chunks of _CHUNK: one
@@ -554,7 +554,7 @@ def scan(r_gen: int, grid, zero_band: float = ZERO_BAND) -> tuple[list[ScanRow],
         chunk = points[start:start + _CHUNK]
         C, _ = _assemble(r_gen, chunk)
         rows += [ScanRow(*p, rep.max_eigenvalue, rep.nullity, rep.verdict)
-                 for p, rep in zip(chunk.tolist(), _certify(C, zero_band, chunk))]
+                 for p, rep in zip(chunk.tolist(), _certify(C, ZERO_BAND, chunk))]
     return rows, summarize_rows(r_gen, rows)
 
 

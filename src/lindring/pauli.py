@@ -102,8 +102,8 @@ class PauliOperator:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return all(abs(c) <= PRUNE_TOL for c in self.terms.values())
 
     # -- linear structure --------------------------------------------------
 

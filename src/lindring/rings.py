@@ -55,10 +55,9 @@ class ZeroSumCertificate:
     identity_coefficient: complex
     classes: dict = field(repr=False)
     class_sums: dict = field(repr=False)
-    tol: float = ZERO_TOL
 
 
-def ti_sum_is_zero(b: PauliOperator, tol: float = ZERO_TOL) -> ZeroSumCertificate:
+def ti_sum_is_zero(b: PauliOperator) -> ZeroSumCertificate:
     ident = "I" * b.n
     id_coeff = b.coefficient(ident)
     classes: dict[str, dict[int, complex]] = {}
@@ -71,10 +70,8 @@ def ti_sum_is_zero(b: PauliOperator, tol: float = ZERO_TOL) -> ZeroSumCertificat
         classes.setdefault(core, {})
         classes[core][i0] = classes[core].get(i0, 0j) + c
     sums = {core: sum(offs.values()) for core, offs in classes.items()}
-    ok = abs(id_coeff) <= tol and all(abs(v) <= tol for v in sums.values())
-    return ZeroSumCertificate(
-        is_zero=ok, identity_coefficient=id_coeff, classes=classes, class_sums=sums, tol=tol
-    )
+    ok = abs(id_coeff) <= ZERO_TOL and all(abs(v) <= ZERO_TOL for v in sums.values())
+    return ZeroSumCertificate(is_zero=ok, identity_coefficient=id_coeff, classes=classes, class_sums=sums)
 
 
 # -- conservation --------------------------------------------------------------
@@ -143,7 +140,6 @@ def check_conservation(
     mode: str = "global",
     n: int | None = None,
     zero_tol: float = ZERO_TOL,
-    indeterminate_tol: float = INDETERMINATE_TOL,
 ) -> ConservationReport:
     """Conservation check with a fail-closed indeterminate band."""
     if n is None:
@@ -157,7 +153,7 @@ def check_conservation(
         raise ValueError(f"unknown mode {mode!r}")
     if residual < zero_tol:
         verdict = "conserved"
-    elif residual <= indeterminate_tol:
+    elif residual <= INDETERMINATE_TOL:
         verdict = "indeterminate"
     else:
         verdict = "violated"
@@ -263,7 +259,7 @@ def _frame_from_direction(u: np.ndarray) -> np.ndarray:
     return np.column_stack([e1, e2, e3])
 
 
-def canonical_form(a: PauliOperator, tol: float = 1e-12) -> CanonicalParams:
+def canonical_form(a: PauliOperator) -> CanonicalParams:
     """Bring a Hermitian two-site density to normal form.
 
     The two-site coefficient matrix is diagonalized by singular value
@@ -280,9 +276,8 @@ def canonical_form(a: PauliOperator, tol: float = 1e-12) -> CanonicalParams:
     shift = a.coefficient("II").real
     M, u0, u1 = _field_vectors(a)
 
-    scale_ref = max(1.0, a.hs_norm())
     U, s, Vh = np.linalg.svd(M)
-    if s[0] <= tol * scale_ref:
+    if s[0] <= 1e-12 * max(1.0, a.hs_norm()):
         # pure field: rotate the averaged field onto the x axis
         avg = 0.5 * (u0 + u1)
         R = _frame_from_direction(avg)
@@ -344,7 +339,7 @@ def canonical_residual(a: PauliOperator, params: CanonicalParams) -> float:
     return (symmetrize_fields(reconstruct(params)) - symmetrize_fields(a)).hs_norm()
 
 
-def classify_ising(a: PauliOperator, tol: float = CANONICAL_TOL) -> tuple[bool, CanonicalParams]:
+def classify_ising(a: PauliOperator) -> tuple[bool, CanonicalParams]:
     """Whether the density is of Ising type: scale*(u.s)(w.s) plus fields along u, w.
 
     Tested on the rotation invariants directly: the correlation matrix must
@@ -356,19 +351,19 @@ def classify_ising(a: PauliOperator, tol: float = CANONICAL_TOL) -> tuple[bool, 
     params = canonical_form(a)
     M, u0, u1 = _field_vectors(a)
     u = u0 + u1
-    ref = max(1.0, a.hs_norm())
+    bound = CANONICAL_TOL * max(1.0, a.hs_norm())
     U, s, Vh = np.linalg.svd(M)
-    if s[0] <= tol * ref:
+    if s[0] <= bound:
         return True, params  # pure field
-    if s[1] > tol * ref:
+    if s[1] > bound:
         return False, params
     axis = U[:, 0] + Vh[0, :]
     norm2 = axis @ axis
-    if norm2 <= (tol * ref) ** 2:
+    if norm2 <= bound ** 2:
         # antipodal principal axes: no field direction survives averaging
-        return bool(np.linalg.norm(u) <= tol * ref), params
+        return bool(np.linalg.norm(u) <= bound), params
     residual = u - axis * ((axis @ u) / norm2)
-    return bool(np.linalg.norm(residual) <= tol * ref), params
+    return bool(np.linalg.norm(residual) <= bound), params
 
 
 # -- density files ---------------------------------------------------------------

@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lindring
 from lindring.cli import main
 from lindring.pauli import PauliOperator
 from lindring.generators import LindbladGenerator, basis_strings, format_generator_file
@@ -76,6 +80,15 @@ def test_bad_flag_exit_2(capsys):
     assert main(["check", "--gen"]) == 2
     assert main(["obstruction", "--r", "5"]) == 2
     capsys.readouterr()
+
+
+def test_cli_loads_numpy_alone():
+    code = ("import sys, lindring.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindring.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_help_exit_0(capsys):
@@ -283,6 +296,17 @@ def test_check_indeterminate_exit_3(heis_gen, sx_density, tmp_path):
     assert json.loads(out.read_text())["result"]["verdict"] == "indeterminate"
 
 
+def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
+    # refused as input, before the analysis warns about a short ring
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("local", "global"):
+            for n in ("1", "0", "-3"):
+                assert main(["check", "--gen", heis_gen, "--density", heis_density,
+                             "--mode", mode, f"--n={n}"]) == 2
+    assert capsys.readouterr().err.count("ring shorter than the widest window") == 6
+
+
 # -- kernel and canon ----------------------------------------------------------
 
 
@@ -426,6 +450,11 @@ def test_search_problem_section(ising_density, tmp_path):
     assert code == 0
     assert rep["config"]["mode"] == "local"
     assert rep["result"]["status"] == "feasible"
+
+
+def test_search_negative_seed_exit_2(heis_density, capsys):
+    assert main(["search", "--density", heis_density, "--r", "2", "--seed=-1"]) == 2
+    assert "seed '-1' is negative" in capsys.readouterr().err
 
 
 def test_search_plain_density_needs_r(ising_density, capsys):

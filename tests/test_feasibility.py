@@ -395,6 +395,15 @@ def test_search_rejects_heisenberg(seed):
     assert res.certificate.verdict == "negative_definite"
 
 
+def test_search_without_proof_runs_to_max_iter(monkeypatch):
+    # MAX_ITER below CHECK_PERIOD: no check runs, so no proof can end the search
+    monkeypatch.setattr(feasibility, "MAX_ITER", 10)
+    res = search(FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=2), seed=1)
+    assert (res.status, res.stop_reason, res.iterations) == ("not_found", "max_iter", 10)
+    assert res.gap_trace == () and res.separation is None
+    assert res.certificate.verdict == "negative_definite"
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_search_rejects_transverse_ising(seed):
     prob = FeasibilityProblem(PauliOperator(2, TRANSVERSE), r_gen=2)

@@ -191,6 +191,14 @@ def test_kernel_exchange_symmetric_subspace():
             assert abs(op.coefficient(s[::-1]) - c) < 1e-10
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_of_zero_generator_is_every_string(r):
+    # the SVD of a zero matrix keeps every direction, one string each
+    m = 4 ** r - 1
+    ops = kernel(LindbladGenerator(r, gamma=np.zeros((m, m))))
+    assert [op.terms for op in ops] == [{s: 1.0} for s in all_strings(r)]
+
+
 def test_kernel_orthonormal():
     ops = kernel(exchange_generator())
     for i, a in enumerate(ops):
