@@ -143,6 +143,7 @@ def _cmd_check(args) -> int:
         "residual": report.residual,
         "verdict": report.verdict,
         "offender": list(report.offender) if report.offender else None,
+        "short_ring": report.short_ring,
     }
     _emit(_report(config, result), args.out)
     return EXIT_INDETERMINATE if report.verdict == "indeterminate" else EXIT_OK

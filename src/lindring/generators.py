@@ -68,6 +68,10 @@ def product_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     return phase, index
 
 
+# the index of a window string in all_strings(r): its letters as base-4 digits
+_DIGITS = str.maketrans("IXYZ", "0123")
+
+
 def _window_sites(offset: int, r: int, n: int) -> tuple[int, ...]:
     return tuple((offset + i) % n for i in range(r))
 
@@ -82,29 +86,6 @@ def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
 def _is_hermitian(g: np.ndarray, tol: float) -> bool:
     """|g - g^dag| within tol * max(1, max |g|): the bound scales with g, as in validate_psd."""
     return np.abs(g - g.conj().T).max() <= tol * max(1.0, np.abs(g).max())
-
-
-def _window_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Terms of the image of window string b under unit generator parts.
-
-    Returns (rows, vals, h_rows, h_vals).  rows[t, j, k] is the window
-    string and vals[t, j, k] the value of term t of the dissipator with
-    unit gamma_jk (basis strings j, k): 2 P_j b P_k, -P_k P_j b and
-    -b P_k P_j for t = 0, 1, 2.  For every window string m, h_vals[m] is
-    the amplitude of i[b, P_m] on string h_rows[m].  Each term is one
-    product-table lookup.
-    """
-    phase, index = product_table(r)
-    m = np.arange(phase.shape[0])
-    j = m[1:, None]  # basis string j is window string j + 1
-    k = j.T
-    jb, kj = index[j, b], index[k, j]
-    rows = np.stack(np.broadcast_arrays(index[jb, k], index[kj, b], index[b, kj]))
-    vals = np.stack([2.0 * phase[j, b] * phase[jb, k],
-                     -phase[k, j] * phase[kj, b],
-                     -phase[k, j] * phase[b, kj]])
-    # b P_m and P_m b are the same string
-    return rows, vals, index[b, m], 1j * (phase[b, m] - phase[m, b])
 
 
 def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
@@ -131,10 +112,28 @@ def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _gamma_to_vector(gamma: np.ndarray) -> np.ndarray:
+@functools.cache
+def _pairs(r: int) -> tuple[np.ndarray, ...]:
+    """Window strings j, k of the gamma coordinates, and the string and phase of P_k P_j.
+
+    The diagonal first, then j < k, then the same pairs as (k, j); basis
+    string j is window string j + 1.  Made once per width, read-only.
+    """
+    phase, index = product_table(r)
+    iu, ju = _upper_indices(4 ** r - 1)
+    diag = np.arange(4 ** r - 1)
+    j = 1 + np.concatenate([diag, iu, ju])
+    k = 1 + np.concatenate([diag, ju, iu])
+    table = (j, k, index[k, j], phase[k, j])
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
+def _gamma_to_vector(gamma: np.ndarray, off: float = np.sqrt(2.0)) -> np.ndarray:
+    """Real coordinates of a Hermitian gamma; off-diagonal slots multiply by `off`."""
     upper = gamma[_upper_indices(gamma.shape[0])]
-    return np.concatenate([np.real(np.diag(gamma)),
-                           np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag])
+    return np.concatenate([np.real(np.diag(gamma)), off * upper.real, off * upper.imag])
 
 
 def _vector_to_gamma(v: np.ndarray, m: int, off: float = np.sqrt(2.0)) -> np.ndarray:
@@ -156,23 +155,30 @@ def _vector_to_gamma(v: np.ndarray, m: int, off: float = np.sqrt(2.0)) -> np.nda
 def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero terms of the image of window string b: vals[i] on string rows[i], coordinate cols[i].
 
-    A Hermitian gamma and a real H map Hermitian operators to real Pauli
-    coefficients, and Re sum_jk gamma_jk G_jk reads Re G_jj on gamma_jj,
-    Re (G_jk + G_kj) on Re gamma_jk and Im (G_kj - G_jk) on Im gamma_jk
-    (j < k).  gamma_jk and gamma_kj land on one string, so each coordinate
-    takes one small integer per window term of _window_column, exactly.
+    With unit gamma_jk the dissipator maps b to G_jk = 2 P_j b P_k -
+    P_k P_j b - b P_k P_j (terms 0, 1, 2), each one product-table lookup;
+    the Hamiltonian term H_m maps b to i[b, P_m].  A Hermitian gamma and a
+    real H map Hermitian operators to real Pauli coefficients, and
+    Re sum_jk gamma_jk G_jk reads Re G_jj on gamma_jj, Re (G_jk + G_kj) on
+    Re gamma_jk and Im (G_kj - G_jk) on Im gamma_jk (j < k).  G_jk and
+    G_kj land on one string, so each coordinate takes one small integer
+    per term, exactly.  Entries run term by term, then the Hamiltonian.
     """
-    rows, vals, h_rows, h_vals = _window_column(r, b)
-    m = rows.shape[1]
-    iu, ju = _upper_indices(m)
-    diag = np.arange(m)
-    up, lo = vals[:, iu, ju], vals[:, ju, iu]
-    pair = rows[:, iu, ju]
-    # then the Hamiltonian terms; basis string j is window string j + 1
-    rows = np.append(np.concatenate([rows[:, diag, diag], pair, pair], axis=1), h_rows[1:])
-    cols = np.append(np.tile(np.arange(m * m), 3), m * m + diag)
-    vals = np.append(np.concatenate([vals[:, diag, diag].real, (up + lo).real, (lo - up).imag], 1),
-                     h_vals[1:].real)
+    phase, index = product_table(r)
+    j, k, kj, phase_kj = _pairs(r)
+    m = 4 ** r - 1
+    p = m * (m + 1) // 2  # the diagonal and j < k; the (k, j) orders follow
+    jb = index[j, b]
+    rows = np.stack([index[jb, k], index[kj, b], index[b, kj]])
+    vals = np.stack([2.0 * phase[j, b] * phase[jb, k],
+                     -phase_kj * phase[kj, b],
+                     -phase_kj * phase[b, kj]])
+    up, lo = vals[:, m:p], vals[:, p:]
+    vals = np.concatenate([vals[:, :m].real, (up + lo).real, (lo - up).imag], axis=1)
+    # b P_m and P_m b are the same string
+    rows = np.append(rows, index[b, 1:])
+    cols = np.append(np.tile(np.arange(m * m), 3), m * m + np.arange(m))
+    vals = np.append(vals, (phase[1:, b] - phase[b, 1:]).imag)
     nz = np.flatnonzero(vals)
     return rows[nz], cols[nz], vals[nz]
 
@@ -190,7 +196,6 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
     Entries sum their terms in (string of A, window term) order.
     """
     strings = all_strings(r)
-    pos = {t: i for i, t in enumerate(strings)}
     ncols = len(strings) ** 2 - len(strings)
     ids = {} if keys is None else keys
     columns: dict[int, tuple] = {}
@@ -208,7 +213,7 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
             key_ids = np.array([ids.setdefault(key, len(ids)) for key in images])
         else:  # row -1 drops the term
             key_ids = np.array([keys.get(key, -1) for key in images])
-        b = pos[u[:r]]
+        b = int(u[:r].translate(_DIGITS), 4)
         if b not in columns:
             columns[b] = _real_column(r, b)
         rows, cols, vals = columns[b]
@@ -222,34 +227,14 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
     return list(ids), R.reshape(size, ncols)
 
 
-def _window_matrix(gen: "LindbladGenerator") -> np.ndarray:
-    """Entry (a, b): string-a amplitude of the structure-form image of string b.
-
-    Column b contracts the window terms of b with the nonzero gamma_jk
-    and the Hamiltonian amplitudes.
-    """
-    d = 4 ** gen.r
-    pos = {s: i for i, s in enumerate(all_strings(gen.r))}
-    j, k = np.nonzero(gen.gamma)
-    g = gen.gamma[j, k]
-    h = np.array([pos[s] for s in gen.hamiltonian.terms], dtype=int)
-    eta = np.array(list(gen.hamiltonian.terms.values()), dtype=complex)
-    M = np.zeros((d, d), dtype=complex)
-    for b in range(d):
-        rows, vals, h_rows, h_vals = _window_column(gen.r, b)
-        terms = [(rows[t, j, k], g * vals[t, j, k]) for t in range(3)]
-        terms.append((h_rows[h], eta * h_vals[h]))
-        for a, v in terms:
-            M[:, b] += np.bincount(a, v.real, d) + 1j * np.bincount(a, v.imag, d)
-    return M
-
-
 class LindbladGenerator:
     """Window-local generator; exactly one of `lindblads` or `gamma` is set.
 
-    All action goes through one 4^r x 4^r window matrix, built from the
-    structure form on first use and kept: a ring string is split into its
-    window piece and the rest, and the piece is replaced by its image.
+    All action reads the real coordinates of the structure form, [gamma_jj]
+    [Re gamma_jk] [Im gamma_jk] (j < k) [Re H_j]: the image of a window
+    string is its _real_column contracted with them.  A ring string is
+    split into its window piece and the rest, and the piece is replaced by
+    its image, made on first use and kept.
     """
 
     def __init__(self, r, hamiltonian=None, lindblads=None, gamma=None):
@@ -280,27 +265,32 @@ class LindbladGenerator:
                 raise ValueError("gamma must be Hermitian")
             self.gamma = g
             self.lindblads = None
-        self._window = None
+        self._coordinates = None
+        self._images: dict[str, list[tuple[str, float]]] = {}
 
     # -- action -------------------------------------------------------------
 
-    def _window_action(self) -> tuple[np.ndarray, dict[str, list[tuple[str, complex]]]]:
-        """The window matrix and, per window string, the nonzero pieces of its image."""
-        if self._window is None:
-            M = _window_matrix(to_structure(self))
+    def _column(self, b: int) -> np.ndarray:
+        """Amplitudes of the image of window string b on every window string."""
+        if self._coordinates is None:
+            s = to_structure(self)
+            eta = [s.hamiltonian.terms.get(t, 0j) for t in basis_strings(self.r)]
+            self._coordinates = np.concatenate([_gamma_to_vector(s.gamma, off=1.0), np.real(eta)])
+        rows, cols, vals = _real_column(self.r, b)
+        return np.bincount(rows, vals * self._coordinates[cols], 4 ** self.r)
+
+    def _image(self, piece: str) -> list[tuple[str, float]]:
+        """Nonzero pieces of the image of a window string, made on first use and kept."""
+        if piece not in self._images:
+            column = self._column(int(piece.translate(_DIGITS), 4))
             strings = all_strings(self.r)
-            images = {
-                s: [(strings[a], M[a, b].item()) for a in np.flatnonzero(M[:, b])]
-                for b, s in enumerate(strings)
-            }
-            self._window = (M, images)
-        return self._window
+            self._images[piece] = [(strings[a], column[a].item()) for a in np.flatnonzero(column)]
+        return self._images[piece]
 
     def _apply_on(self, rho: PauliOperator, sites: tuple[int, ...]) -> PauliOperator:
-        images = self._window_action()[1]
         out: dict[str, complex] = {}
         for u, c in rho.terms.items():
-            for piece, amp in images["".join(u[w] for w in sites)]:
+            for piece, amp in self._image("".join(u[w] for w in sites)):
                 key = _splice(u, sites, piece)
                 out[key] = out.get(key, 0j) + c * amp
         return PauliOperator._unchecked(rho.n, out)
@@ -327,15 +317,12 @@ def superop_matrix(gen: LindbladGenerator) -> np.ndarray:
     """Matrix of the generator in the full string basis of its window.
 
     Entry (m, k) is the string-m amplitude of the image of string k;
-    strings ordered lexicographically with I < X < Y < Z.  Real for
-    Hermiticity-preserving generators.  Guarded to r <= 3.
+    strings ordered lexicographically with I < X < Y < Z.  Real, as the
+    generator preserves Hermiticity.  Guarded to r <= 3.
     """
     if gen.r > 3:
         raise ValueError("superoperator matrix limited to r <= 3")
-    M = gen._window_action()[0]
-    if np.abs(M.imag).max() < 1e-12:
-        return np.ascontiguousarray(M.real)
-    return M.copy()
+    return np.column_stack([gen._column(b) for b in range(4 ** gen.r)])
 
 
 def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperator]:

@@ -10,8 +10,7 @@ nor rejected and fail closed.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,65 +40,33 @@ def assemble_sum(a: PauliOperator, n: int) -> PauliOperator:
 # -- zero TI sums -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroSumCertificate:
-    """Structural witness for whether the ring sum of a window operator vanishes.
+def ti_sum_is_zero(b: PauliOperator) -> bool:
+    """Whether the ring sum of a window operator vanishes, read off its strings.
 
     Every window string splits into a primitive pattern (first through
     last non-identity letter) at an offset; the ring sum vanishes if and
     only if the operator has no identity component and the coefficients
     of every pattern sum to zero over its offsets.
     """
-
-    is_zero: bool
-    identity_coefficient: complex
-    classes: dict = field(repr=False)
-    class_sums: dict = field(repr=False)
-
-
-def ti_sum_is_zero(b: PauliOperator) -> ZeroSumCertificate:
-    ident = "I" * b.n
-    id_coeff = b.coefficient(ident)
-    classes: dict[str, dict[int, complex]] = {}
+    sums: dict[str, complex] = {}
     for s, c in b.terms.items():
-        if s == ident:
-            continue
-        occupied = [i for i, ch in enumerate(s) if ch != "I"]
-        i0, i1 = occupied[0], occupied[-1]
-        core = s[i0 : i1 + 1]
-        classes.setdefault(core, {})
-        classes[core][i0] = classes[core].get(i0, 0j) + c
-    sums = {core: sum(offs.values()) for core, offs in classes.items()}
-    ok = abs(id_coeff) <= ZERO_TOL and all(abs(v) <= ZERO_TOL for v in sums.values())
-    return ZeroSumCertificate(is_zero=ok, identity_coefficient=id_coeff, classes=classes, class_sums=sums)
+        core = s.strip("I")  # the identity string is the empty pattern
+        sums[core] = sums.get(core, 0j) + c
+    return all(abs(v) <= ZERO_TOL for v in sums.values())
 
 
 # -- conservation --------------------------------------------------------------
 
 
-def _warn_if_short(gen: LindbladGenerator, a: PauliOperator, n: int) -> None:
-    safe = safe_ring_length(gen.r, a.n)
-    if n < safe:
-        warnings.warn(
-            f"ring length {n} below the safe bound {safe}; results may alias",
-            stacklevel=3,
-        )
+def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int | None = None) -> float:
+    """Norm of sum_j L_j(A) on an n-site ring.
 
-
-def global_conservation_defect(gen: LindbladGenerator, a: PauliOperator, n: int | None = None) -> PauliOperator:
-    """The operator sum_j L_j(A) on an n-site ring."""
+    A is translation invariant, so L_j(A) = T^j L_0(A): one placement of
+    the generator and a ring sum of its image give the whole defect.
+    """
     if n is None:
         n = safe_ring_length(gen.r, a.n)
-    _warn_if_short(gen, a, n)
-    A = assemble_sum(a, n)
-    out = PauliOperator.zero(n)
-    for j in range(n):
-        out = out + gen.apply(A, offset=j)
-    return out
-
-
-def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int | None = None) -> float:
-    return global_conservation_defect(gen, a, n).hs_norm()
+    return assemble_sum(gen.apply(assemble_sum(a, n)), n).hs_norm()
 
 
 def local_conservation_check(
@@ -113,7 +80,6 @@ def local_conservation_check(
     """
     if n is None:
         n = safe_ring_length(gen.r, a.n)
-    _warn_if_short(gen, a, n)
     worst = 0.0
     offender = None
     for k in range(n):
@@ -131,6 +97,7 @@ class ConservationReport:
     n: int
     residual: float
     verdict: str  # conserved | violated | indeterminate
+    short_ring: bool  # n below safe_ring_length: windows may collide on the ring
     offender: tuple[int, int] | None = None
 
 
@@ -157,7 +124,8 @@ def check_conservation(
         verdict = "indeterminate"
     else:
         verdict = "violated"
-    return ConservationReport(mode=mode, n=n, residual=residual, verdict=verdict, offender=offender)
+    return ConservationReport(mode=mode, n=n, residual=residual, verdict=verdict,
+                              short_ring=n < safe_ring_length(gen.r, a.n), offender=offender)
 
 
 # -- two-site normal form -------------------------------------------------------

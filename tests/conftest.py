@@ -31,6 +31,23 @@ def random_structure_generator(rng, r, rank=None, with_h=True):
     return LindbladGenerator(r, hamiltonian=h, gamma=random_psd(rng, m, rank))
 
 
+def oracle_generators(rng, r):
+    """A structure-form and a diagonal-form generator of width r.
+
+    gamma is PSD on a few random strings so the dense oracle stays cheap;
+    the jump operators carry identity parts, which act as Hamiltonian terms.
+    """
+    m = len(basis_strings(r))
+    support = rng.choice(m, size=min(m, 5), replace=False)
+    gamma = np.zeros((m, m), dtype=complex)
+    gamma[np.ix_(support, support)] = random_psd(rng, support.size)
+    ham = random_hermitian_window(rng, r)
+    jumps = [random_operator(rng, r, num_terms=3) + PauliOperator.identity(r) * (0.3 - 0.7j)
+             for _ in range(2)]
+    return (LindbladGenerator(r, hamiltonian=ham, gamma=gamma),
+            LindbladGenerator(r, hamiltonian=ham, lindblads=jumps))
+
+
 def dense_lindblad_apply(gen, rho, offset=0, sites=None):
     """Dense-matrix oracle for the generator action, at `offset` or at `sites`."""
     n = rho.n

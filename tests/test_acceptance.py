@@ -6,7 +6,6 @@ loosened to accommodate the implementation.
 """
 
 import numpy as np
-import pytest
 
 from conftest import random_operator, random_structure_generator
 from lindring.pauli import PauliOperator, parse_operator, partial_trace
@@ -83,7 +82,6 @@ def test_criterion_02_kernel_dimensions():
     conclude(2, "kernel dimensions 2, 8, 10 with the symmetric span", failures)
 
 
-@pytest.mark.filterwarnings("ignore:ring length")
 def test_criterion_03_global_conservation_all_one_site():
     gen = exchange_generator()
     failures = []
@@ -96,7 +94,6 @@ def test_criterion_03_global_conservation_all_one_site():
     conclude(3, "exchange conserves every one-site sum globally, n=4..8", failures)
 
 
-@pytest.mark.filterwarnings("ignore:ring length")
 def test_criterion_04_local_conservation_ising_combination():
     gen = LindbladGenerator(2, lindblads=[parse_operator("XX")])
     rng = np.random.default_rng(4)
@@ -111,7 +108,6 @@ def test_criterion_04_local_conservation_ising_combination():
     conclude(4, "XX noise conserves aXX + bX1 + b1X + d11 locally", failures)
 
 
-@pytest.mark.filterwarnings("ignore:ring length")
 def test_criterion_05_heisenberg_density_obstructed():
     failures = []
     a = parse_operator("XX + YY + ZZ")
@@ -219,10 +215,10 @@ def test_criterion_10_structural_zero_sum_matches_brute_force():
                 for k, c in enumerate(cs)})
         else:
             b = random_operator(rng, r, num_terms=5)
-        cert = ti_sum_is_zero(b)
+        structural = ti_sum_is_zero(b)
         for n in range(5, 9):
-            if assemble_sum(b, n).is_zero() != cert.is_zero:
-                failures.append(f"trial {i}, n={n}: structural {cert.is_zero}")
+            if assemble_sum(b, n).is_zero() != structural:
+                failures.append(f"trial {i}, n={n}: structural {structural}")
     conclude(10, "structural zero-sum test agrees with brute force, 200 ops", failures)
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ def test_check_indeterminate_exit_3(heis_gen, sx_density, tmp_path):
 
 
 def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
-    # refused as input, before the analysis warns about a short ring
+    # refused as input, before any analysis runs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mode in ("local", "global"):
@@ -305,6 +306,15 @@ def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
                 assert main(["check", "--gen", heis_gen, "--density", heis_density,
                              "--mode", mode, f"--n={n}"]) == 2
     assert capsys.readouterr().err.count("ring shorter than the widest window") == 6
+
+
+def test_check_reports_short_ring(heis_gen, ising_density, capsys):
+    # a ring below safe_ring_length(2, 2) = 8 is flagged in the report, not warned about
+    for n, short in (("3", True), ("8", False)):
+        assert main(["check", "--gen", heis_gen, "--density", ising_density, "--n", n]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["result"]["short_ring"] is short
 
 
 # -- kernel and canon ----------------------------------------------------------
@@ -442,7 +452,7 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
 
 
 def test_search_problem_section(ising_density, tmp_path):
-    text = open(ising_density).read() + "[problem]\nr_gen = 2\nmode = local\n"
+    text = Path(ising_density).read_text() + "[problem]\nr_gen = 2\nmode = local\n"
     prob = tmp_path / "prob.op"
     prob.write_text(text)
     code, rep = run_json(["search", "--density", str(prob), "--seed", "1"],

@@ -4,14 +4,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     dense_lindblad_apply,
+    oracle_generators,
     psd_gammas,
     random_hermitian_window,
     random_operator,
-    random_psd,
     random_structure_generator,
 )
+from lindring import generators
 from lindring.pauli import PauliOperator, mul_strings, parse_operator, partial_trace
 from lindring.feasibility import pack_point
+from lindring.rings import assemble_sum
 from lindring.generators import (
     GAMMA_HERMITICITY_TOL,
     LindbladGenerator,
@@ -99,23 +101,6 @@ def test_apply_against_dense_oracle():
             assert np.abs(got - want).max() < 1e-10
 
 
-def oracle_generators(rng, r):
-    """A structure-form and a diagonal-form generator of width r.
-
-    gamma is PSD on a few random strings so the dense oracle stays cheap;
-    the jump operators carry identity parts, which act as Hamiltonian terms.
-    """
-    m = len(basis_strings(r))
-    support = rng.choice(m, size=min(m, 5), replace=False)
-    gamma = np.zeros((m, m), dtype=complex)
-    gamma[np.ix_(support, support)] = random_psd(rng, support.size)
-    ham = random_hermitian_window(rng, r)
-    jumps = [random_operator(rng, r, num_terms=3) + PauliOperator.identity(r) * (0.3 - 0.7j)
-             for _ in range(2)]
-    return (LindbladGenerator(r, hamiltonian=ham, gamma=gamma),
-            LindbladGenerator(r, hamiltonian=ham, lindblads=jumps))
-
-
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_superop_matrix_full_rank_against_dense_oracle(r):
     # the window kernel shared by the verifier and the constraint builder,
@@ -123,12 +108,35 @@ def test_superop_matrix_full_rank_against_dense_oracle(r):
     rng = np.random.default_rng(31)
     gen = random_structure_generator(rng, r)
     assert np.linalg.matrix_rank(gen.gamma) == 4 ** r - 1
-    M = superop_matrix(gen)
-    strings = all_strings(r)
-    for k, s in enumerate(strings):
-        column = PauliOperator(r, {t: M[a, k] for a, t in enumerate(strings)})
-        want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
-        assert np.abs(column.to_dense() - want).max() < 1e-10
+    # and a diagonal form whose complex jump operators carry identity parts
+    for gen in (gen, oracle_generators(rng, r)[1]):
+        M = superop_matrix(gen)
+        assert M.dtype == np.float64
+        strings = all_strings(r)
+        for k, s in enumerate(strings):
+            column = PauliOperator(r, {t: M[a, k] for a, t in enumerate(strings)})
+            want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
+            assert np.abs(column.to_dense() - want).max() < 1e-10
+
+
+def test_apply_builds_only_the_window_pieces_it_reads(monkeypatch):
+    # the image of a window string is made when a ring string first shows
+    # it and then kept; the other window strings are never built
+    calls = []
+    real_column = generators._real_column
+
+    def counting(r, b):
+        calls.append(b)
+        return real_column(r, b)
+
+    monkeypatch.setattr(generators, "_real_column", counting)
+    gen = random_structure_generator(np.random.default_rng(5), 3)
+    A = assemble_sum(parse_operator("XX + YY + ZZ"), 10)
+    first = gen.apply(A)
+    # III, three two-site pieces at either end and three one-site pieces at either end
+    assert len(calls) == len(set(calls)) == 13
+    assert gen.apply(A).terms == first.terms
+    assert len(calls) == 13
 
 
 def test_image_terms_refuse_non_real_coefficients():
