@@ -4,15 +4,7 @@ import types
 
 __version__ = "0.1.0"
 
-from .pauli import (
-    LocalityReport,
-    PauliOperator,
-    anticommutator,
-    commutator,
-    format_operator,
-    locality,
-    parse_operator,
-)
+from .pauli import PauliOperator, format_operator, parse_operator
 from .generators import (
     LindbladGenerator,
     basis_strings,

@@ -27,6 +27,7 @@ from .pauli import (
     PauliOperator,
     _coefficient,
     _format_coeff,
+    _splice,
     content_lines,
     format_operator,
     mul_strings,
@@ -74,13 +75,6 @@ _DIGITS = str.maketrans("IXYZ", "0123")
 
 def _window_sites(offset: int, r: int, n: int) -> tuple[int, ...]:
     return tuple((offset + i) % n for i in range(r))
-
-
-def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
-    chars = list(u)
-    for w, ch in zip(sites, piece):
-        chars[w] = ch
-    return "".join(chars)
 
 
 def _is_hermitian(g: np.ndarray, tol: float) -> bool:
@@ -307,10 +301,6 @@ class LindbladGenerator:
         if len(sites) != self.r or len(set(sites)) != self.r:
             raise ValueError("need as many distinct target sites as window sites")
         return self._apply_on(rho, sites)
-
-    def unital_defect(self) -> PauliOperator:
-        """Image of the window identity; zero exactly when the map is unital."""
-        return self.apply(PauliOperator.identity(self.r))
 
 
 def superop_matrix(gen: LindbladGenerator) -> np.ndarray:

@@ -510,11 +510,6 @@ def family_grid(family: str, mu_axis=None, h_axis=None) -> list[tuple]:
     raise ValueError(f"unknown family: {family!r}")
 
 
-def scan_point(r_gen: int, point) -> ScanRow:
-    """Definiteness verdict at a single grid point."""
-    return scan(r_gen, [point])[0][0]
-
-
 def summarize_rows(r_gen: int, rows) -> dict:
     """Aggregate verdict counts and locate every semidefinite point."""
     counts = {"negative_definite": 0, "negative_semidefinite": 0, "indefinite": 0}

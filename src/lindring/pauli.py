@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import functools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,30 +51,38 @@ def mul_strings(s: str, t: str) -> tuple[complex, str]:
     return phase, "".join(out)
 
 
+def _pruned(terms: dict[str, complex]) -> dict[str, complex]:
+    """The terms above PRUNE_TOL.  NaN, left by an overflow, is kept for hs_norm to refuse."""
+    return {s: c for s, c in terms.items() if not abs(c) <= PRUNE_TOL}
+
+
+def _splice(u: str, sites: tuple[int, ...], piece: str) -> str:
+    """u with the letters of piece written at the given ring sites."""
+    chars = list(u)
+    for w, ch in zip(sites, piece):
+        chars[w] = ch
+    return "".join(chars)
+
+
 class PauliOperator:
     """An operator on an n-site ring, sparse in the Pauli-string basis."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[str, complex] | None = None, prune: bool = True):
+    def __init__(self, n: int, terms: dict[str, complex] | None = None):
         self.n = int(n)
-        self.terms: dict[str, complex] = {}
-        if terms:
-            for s, c in terms.items():
-                if len(s) != self.n or not _LABEL_SET.issuperset(s):
-                    raise ValueError(f"bad Pauli string {s!r} for n={self.n}")
-                c = complex(c)
-                if not prune or abs(c) > PRUNE_TOL:
-                    self.terms[s] = self.terms.get(s, 0j) + c
-            if prune:
-                self.terms = {s: c for s, c in self.terms.items() if abs(c) > PRUNE_TOL}
+        terms = terms or {}
+        for s in terms:
+            if len(s) != self.n or not _LABEL_SET.issuperset(s):
+                raise ValueError(f"bad Pauli string {s!r} for n={self.n}")
+        self.terms = _pruned({s: complex(c) for s, c in terms.items()})
 
     @classmethod
     def _unchecked(cls, n: int, terms: dict[str, complex]) -> "PauliOperator":
         # internal arithmetic: strings are valid by construction
         op = cls.__new__(cls)
         op.n = n
-        op.terms = {s: c for s, c in terms.items() if abs(c) > PRUNE_TOL}
+        op.terms = _pruned(terms)
         return op
 
     # -- construction ------------------------------------------------------
@@ -91,9 +98,6 @@ class PauliOperator:
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliOperator":
         return cls(len(label), {label: coeff})
-
-    def copy(self) -> "PauliOperator":
-        return PauliOperator(self.n, dict(self.terms), prune=False)
 
     def coefficient(self, label: str) -> complex:
         return self.terms.get(label, 0j)
@@ -142,7 +146,7 @@ class PauliOperator:
 
     def dagger(self) -> "PauliOperator":
         """Hermitian conjugate (strings are self-adjoint, amplitudes conjugate)."""
-        return PauliOperator(self.n, {s: c.conjugate() for s, c in self.terms.items()}, prune=False)
+        return PauliOperator._unchecked(self.n, {s: c.conjugate() for s, c in self.terms.items()})
 
     def is_hermitian(self, tol: float = PRUNE_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self.terms.values())
@@ -159,40 +163,33 @@ class PauliOperator:
         return complex(sum(a[s].conjugate() * b[s] for s in a if s in b))
 
     def hs_norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+        """Refused when arithmetic overflowed: an inf or NaN amplitude, or squares summing to inf."""
+        norm = float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+        if not np.isfinite(norm):
+            raise OverflowError("operator norm is not finite")
+        return norm
 
     # -- ring geometry -------------------------------------------------------
 
-    def translate(self, k: int) -> "PauliOperator":
-        """Shift every site by k (site s content moves to site s+k mod n)."""
-        k = k % self.n
-        if k == 0:
-            return self.copy()
-        return PauliOperator(
-            self.n, {s[-k:] + s[:-k]: c for s, c in self.terms.items()}, prune=False
-        )
-
     def embed(self, n: int, offset: int = 0) -> "PauliOperator":
-        """Pad with identities to an n-site ring, window start at `offset`."""
+        """Pad with identities to an n-site ring, window start at `offset` (mod n)."""
         if n < self.n:
             raise ValueError("target ring shorter than operator window")
         pad = "I" * (n - self.n)
-        out = {s + pad: c for s, c in self.terms.items()}
-        op = PauliOperator(n, out, prune=False)
-        return op.translate(offset) if offset % n else op
+        cut = -offset % n  # rotating the padded word left by cut starts it at offset
+        out = {}
+        for s, c in self.terms.items():
+            word = s + pad
+            out[word[cut:] + word[:cut]] = c
+        return PauliOperator._unchecked(n, out)
 
     def embed_at_sites(self, n: int, sites: tuple[int, ...]) -> "PauliOperator":
-        """Embed mapping window site i to ring site sites[i] (all distinct)."""
-        if len(sites) != self.n or len(set(s % n for s in sites)) != self.n:
+        """Embed mapping window site i to ring site sites[i] (all distinct mod n)."""
+        sites = tuple(s % n for s in sites)
+        if len(sites) != self.n or len(set(sites)) != self.n:
             raise ValueError("need as many distinct target sites as window sites")
-        out: dict[str, complex] = {}
-        for s, c in self.terms.items():
-            word = ["I"] * n
-            for i, site in enumerate(sites):
-                word[site % n] = s[i]
-            key = "".join(word)
-            out[key] = out.get(key, 0j) + c
-        return PauliOperator(n, out, prune=False)
+        blank = "I" * n
+        return PauliOperator._unchecked(n, {_splice(blank, sites, s): c for s, c in self.terms.items()})
 
     # -- dense form ----------------------------------------------------------
 
@@ -211,73 +208,6 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"PauliOperator(n={self.n}, {format_operator(self)!r})"
-
-
-def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a @ b - b @ a
-
-
-def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a @ b + b @ a
-
-
-# -- locality ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalityReport:
-    """Locality of an operator on the ring.
-
-    r is the width of the widest primitive term, where the width of a
-    string is the smallest number of consecutive sites (allowing wrap
-    around the ring boundary) containing all its non-identity letters.
-    `exact` means every term has width exactly r.  `support` is the
-    width of the smallest consecutive window covering every term, and
-    `window_start` its first site.
-    """
-
-    r: int
-    exact: bool
-    support: int
-    window_start: int
-
-
-def _circular_cover(n: int, occupied: set[int]) -> tuple[int, int]:
-    """Width and start of the smallest cyclic window covering `occupied`."""
-    if not occupied:
-        return 0, 0
-    runs = []  # maximal runs of free sites: (length, start)
-    length = 0
-    for i in range(2 * n):
-        if (i % n) in occupied:
-            if length:
-                runs.append((min(length, n), i - length))
-            length = 0
-        else:
-            length += 1
-    if length:
-        runs.append((min(length, n), 2 * n - length))
-    if not runs:
-        return n, 0
-    gap, start = max(runs)
-    return n - gap, (start + gap) % n
-
-
-def locality(op: PauliOperator) -> LocalityReport:
-    """Classify op per the consecutive-window definition of r-locality."""
-    n = op.n
-    widths = []
-    union: set[int] = set()
-    for s, c in op.terms.items():
-        occ = {i for i, ch in enumerate(s) if ch != "I"}
-        union |= occ
-        w, _ = _circular_cover(n, occ)
-        widths.append(w)
-    if not widths:
-        return LocalityReport(r=0, exact=True, support=0, window_start=0)
-    r = max(widths)
-    support, start = _circular_cover(n, union)
-    return LocalityReport(r=r, exact=all(w == r for w in widths), support=support, window_start=start)
 
 
 def partial_trace(op: PauliOperator, sites: tuple[int, ...]) -> PauliOperator:

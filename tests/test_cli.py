@@ -187,6 +187,22 @@ def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):
     assert "Traceback" not in err and "converge" not in err
 
 
+def test_overflow_in_generator_action_exit_2(tmp_path, capsys):
+    # finite inputs whose ring action overflows: inf - inf leaves NaN amplitudes
+    # that no residual may drop or read as a number
+    gen = tmp_path / "g.gen"
+    gen.write_text("[lindblad]\n1e150*X + 1e150*Y\n")
+    density = tmp_path / "d.op"
+    density.write_text("r=1\n1e150*Z\n")
+    for mode in ("global", "local"):
+        out = tmp_path / f"{mode}.json"
+        argv = ["check", "--gen", str(gen), "--density", str(density), "--n", "4", "--mode", mode]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+
+
 def test_anisotropy_out_of_range_exit_2(tmp_path, capsys):
     # the two-site normal form has mu, nu in [0, 1]; anything else is refused
     for flag, value in (("--mu", "-3"), ("--nu", "2"), ("--mu", "1e200"), ("--nu", "1.0000001")):

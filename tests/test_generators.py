@@ -223,9 +223,10 @@ def test_one_site_kernels_at_most_two_dimensional():
 
 
 def test_unitality():
-    assert exchange_generator().unital_defect().hs_norm() <= 1e-12
+    exchange = exchange_generator()
+    assert exchange.apply(PauliOperator.identity(exchange.r)).hs_norm() <= 1e-12
     lowering = LindbladGenerator(1, lindblads=[parse_operator("0.5*X + (0+0.5i)*Y")])
-    defect = lowering.unital_defect()
+    defect = lowering.apply(PauliOperator.identity(1))
     assert defect.hs_norm() > 0.1
 
 

@@ -21,7 +21,6 @@ from lindring.obstruction import (
     family_grid,
     rows_to_csv,
     scan,
-    scan_point,
     unitality_forms,
 )
 
@@ -148,7 +147,7 @@ def test_unitality_form_matches_identity_image():
     # lowering jump on the first site: identity image is 2 Z1
     low = PauliOperator(2, {"XI": 0.5, "YI": 0.5j})
     gen = LindbladGenerator(2, lindblads=[low])
-    defect = gen.unital_defect()
+    defect = gen.apply(PauliOperator.identity(2))
     c = coeff_vector(low, 2)
     uf = unitality_forms(2)
     for name, pattern in (("x", "XI + IX"), ("z", "ZI + IZ")):
@@ -362,7 +361,7 @@ def test_cholesky_check_catches_a_wrong_eigenvalue(monkeypatch, r_gen, point):
     # a negative definite C whose top eigenvalue comes back with the wrong
     # sign reads indefinite; the Cholesky check must refuse that verdict,
     # also where the minors are too small to decide and above 15x15
-    assert scan_point(r_gen, point).verdict == "negative_definite"
+    assert scan(r_gen, [point])[0][0].verdict == "negative_definite"
     eigvalsh = np.linalg.eigvalsh
 
     def flipped(a):
@@ -372,7 +371,7 @@ def test_cholesky_check_catches_a_wrong_eigenvalue(monkeypatch, r_gen, point):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", flipped)
     with pytest.raises(ArithmeticError, match=r"Cholesky check at .* = \(0\.5, "):
-        scan_point(r_gen, point)
+        scan(r_gen, [point])
     # and an indefinite matrix read as negative definite
     with pytest.raises(ArithmeticError, match="Cholesky"):
         certify_definiteness(np.diag([-1.0, -2.0, 3.0]))
@@ -475,7 +474,7 @@ def test_scan_batched_matches_pointwise(r_gen):
     grid += [(0.3, 0.7, 0.2, -1.5, 0.9), (1.0, 0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0, 0.0)]
     assert len(grid) % _CHUNK and len(grid) > 2 * _CHUNK
     rows, summary = scan(r_gen, grid)
-    single = [scan_point(r_gen, p) for p in grid]
+    single = [scan(r_gen, [p])[0][0] for p in grid]
     fields = ("mu", "nu", "hx", "hy", "hz", "max_eig", "nullity", "verdict")
     assert [[getattr(r, f) for f in fields] for r in rows] == \
         [[getattr(r, f) for f in fields] for r in single]

@@ -3,10 +3,7 @@ import pytest
 
 from lindring.pauli import (
     PauliOperator,
-    anticommutator,
-    commutator,
     format_operator,
-    locality,
     mul_strings,
     parse_operator,
     partial_trace,
@@ -90,35 +87,6 @@ def test_dagger_and_hermiticity():
     assert (herm.dagger() - herm).hs_norm() == 0
 
 
-def test_commutator_against_dense():
-    rng = _Rng(13)
-    for _ in range(25):
-        a = random_operator(rng, 2)
-        b = random_operator(rng, 2)
-        lhs = commutator(a, b).to_dense()
-        da, db = a.to_dense(), b.to_dense()
-        assert np.abs(lhs - (da @ db - db @ da)).max() < 1e-12
-        lhs2 = anticommutator(a, b).to_dense()
-        assert np.abs(lhs2 - (da @ db + db @ da)).max() < 1e-12
-
-
-def test_translate():
-    op = parse_operator("1.0*XYII")
-    t = op.translate(2)
-    assert t.coefficient("IIXY") == 1
-    assert op.translate(4).coefficient("XYII") == 1
-    # wrap
-    t3 = op.translate(3)
-    assert t3.coefficient("YIIX") == 1
-
-
-def test_translate_preserves_inner():
-    rng = _Rng(5)
-    a = random_operator(rng, 4)
-    b = random_operator(rng, 4)
-    assert abs(a.translate(2).hs_inner(b.translate(2)) - a.hs_inner(b)) < 1e-14
-
-
 def test_embed():
     op = parse_operator("2.0*XY")
     e = op.embed(5, offset=3)
@@ -126,6 +94,17 @@ def test_embed():
     assert e.coefficient("IIIXY") == 2
     w = op.embed(5, offset=4)  # wraps: X at 4, Y at 0
     assert w.coefficient("YIIIX") == 2
+    # a window as long as the ring: offsets rotate it, wrapping past the end
+    full = parse_operator("1.0*XYII")
+    assert full.embed(4, offset=2).coefficient("IIXY") == 1
+    assert full.embed(4, offset=3).coefficient("YIIX") == 1
+    assert full.embed(4, offset=4).coefficient("XYII") == 1
+    rng = _Rng(5)
+    a = random_operator(rng, 4)
+    b = random_operator(rng, 4)
+    assert abs(a.embed(4, 2).hs_inner(b.embed(4, 2)) - a.hs_inner(b)) < 1e-14
+    with pytest.raises(ValueError, match="shorter"):
+        op.embed(1)
 
 
 def test_embed_at_sites():
@@ -136,6 +115,18 @@ def test_embed_at_sites():
         op.embed_at_sites(5, (2, 2))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_embed_agrees_with_embed_at_sites(r):
+    # the two placement routines share no code; every window start, wraps included
+    rng = _Rng(40 + r)
+    for n in (r, r + 1, r + 3):
+        op = random_operator(rng, r, num_terms=8)
+        for k in range(n + 2):
+            a = op.embed(n, k)
+            b = op.embed_at_sites(n, tuple((k + i) % n for i in range(r)))
+            assert list(a.terms.items()) == list(b.terms.items())
+
+
 def test_prune():
     a = parse_operator("1.0*XX")
     b = parse_operator("1.0*XX + 1e-20*YY")
@@ -143,33 +134,15 @@ def test_prune():
     assert b.num_terms == 1
 
 
-def test_locality_simple():
-    assert locality(parse_operator("1.0*IXYI")).r == 2
-    rep = locality(parse_operator("1.0*XI + 1.0*IX"))
-    assert rep.r == 1 and rep.exact and rep.support == 2
-    rep2 = locality(parse_operator("1.0*XII + 1.0*IIX"))
-    assert rep2.r == 1 and rep2.support == 2  # wraps: window (2, 0)
-    assert rep2.window_start == 2
-
-
-def test_locality_wrap():
-    rep = locality(parse_operator("1.0*XIIY"))
-    assert rep.r == 2
-    assert rep.window_start == 3
-    assert rep.support == 2
-
-
-def test_locality_mixed_not_exact():
-    rep = locality(parse_operator("1.0*XXI + 0.5*XII"))
-    assert rep.r == 2 and not rep.exact
-    assert rep.support == 2 and rep.window_start == 0
-
-
-def test_locality_identity():
-    rep = locality(PauliOperator.identity(3))
-    assert rep.r == 0 and rep.support == 0
-    full = locality(parse_operator("1.0*XYZX"))
-    assert full.r == 4 and full.support == 4
+def test_overflow_is_kept_and_refused():
+    # inf - inf is NaN, which pruning keeps so the norm can refuse it
+    big = PauliOperator(1, {"X": 1e308}) * 10.0
+    assert big.coefficient("X") == complex("inf")
+    diff = big - big
+    assert diff.num_terms == 1
+    for op in (big, diff):
+        with pytest.raises(OverflowError, match="not finite"):
+            op.hs_norm()
 
 
 def test_partial_trace():
