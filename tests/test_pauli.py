@@ -94,17 +94,24 @@ def test_embed():
     assert e.coefficient("IIIXY") == 2
     w = op.embed(5, offset=4)  # wraps: X at 4, Y at 0
     assert w.coefficient("YIIIX") == 2
+    with pytest.raises(ValueError, match="shorter"):
+        op.embed(1)
+
+
+def test_translate():
     # a window as long as the ring: offsets rotate it, wrapping past the end
-    full = parse_operator("1.0*XYII")
-    assert full.embed(4, offset=2).coefficient("IIXY") == 1
-    assert full.embed(4, offset=3).coefficient("YIIX") == 1
-    assert full.embed(4, offset=4).coefficient("XYII") == 1
+    op = parse_operator("1.0*XYII")
+    assert op.embed(4, offset=2).coefficient("IIXY") == 1
+    assert op.embed(4, offset=4).coefficient("XYII") == 1
+    # wrap
+    assert op.embed(4, offset=3).coefficient("YIIX") == 1
+
+
+def test_translate_preserves_inner():
     rng = _Rng(5)
     a = random_operator(rng, 4)
     b = random_operator(rng, 4)
     assert abs(a.embed(4, 2).hs_inner(b.embed(4, 2)) - a.hs_inner(b)) < 1e-14
-    with pytest.raises(ValueError, match="shorter"):
-        op.embed(1)
 
 
 def test_embed_at_sites():
