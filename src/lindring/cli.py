@@ -245,15 +245,7 @@ def _parse_grid_file(text: str) -> list[tuple]:
 
 
 def _cmd_scan(args) -> int:
-    if args.grid:
-        grid = _parse_grid_file(_read(args.grid))
-    elif args.family:
-        try:
-            grid = family_grid(args.family)
-        except ValueError as exc:
-            raise ParseFailure(str(exc)) from exc
-    else:
-        raise ParseFailure("scan needs --family or --grid")
+    grid = _parse_grid_file(_read(args.grid)) if args.grid is not None else family_grid(args.family)
     rows, summary = scan(args.r, grid)
     config = {
         "subcommand": "scan", "r": args.r,
@@ -359,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="definiteness verdicts over a parameter grid")
     p.add_argument("--r", type=int, choices=(2, 3), required=True)
-    p.add_argument("--family", choices=("xyz", "ising-fields", "xxz", "xx-field"))
-    p.add_argument("--grid", help="file with one 'mu nu hx hy hz' point per line")
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--family", choices=("xyz", "ising-fields", "xxz", "xx-field"))
+    points.add_argument("--grid", help="file with one 'mu nu hx hy hz' point per line")
     p.add_argument("--out", default=None, help="write the CSV here")
     p.set_defaults(run=_cmd_scan)
 

@@ -58,8 +58,6 @@ TRACE_TOL = 1e-9
 CHECK_PERIOD = 25
 # a separating margin counts above this share of tau |K^T y|
 SEPARATION_TOL = 1e-6
-# the exact face completion only pays off when the sets nearly touch
-COMPLETION_DISTANCE = 1e-2
 
 
 class FeasibilityProblem:
@@ -272,14 +270,16 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     the Hamiltonian columns of Vt, B = Vt_gamma^T N is an orthonormal
     basis of those directions, the trace among them.  B is far thinner
     than the conserving span, so every gamma projection goes through it.
-    The rank of K is len(Vt).
+    The cut of N scales with sv[0] / sv[-1], as the rounding in Vt does,
+    so the trace stays in B.  The rank of K is len(Vt).
     """
     U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
     keep = sv > sv[0] * 1e-13
     U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
     x0 = Vt.T @ ((U.T @ cons.rhs) / sv)
     H = Vt[:, cons.dim_gamma:].T
-    B = Vt[:, :cons.dim_gamma].T @ _null_space(H, np.finfo(float).eps * max(H.shape))
+    cut = np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1]
+    B = Vt[:, :cons.dim_gamma].T @ _null_space(H, cut)
     return _RowFactor(Vt, x0, B, U / sv)
 
 
@@ -412,16 +412,18 @@ def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
 
 def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows: _RowFactor,
                       warm_x: np.ndarray, row_scale: float) -> np.ndarray | None:
-    """Exact completion once the projections have nearly met.
+    """Exact completion from the current iterate, or None when it does not land.
 
     Near a common face of the cone the outer loop closes the gap only
     sublinearly.  Project the iterate onto the conserving span g0 + B^perp,
     with g0 the gamma part of x0, seed a thin factor U (gamma = U U^dag)
-    from its top eigenpairs and drive the components of U U^dag - g0 along
-    B to zero by Gauss-Newton, which converges quadratically even on a
-    face with no relative interior.  U U^dag is PSD by construction, and
-    the trace is one of the components, so U = 0 is no root.  K x0 = b must
-    hold; row_scale is max(1, max |K|).  Returns a packed point or None.
+    from its eigenpairs above 1e-2 of the largest and drive the components
+    of U U^dag - g0 along B to zero by Gauss-Newton, which converges
+    quadratically even on a face with no relative interior.  Each step is
+    J^+ (-resid) = J^T (J J^T)^+ (-resid), by lstsq on the small Gram matrix,
+    which is singular when J has dependent rows.  U U^dag is PSD by
+    construction, and the trace is one of the components, so U = 0 is no
+    root.  K x0 = b must hold; row_scale is max(1, max |K|).
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
@@ -432,19 +434,18 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     if lam[-1] <= 0.0:
         return None
     Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
-    r0 = int((lam > 1e-2 * lam[-1]).sum())
-    for rank in sorted({r0, min(r0 + 1, m), min(r0 + 3, m)}):
-        U = V[:, -rank:] * np.sqrt(np.clip(lam[-rank:], 1e-12, None))
-        for step in range(61):
-            resid, J = _gauss_newton_system(Bk, c, U)
-            # steps stop on the absolute bound; the last iterate is judged on the scale of K
-            if np.linalg.norm(resid) < 1e-13 * max(1.0, tau) * (row_scale if step == 60 else 1.0):
-                gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
-                eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
-                return np.concatenate([gpacked, eta])
-            if step < 60:
-                delta, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-                U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
+    rank = int((lam > 1e-2 * lam[-1]).sum())
+    U = V[:, -rank:] * np.sqrt(lam[-rank:])
+    for step in range(61):
+        resid, J = _gauss_newton_system(Bk, c, U)
+        # steps stop on the absolute bound; the last iterate is judged on the scale of K
+        if np.linalg.norm(resid) < 1e-13 * max(1.0, tau) * (row_scale if step == 60 else 1.0):
+            gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
+            eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
+            return np.concatenate([gpacked, eta])
+        if step < 60:
+            delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
+            U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
     return None
 
 
@@ -453,11 +454,11 @@ def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> 
 
     Every CHECK_PERIOD iterations, and once the projections agree to `tol`
     with the rows satisfied tightly enough for the verifier, the search
-    looks for a proof and stops at the first: a separating hyperplane
-    (`separated`), the met point (`converged`) or, once the sets nearly
-    touch, the exact completion on the conserving span
-    (`completed_on_face`).  Every returned point is re-certified from
-    scratch.  Without a proof it runs to MAX_ITER.
+    tries every proof and stops at the first: a separating hyperplane
+    (`separated`), the met point (`converged`) or, when K x0 = b, the
+    exact completion from the current iterate (`completed_on_face`).
+    Every returned point is re-certified from scratch.  Without a proof it
+    runs to MAX_ITER.
     """
     cons, nrows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
     del full  # the copied rows are not kept through the factorization and the search
@@ -483,13 +484,12 @@ def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> 
         if not met and iterations % CHECK_PERIOD:
             continue
         gaps.append((iterations, gap))
-        near = (completes and np.linalg.norm(x - rows.project(x))
-                < COMPLETION_DISTANCE * max(1.0, tau))
         if (separation := _separation(problem, cons, rows, x - y, seed)) is not None:
             stop_reason = "separated"
         elif met and (got := _accept(x, problem)):
             stop_reason = "converged"
-        elif (near and (cand := _complete_on_face(problem, cons, rows, x, row_scale)) is not None
+        elif (completes
+              and (cand := _complete_on_face(problem, cons, rows, x, row_scale)) is not None
               and (got := _accept(cand, problem))):
             stop_reason, x = "completed_on_face", cand
         elif met:
@@ -536,6 +536,8 @@ def parse_problem_file(text: str) -> FeasibilityProblem:
         if "=" not in line:
             raise ValueError(f"bad problem line: {raw!r}")
         key, val = (t.strip() for t in line.split("=", 1))
+        if key in opts:
+            raise ValueError(f"problem key {key!r} is set twice")
         opts[key] = val
     unknown = set(opts) - {"r_gen", "n", "mode", "gamma_trace"}
     if unknown:

@@ -475,10 +475,11 @@ def parse_generator_file(text: str) -> LindbladGenerator:
         if r is None:
             raise ValueError("cannot infer window size: give [hamiltonian] or an order line")
         order = basis_strings(r)
+    elif not order:
+        raise ValueError("order line lists no strings")
     else:
-        r_try = len(order[0])
         if r is None:
-            r = r_try
+            r = len(order[0])
         if any(len(s) != r for s in order):
             raise ValueError("order strings disagree on window size")
     m = len(basis_strings(r))

@@ -102,6 +102,13 @@ def test_scan_without_grid_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_scan_family_and_grid_exit_2(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 1 0 0 0\n")
+    assert main(["scan", "--r", "2", "--family", "xyz", "--grid", str(grid)]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_non_psd_gamma_exit_2(tmp_path, capsys):
     gen = tmp_path / "neg.gen"
     gen.write_text("[gamma]\norder = X Y Z\n-1 0 0\n0 0 0\n0 0 0\n")

@@ -217,6 +217,22 @@ def test_one_factorization(r, mode):
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
 
 
+def test_fixed_directions_keep_the_trace():
+    # the kept rows span singular values 684 to 1, so the Hamiltonian part of
+    # the trace direction in Vt is rounding well above machine precision
+    prob = FeasibilityProblem(PauliOperator(1, {"X": 8.564052386204182, "Z": -9.635214922746345}),
+                              r_gen=1)
+    cons = _distinct_rows(build_affine_constraints(prob))
+    B = _factor_rows(cons).B
+    trace = pack_point(np.eye(3))[:9] / np.sqrt(3)
+    assert np.linalg.norm(trace - B @ (B.T @ trace)) < 1e-12
+    K = cons.matrix
+    assert B.shape[1] == np.linalg.matrix_rank(K) - np.linalg.matrix_rank(K[:, 9:])
+    res = search(prob, seed=0)
+    assert_feasible(res, prob)
+    assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_gauss_newton_jacobian(r):
     # the completion's closed-form Jacobian against central differences of
@@ -350,15 +366,20 @@ def assert_feasible(res, prob, tol=1e-8):
 
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_search_finds_ising_dissipator(mode):
+    # every check tries the completion, so it lands at the first
     prob = ising_problem(mode)
-    res = search(prob, seed=1)
-    assert_feasible(res, prob)
+    for seed in (1, 2):
+        res = search(prob, seed=seed)
+        assert_feasible(res, prob)
+        assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
 
 
 def test_search_finds_dephasing():
     prob = FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=1)
-    res = search(prob, seed=1)
-    assert_feasible(res, prob)
+    for seed in range(1, 6):
+        res = search(prob, seed=seed)
+        assert_feasible(res, prob)
+        assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -381,7 +402,10 @@ def test_search_conserves_all_exchange_charges():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_search_rejects_heisenberg(seed):
+def test_search_rejects_heisenberg(seed, monkeypatch):
+    # the separation is tried first at every check, so no completion runs
+    monkeypatch.setattr(feasibility, "_complete_on_face",
+                        lambda *args: pytest.fail("a refusal tried the face completion"))
     prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=2)
     res = search(prob, seed=seed)
     assert res.status == "not_found"
@@ -431,15 +455,15 @@ def test_search_scales_with_the_problem(tau, size):
 
 def test_search_says_how_it_ended():
     # every width-1 generator is unital, so the projections meet outright;
-    # at width 2 the identity density is completed at the first check, as
-    # the Ising density is at a later one
+    # at width 2 the identity density and the Ising density are both
+    # completed at the first check
     ident = search(FeasibilityProblem(PauliOperator(1, {"I": 1.0}), r_gen=1), seed=3)
     assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "converged", 1)
     ident = search(FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), seed=3)
     assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "completed_on_face", 25)
     assert ident.gap_trace[0][0] == 25
     ising = search(ising_problem(), seed=1)
-    assert (ising.status, ising.stop_reason) == ("feasible", "completed_on_face")
+    assert (ising.status, ising.stop_reason, ising.iterations) == ("feasible", "completed_on_face", 25)
 
 
 def test_search_custom_trace_scale():
@@ -607,6 +631,8 @@ def test_parse_problem_file_errors():
         parse_problem_file("r = 2\nXX\n[problem]\nr_gen = 2\ncolor = red\n")
     with pytest.raises(ValueError):
         parse_problem_file("r = 2\nXX\n[problem]\nbroken line\n")
+    with pytest.raises(ValueError, match="r_gen"):
+        parse_problem_file("r = 2\nXX\n[problem]\nr_gen = 1\nr_gen = 2\n")
     for bad in ("inf", "nan"):
         with pytest.raises(ValueError, match="gamma_trace"):
             parse_problem_file(f"r = 2\nXX\n[problem]\nr_gen = 2\ngamma_trace = {bad}\n")

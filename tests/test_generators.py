@@ -370,6 +370,8 @@ def test_generator_file_errors():
         parse_generator_file("[hamiltonian]\nXX\n")
     with pytest.raises(ValueError):
         parse_generator_file("[gamma]\norder = X Y\n1 0\n0 1\n")
+    with pytest.raises(ValueError):
+        parse_generator_file("[gamma]\norder =\n1\n")
     # a structure matrix with a negative eigenvalue is not a Lindbladian
     with pytest.raises(ValueError, match="positive semidefinite"):
         parse_generator_file("[gamma]\norder = X Y Z\n-1 0 0\n0 0 0\n0 0 0\n")
