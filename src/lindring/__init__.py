@@ -38,7 +38,6 @@ from .feasibility import (
     FeasibilityProblem,
     FeasibilityResult,
     build_affine_constraints,
-    format_problem_file,
     generator_from_point,
     pack_point,
     parse_problem_file,

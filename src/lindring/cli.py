@@ -47,15 +47,7 @@ from .obstruction import (
     rows_to_csv,
     scan,
 )
-from .feasibility import (
-    GAP_TOL,
-    MAX_ITER,
-    VERIFY_TOL,
-    FeasibilityProblem,
-    parse_problem_file,
-    search,
-    _split_problem_file,
-)
+from .feasibility import MAX_ITER, VERIFY_TOL, parse_problem_file, search
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -265,24 +257,16 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    text = _read(args.density)
     try:
-        if _split_problem_file(text) is not None:
-            prob = parse_problem_file(text)
-        else:
-            if args.r is None:
-                raise ParseFailure("search needs --r when the file has no [problem] section")
-            prob = FeasibilityProblem(parse_density_file(text), r_gen=args.r,
-                                      n=args.n, mode=args.mode)
+        prob = parse_problem_file(_read(args.density), r_gen=args.r, n=args.n, mode=args.mode)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    tol = args.tol if args.tol is not None else GAP_TOL
-    res = search(prob, tol=tol, seed=args.seed)
+    res = search(prob, seed=args.seed)
     config = {
         "subcommand": "search", "density": args.density,
         "r_gen": prob.r_gen, "n": prob.n, "mode": prob.mode,
         "gamma_trace": prob.gamma_trace,
-        "tol": tol, "verify_tol": VERIFY_TOL, "max_iter": MAX_ITER,
+        "verify_tol": VERIFY_TOL, "max_iter": MAX_ITER,
         "seed": args.seed,
     }
     result = {
@@ -360,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search a conserving generator for a density")
     p.add_argument("--density", required=True,
                    help="density file, optionally with a [problem] section")
+    # each flag given joins the keys of the [problem] section; a key set both ways exits 2
     p.add_argument("--r", type=int, choices=(1, 2, 3), default=None,
-                   help="generator width when no [problem] section is given")
-    p.add_argument("--mode", choices=("local", "global"), default="global")
+                   help="generator width (r_gen)")
+    p.add_argument("--mode", choices=("local", "global"), default=None, help="default global")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=_tolerance, default=None, help="projection gap target")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_search)

@@ -11,15 +11,16 @@ genuine dissipative part is therefore a point in the intersection of
 an affine set with a compact slice of the PSD cone, and the search runs
 alternating projections with Dykstra's correction between the two.
 
-The search stops at its first proof.  A point found this way is
-certified independently: the returned generator is re-checked through
-the ring residuals, never through the search state.  A refusal is proved
-by a hyperplane that separates the rows from the cone slice, a conic
-Farkas certificate read off the Dykstra displacement and confirmed by a
-Cholesky factorization and on the ring image of LindbladGenerator.apply.
-A search that finds neither proof by MAX_ITER reports not_found without
-one.  The paper's impossibility certificate, the negative definite
-obstruction matrix, is attached to not_found results for two-site targets.
+The search stops at its first proof.  A feasible result has one judge:
+the point the face completion produces is certified independently,
+through the ring residuals of its generator and never through the
+search state.  A refusal is proved by a hyperplane that separates the
+rows from the cone slice, a conic Farkas certificate read off the
+Dykstra displacement and confirmed by a Cholesky factorization and on
+the ring image of LindbladGenerator.apply.  A search that finds neither
+proof by MAX_ITER reports not_found without one.  The paper's
+impossibility certificate, the negative definite obstruction matrix, is
+attached to not_found results for two-site targets.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .rings import (
     global_conservation_residual,
     local_conservation_check,
     parse_density_file,
-    format_density_file,
 )
 from .obstruction import (
     DefinitenessReport,
@@ -50,7 +50,6 @@ from .obstruction import (
 )
 
 MAX_ITER = 5000
-GAP_TOL = 1e-9
 VERIFY_TOL = 1e-8
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -61,32 +60,23 @@ SEPARATION_TOL = 1e-6
 
 
 class FeasibilityProblem:
-    """Conservation targets plus the shape of the generator to search over.
+    """A conservation target plus the shape of the generator to search over.
 
-    `target` is a single Hermitian window operator or a sequence of them
-    (all must be conserved at once).  `mode` picks the constraint: local
-    demands that the generator kill every placement of every target,
-    global only the ring sums.  `gamma_trace` fixes tr(gamma) and must
-    be positive; gamma = 0 solves every instance and is not interesting.
+    `target` is a Hermitian window operator.  `mode` picks the constraint:
+    local demands that the generator kill every placement of the target,
+    global only the ring sum.  `gamma_trace` fixes tr(gamma) and must be
+    positive; gamma = 0 solves every instance and is not interesting.
     """
 
-    def __init__(self, target, r_gen: int, n: int | None = None,
+    def __init__(self, target: PauliOperator, r_gen: int, n: int | None = None,
                  mode: str = "global", gamma_trace: float = 1.0):
-        if isinstance(target, PauliOperator):
-            targets = (target,)
-        else:
-            targets = tuple(target)
-        if not targets:
-            raise ValueError("need at least one target")
-        for a in targets:
-            if not isinstance(a, PauliOperator):
-                raise TypeError("targets must be PauliOperators")
-            if not a.is_hermitian(1e-12):
-                raise ValueError("targets must be Hermitian")
+        if not isinstance(target, PauliOperator):
+            raise TypeError("target must be a PauliOperator")
+        if not target.is_hermitian(1e-12):
+            raise ValueError("target must be Hermitian")
         # Hermitian means real Pauli coefficients; the rows read real parts only
-        targets = tuple(PauliOperator(a.n, {s: c.real for s, c in a.terms.items()})
-                        for a in targets)
-        if any(a.is_zero() for a in targets):
+        target = PauliOperator(target.n, {s: c.real for s, c in target.terms.items()})
+        if target.is_zero():
             raise ValueError("target is zero")
         if r_gen not in (1, 2, 3):
             raise ValueError("generator width must be 1, 2, or 3")
@@ -97,19 +87,15 @@ class FeasibilityProblem:
             raise ValueError("gamma_trace must be positive and finite; "
                              "gamma = 0 is the trivial solution")
         if n is None:
-            n = max(safe_ring_length(r_gen, a.n) for a in targets)
+            n = safe_ring_length(r_gen, target.n)
         n = int(n)
-        if n < max(r_gen, max(a.n for a in targets)):
+        if n < max(r_gen, target.n):
             raise ValueError("ring shorter than the widest window")
-        self.targets = targets
+        self.target = target
         self.r_gen = int(r_gen)
         self.n = n
         self.mode = mode
         self.gamma_trace = gamma_trace
-
-    @property
-    def target(self) -> PauliOperator:
-        return self.targets[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +105,6 @@ class AffineConstraints:
     matrix: np.ndarray
     rhs: np.ndarray
     labels: tuple[str, ...]
-    r_gen: int
     dim_gamma: int
     multiplicity: np.ndarray | None = None  # copies of each distinct row
 
@@ -147,7 +132,7 @@ class FeasibilityResult:
     affine_distance: float
     certificate: DefinitenessReport | None = None
     constraints: tuple[int, int, int] | None = None  # rows, distinct rows, rank of K
-    # the proof that ended the search (converged | completed_on_face | separated) or max_iter
+    # the proof that ended the search (completed_on_face | separated) or max_iter
     stop_reason: str | None = None
     separation: Separation | None = None
     gap_trace: tuple[tuple[int, float], ...] = ()  # (iteration, gap) at each check
@@ -190,21 +175,20 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 
 def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator, int]]:
     """(label prefix, ring operator, weight) of each block of conservation rows."""
-    n = problem.n
+    n, a = problem.n, problem.target
     if problem.mode == "global":
-        return [(f"target{t}", assemble_sum(a, n), n) for t, a in enumerate(problem.targets)]
-    return [(f"target{t}@{k}", a.embed(n, k), 1)
-            for t, a in enumerate(problem.targets) for k in range(n)]
+        return [("target0", assemble_sum(a, n), n)]
+    return [(f"target0@{k}", a.embed(n, k), 1) for k in range(n)]
 
 
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     """Linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
     The window sits on sites 0..r-1 in both modes.  Global mode piles the
-    image of each target's ring sum onto translation classes of ring
+    image of the target's ring sum onto translation classes of ring
     strings and scales by n: the ring sum is translation invariant, so the
     class sums of its image under all n placements are n times those
-    under one.  Local mode keeps one row per placement of each target and
+    under one.  Local mode keeps one row per placement of the target and
     per ring string.  Each row is the image coefficient as a functional
     of (gamma, H) in real coordinates; the packing's sqrt2 on Re gamma_jk
     and Im gamma_jk (j < k) divides those columns by sqrt2.
@@ -227,8 +211,7 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     matrix = np.vstack(rows)
     rhs = np.zeros(matrix.shape[0])
     rhs[-1] = problem.gamma_trace
-    return AffineConstraints(matrix=matrix, rhs=rhs, labels=tuple(labels),
-                             r_gen=r, dim_gamma=dim_gamma)
+    return AffineConstraints(matrix=matrix, rhs=rhs, labels=tuple(labels), dim_gamma=dim_gamma)
 
 
 def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
@@ -245,8 +228,7 @@ def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
     index, count = np.array(list(seen.values())).T
     w = np.sqrt(count)
     return AffineConstraints(K[index] * w[:, None], b[index] * w,
-                             tuple(cons.labels[i] for i in index), cons.r_gen, cons.dim_gamma,
-                             count)
+                             tuple(cons.labels[i] for i in index), cons.dim_gamma, count)
 
 
 class _RowFactor(NamedTuple):
@@ -311,14 +293,14 @@ def _project_cone(x: np.ndarray, m: int, tau: float) -> np.ndarray:
 
 
 def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> float:
-    """Worst conservation residual of the candidate, straight off the ring."""
+    """Conservation residual of the candidate, straight off the ring."""
     if problem.mode == "global":
-        return max(global_conservation_residual(gen, a, problem.n) for a in problem.targets)
-    return max(local_conservation_check(gen, a, problem.n)[1] for a in problem.targets)
+        return global_conservation_residual(gen, problem.target, problem.n)
+    return local_conservation_check(gen, problem.target, problem.n)[1]
 
 
 def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport | None:
-    if len(problem.targets) != 1 or problem.r_gen not in (2, 3) or problem.target.n != 2:
+    if problem.r_gen not in (2, 3) or problem.target.n != 2:
         return None
     try:
         assemble = assemble_C_2site if problem.r_gen == 2 else assemble_C_3site
@@ -331,7 +313,7 @@ def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerat
     """Independent certification of a packed point: its generator and residual, or None.
 
     Conservation is invariant under gamma -> s gamma and under a -> s a, so
-    the bounds scale: the residual with the trace and the largest target,
+    the bounds scale: the residual with the trace and the target,
     the PSD and trace errors with the trace.
     """
     gen = generator_from_point(problem.r_gen, x)
@@ -339,7 +321,7 @@ def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerat
     eigs = np.linalg.eigvalsh(gen.gamma)
     trace_err = abs(float(np.trace(gen.gamma).real) - problem.gamma_trace)
     scale = max(1.0, problem.gamma_trace)
-    size = max(1.0, max(a.hs_norm() for a in problem.targets))
+    size = max(1.0, problem.target.hs_norm())
     if (residual < VERIFY_TOL * scale * size and eigs[0] > -PSD_TOL * scale
             and trace_err < TRACE_TOL * scale):
         return gen, float(residual)
@@ -411,8 +393,8 @@ def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
 
 
 def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows: _RowFactor,
-                      warm_x: np.ndarray, row_scale: float) -> np.ndarray | None:
-    """Exact completion from the current iterate, or None when it does not land.
+                      warm_x: np.ndarray) -> np.ndarray | None:
+    """Completion from the current iterate: a candidate point, or None when there is none.
 
     Near a common face of the cone the outer loop closes the gap only
     sublinearly.  Project the iterate onto the conserving span g0 + B^perp,
@@ -423,7 +405,10 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     J^+ (-resid) = J^T (J J^T)^+ (-resid), by lstsq on the small Gram matrix,
     which is singular when J has dependent rows.  U U^dag is PSD by
     construction, and the trace is one of the components, so U = 0 is no
-    root.  K x0 = b must hold; row_scale is max(1, max |K|).
+    root.  K x0 = b must hold.  The descent stops once the residual is
+    below 1e-13 max(1, tau), or after 60 steps; it does not judge its
+    last iterate, which the caller certifies on the ring.  None means
+    the projected iterate has no positive eigenvalue or U is not finite.
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
@@ -436,29 +421,28 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
     rank = int((lam > 1e-2 * lam[-1]).sum())
     U = V[:, -rank:] * np.sqrt(lam[-rank:])
-    for step in range(61):
+    for _ in range(60):
         resid, J = _gauss_newton_system(Bk, c, U)
-        # steps stop on the absolute bound; the last iterate is judged on the scale of K
-        if np.linalg.norm(resid) < 1e-13 * max(1.0, tau) * (row_scale if step == 60 else 1.0):
-            gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
-            eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
-            return np.concatenate([gpacked, eta])
-        if step < 60:
-            delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
-            U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
-    return None
+        if np.linalg.norm(resid) < 1e-13 * max(1.0, tau):
+            break
+        delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
+        U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
+    if not np.isfinite(U).all():
+        return None
+    gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
+    eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
+    return np.concatenate([gpacked, eta])
 
 
-def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> FeasibilityResult:
+def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     """Dykstra alternating projections between the affine rows and the cone slice.
 
-    Every CHECK_PERIOD iterations, and once the projections agree to `tol`
-    with the rows satisfied tightly enough for the verifier, the search
-    tries every proof and stops at the first: a separating hyperplane
-    (`separated`), the met point (`converged`) or, when K x0 = b, the
-    exact completion from the current iterate (`completed_on_face`).
-    Every returned point is re-certified from scratch.  Without a proof it
-    runs to MAX_ITER.
+    Every CHECK_PERIOD iterations the search records the projection gap
+    and looks for a proof, stopping at the first: a separating hyperplane
+    (`separated`) or, when K x0 = b, a completion from the current
+    iterate that _accept, the only judge of a feasible result, certifies
+    on the ring (`completed_on_face`).  Without a proof the search runs
+    to MAX_ITER (`max_iter`).
     """
     cons, nrows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
     del full  # the copied rows are not kept through the factorization and the search
@@ -479,24 +463,16 @@ def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> 
         w = y + q
         x = _project_cone(w, m, tau)
         q = w - x
-        gap = float(np.linalg.norm(x - y))
-        met = gap < tol and np.linalg.norm(K @ x - b) < 0.5 * VERIFY_TOL
-        if not met and iterations % CHECK_PERIOD:
+        if iterations % CHECK_PERIOD:
             continue
-        gaps.append((iterations, gap))
+        gaps.append((iterations, float(np.linalg.norm(x - y))))
         if (separation := _separation(problem, cons, rows, x - y, seed)) is not None:
             stop_reason = "separated"
-        elif met and (got := _accept(x, problem)):
-            stop_reason = "converged"
-        elif (completes
-              and (cand := _complete_on_face(problem, cons, rows, x, row_scale)) is not None
-              and (got := _accept(cand, problem))):
+            break
+        if (completes and (cand := _complete_on_face(problem, cons, rows, x)) is not None
+                and (got := _accept(cand, problem))):
             stop_reason, x = "completed_on_face", cand
-        elif met:
-            stop_reason = "converged"  # the projections met, but no proof came of it
-        else:
-            continue
-        break
+            break
 
     affine_distance = float(np.linalg.norm(x - rows.project(x)))
     gen, residual = got or (None, None)
@@ -511,8 +487,8 @@ def search(problem: FeasibilityProblem, tol: float = GAP_TOL, seed: int = 0) -> 
 # -- problem files -------------------------------------------------------------
 
 
-def _split_problem_file(text: str) -> tuple[str, str] | None:
-    """Density part and [problem] part of a file; None when it has no section.
+def _split_problem_file(text: str) -> tuple[str, str]:
+    """Density part and [problem] part of a file; the part is empty when it has no section.
 
     The section starts at the first line that reads [problem] once its
     comment is stripped, so a comment that mentions it does not count.
@@ -521,17 +497,20 @@ def _split_problem_file(text: str) -> tuple[str, str] | None:
         if line == "[problem]":
             lines = text.splitlines(keepends=True)
             return "".join(lines[:lineno - 1]), "".join(lines[lineno:])
-    return None
+    return text, ""
 
 
-def parse_problem_file(text: str) -> FeasibilityProblem:
-    """Read a density (r=<int> header plus operator lines) and a [problem] section."""
-    parts = _split_problem_file(text)
-    if parts is None:
-        raise ValueError("missing [problem] section")
-    head, tail = parts
+def parse_problem_file(text: str, r_gen: int | None = None, n: int | None = None,
+                       mode: str | None = None) -> FeasibilityProblem:
+    """Read a density (r=<int> header plus operator lines) and an optional [problem] section.
+
+    The keyword options that are not None and the keys the section sets
+    form one option set: a key given both ways is refused as set twice.
+    """
+    head, tail = _split_problem_file(text)
     target = parse_density_file(head)
-    opts: dict[str, str] = {}
+    opts = {key: val for key, val in (("r_gen", r_gen), ("n", n), ("mode", mode))
+            if val is not None}
     for _, raw, line in content_lines(tail):
         if "=" not in line:
             raise ValueError(f"bad problem line: {raw!r}")
@@ -543,24 +522,11 @@ def parse_problem_file(text: str) -> FeasibilityProblem:
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     if "r_gen" not in opts:
-        raise ValueError("problem section must set r_gen")
+        raise ValueError("the generator width r_gen is not set")
     return FeasibilityProblem(
         target,
         r_gen=int(opts["r_gen"]),
         n=int(opts["n"]) if "n" in opts else None,
         mode=opts.get("mode", "global"),
         gamma_trace=float(opts.get("gamma_trace", 1.0)),
-    )
-
-
-def format_problem_file(problem: FeasibilityProblem) -> str:
-    if len(problem.targets) != 1:
-        raise ValueError("problem files hold a single target")
-    return (
-        format_density_file(problem.targets[0])
-        + "[problem]\n"
-        + f"r_gen = {problem.r_gen}\n"
-        + f"n = {problem.n}\n"
-        + f"mode = {problem.mode}\n"
-        + f"gamma_trace = {problem.gamma_trace!r}\n"
     )

@@ -278,13 +278,14 @@ def test_bad_tolerance_exit_2(heis_gen, sx_density, ising_density, capsys):
     # tolerances must be finite and non-negative (zero stays allowed, see
     # test_check_indeterminate_exit_3); NaN is not even valid JSON
     commands = (["kernel", "--gen", heis_gen],
-                ["check", "--gen", heis_gen, "--density", sx_density],
-                ["search", "--density", ising_density, "--r", "2"])
+                ["check", "--gen", heis_gen, "--density", sx_density])
     for argv in commands:
         for value in ("nan", "inf", "-1"):
             assert main(argv + ["--tol", value]) == 2
     err = capsys.readouterr().err
-    assert err.count("is not finite") == 6 and err.count("is negative") == 3
+    assert err.count("is not finite") == 4 and err.count("is negative") == 2
+    # search has no tolerance: its one judge is the ring check at VERIFY_TOL
+    assert main(["search", "--density", ising_density, "--r", "2", "--tol", "1e-9"]) == 2
 
 
 # -- check ---------------------------------------------------------------------
@@ -483,6 +484,25 @@ def test_search_problem_section(ising_density, tmp_path):
     assert code == 0
     assert rep["config"]["mode"] == "local"
     assert rep["result"]["status"] == "feasible"
+
+
+def test_search_flag_joins_problem_section(ising_density, tmp_path):
+    # a flag the section does not set takes effect
+    prob = tmp_path / "prob.op"
+    prob.write_text(Path(ising_density).read_text() + "[problem]\nr_gen = 2\n")
+    code, rep = run_json(["search", "--density", str(prob), "--n", "9", "--mode", "local",
+                          "--seed", "1"], tmp_path)
+    assert code == 0
+    assert (rep["config"]["r_gen"], rep["config"]["n"], rep["config"]["mode"]) == (2, 9, "local")
+
+
+def test_search_flag_conflicting_with_section_exit_2(ising_density, tmp_path, capsys):
+    # a key set both by a flag and by the section is refused, not overridden
+    prob = tmp_path / "prob.op"
+    prob.write_text(Path(ising_density).read_text() + "[problem]\nr_gen = 2\nn = 8\n")
+    for flags in (["--r", "3"], ["--r", "2"], ["--n", "9"]):
+        assert main(["search", "--density", str(prob)] + flags) == 2
+        assert "is set twice" in capsys.readouterr().err
 
 
 def test_search_negative_seed_exit_2(heis_density, capsys):

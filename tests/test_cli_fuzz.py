@@ -134,6 +134,7 @@ def test_cli_on_fuzzed_files(gen, density, problem, grid, grid_r):
             ["canon", "--density", paths["density"]],
             ["search", "--density", paths["density"], "--r", "1"],
             ["search", "--density", paths["problem"]],
+            ["search", "--density", paths["problem"], "--n", "4"],
             ["scan", "--r", grid_r, "--grid", paths["grid"]],
         ]
         for argv in runs:

@@ -13,7 +13,6 @@ from lindring.pauli import PRUNE_TOL, PauliOperator, format_operator, parse_oper
 from lindring.generators import (
     LindbladGenerator, format_generator_file, parse_generator_file)
 from lindring.rings import format_density_file, parse_density_file
-from lindring.feasibility import FeasibilityProblem, format_problem_file, parse_problem_file
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # parts below 1e307 keep the modulus a finite float
@@ -49,23 +48,6 @@ def test_density_roundtrip(op):
     again = parse_density_file(format_density_file(op))
     assert again.n == op.n
     assert again.terms == _as_written(op)
-
-
-_hermitian = st.integers(1, 2).flatmap(
-    lambda n: _operators(n, _finite.filter(lambda c: abs(c) > PRUNE_TOL), min_size=1))
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=_hermitian, r_gen=st.integers(1, 3), extra=st.integers(0, 3),
-       mode=st.sampled_from(["global", "local"]),
-       gamma_trace=st.floats(min_value=5e-324, allow_infinity=False))
-def test_problem_roundtrip(a, r_gen, extra, mode, gamma_trace):
-    prob = FeasibilityProblem(a, r_gen=r_gen, n=max(r_gen, a.n) + extra, mode=mode,
-                              gamma_trace=gamma_trace)
-    again = parse_problem_file(format_problem_file(prob))
-    assert (again.r_gen, again.n, again.mode, again.gamma_trace) == \
-        (prob.r_gen, prob.n, prob.mode, prob.gamma_trace)
-    assert again.target.terms == prob.target.terms
 
 
 _generators = st.integers(1, 2).flatmap(lambda r: st.tuples(
