@@ -33,14 +33,8 @@ import numpy as np
 from .pauli import PauliOperator, content_lines
 from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector, _image_terms,
                          _is_hermitian, _null_space, _vector_to_gamma, basis_strings)
-from .rings import (
-    safe_ring_length,
-    assemble_sum,
-    canonical_form,
-    global_conservation_residual,
-    local_conservation_check,
-    parse_density_file,
-)
+from .rings import (assemble_sum, canonical_form, check_conservation, parse_density_file,
+                    safe_ring_length, stable_ring_length)
 from .obstruction import (
     DefinitenessReport,
     _factors,
@@ -106,7 +100,6 @@ class AffineConstraints:
     rhs: np.ndarray
     labels: tuple[str, ...]
     dim_gamma: int
-    multiplicity: np.ndarray | None = None  # copies of each distinct row
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ class FeasibilityResult:
     iterations: int
     affine_distance: float
     certificate: DefinitenessReport | None = None
-    constraints: tuple[int, int, int] | None = None  # rows, distinct rows, rank of K
+    constraints: tuple[int, int, int] | None = None  # rows factored, rank of K, stable_from
     # the proof that ended the search (completed_on_face | separated) or max_iter
     stop_reason: str | None = None
     separation: Separation | None = None
@@ -173,12 +166,13 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 # -- constraint rows -----------------------------------------------------------
 
 
-def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator, int]]:
-    """(label prefix, ring operator, weight) of each block of conservation rows."""
-    n, a = problem.n, problem.target
+def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator]]:
+    """(label prefix, ring operator) of each block of rows, on min(n, n0) sites."""
+    a = problem.target
+    n = min(problem.n, stable_ring_length(problem.r_gen, a.n, problem.mode))
     if problem.mode == "global":
-        return [("target0", assemble_sum(a, n), n)]
-    return [(f"target0@{k}", a.embed(n, k), 1) for k in range(n)]
+        return [("target0", assemble_sum(a, n))]
+    return [(f"target0@{k}", a.embed(n, k)) for k in range(n)]
 
 
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
@@ -186,21 +180,34 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
 
     The window sits on sites 0..r-1 in both modes.  Global mode piles the
     image of the target's ring sum onto translation classes of ring
-    strings and scales by n: the ring sum is translation invariant, so the
-    class sums of its image under all n placements are n times those
-    under one.  Local mode keeps one row per placement of the target and
-    per ring string.  Each row is the image coefficient as a functional
-    of (gamma, H) in real coordinates; the packing's sqrt2 on Re gamma_jk
-    and Im gamma_jk (j < k) divides those columns by sqrt2.
+    strings: the ring sum is translation invariant, so the class sums of
+    its image under all placements of the generator are a multiple of
+    those under one.  Local mode keeps one row per placement of the
+    target and per ring string.  Each row is the image coefficient as a
+    functional of (gamma, H) in real coordinates; the packing's sqrt2 on
+    Re gamma_jk and Im gamma_jk (j < k) divides those columns by sqrt2.
+
+    The ring has min(n, n0) sites, n0 = stable_ring_length(r, w, mode)
+    for a width-w target: each n >= n0 has the same row space, so the
+    same conserving set and `separated` certificates.  A window W and a
+    placement P overlap within an arc of r + w - 1 sites or lie apart;
+    apart, L_W(P) = L_W(1) P whatever the distance.  Local: from n = r + w
+    on, no placement meets W at both ends, the overlapping ones give the
+    rows of the infinite line and the rest repeat one another.  Global: a
+    class row reads one string v of the sum over all pairs (W, P).  From
+    n = 2r + w - 1 on, the gap around an arc of r + w - 1 sites holds a
+    window, so the pairs that make v are those of the infinite line, and
+    a longer ring only widens gaps between clusters apart, whose rows stay
+    in the span (tested up to the safe length).  Below n0 the rows and the
+    verdict belong to that ring alone.
     """
     r = problem.r_gen
     m = len(basis_strings(r))
     dim_gamma = m * m
     rows, labels = [], []
-    for prefix, A, weight in _blocks(problem):
+    for prefix, A in _blocks(problem):
         keys, block = _image_terms(r, A, problem.mode == "global")
         block[:, m:dim_gamma] *= 1.0 / np.sqrt(2.0)
-        block *= weight
         rows.append(block)
         labels.extend(f"{prefix}:{s}" for s in keys)
 
@@ -215,20 +222,15 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
 
 
 def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
-    """The nonzero rows of [K | b] once each, scaled by sqrt(multiplicity).
-
-    That keeps K^T K and K^T b: the least-squares step, K^+ b and |K x - b|
-    stay the same maps.  Only byte-identical rows merge, with -0.0 read as 0.0.
-    Each row keeps the label of its first copy and its multiplicity.
-    """
+    """The nonzero rows of [K | b] and their labels, each byte-distinct row once, first copy
+    first; -0.0 reads as 0.0.  A copy adds nothing to the solution set."""
     K, b = cons.matrix, cons.rhs
-    seen: dict[bytes, list[int]] = {}  # row bytes -> [first index, multiplicity]
+    seen: dict[bytes, int] = {}
     for i in np.flatnonzero(K.any(axis=1) | (b != 0)):
-        seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), [i, 0])[1] += 1
-    index, count = np.array(list(seen.values())).T
-    w = np.sqrt(count)
-    return AffineConstraints(K[index] * w[:, None], b[index] * w,
-                             tuple(cons.labels[i] for i in index), cons.dim_gamma, count)
+        seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), i)
+    index = np.fromiter(seen.values(), dtype=int, count=len(seen))
+    return AffineConstraints(K[index], b[index], tuple(cons.labels[i] for i in index),
+                             cons.dim_gamma)
 
 
 class _RowFactor(NamedTuple):
@@ -293,10 +295,8 @@ def _project_cone(x: np.ndarray, m: int, tau: float) -> np.ndarray:
 
 
 def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> float:
-    """Conservation residual of the candidate, straight off the ring."""
-    if problem.mode == "global":
-        return global_conservation_residual(gen, problem.target, problem.n)
-    return local_conservation_check(gen, problem.target, problem.n)[1]
+    """Conservation residual of the candidate, straight off the problem's ring."""
+    return check_conservation(gen, problem.target, problem.mode, problem.n).residual
 
 
 def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport | None:
@@ -338,18 +338,18 @@ def _ring_check(problem: FeasibilityProblem, cons: AffineConstraints, y: np.ndar
                 u: np.ndarray, seed: int) -> bool:
     """Whether y, read on the ring image of a random (gamma, H), is <W, gamma>, W from u = K^T y.
 
-    The image comes from LindbladGenerator.apply, not from the rows; each
-    row reads its first label's class sum (global) or string coefficient
-    (local), times sqrt(multiplicity).
+    The image comes from LindbladGenerator.apply on the rows' ring, not
+    from the rows; each row reads its label's class sum (global) or
+    string coefficient (local).
     """
     x = np.random.default_rng(seed).standard_normal(len(u))
     gen = generator_from_point(problem.r_gen, x)
     values = {"trace": float(np.trace(gen.gamma).real)}
-    for prefix, A, weight in _blocks(problem):
+    for prefix, A in _blocks(problem):
         for s, c in gen.apply(A).terms.items():
             key = f"{prefix}:{_class_representative(s) if problem.mode == 'global' else s}"
-            values[key] = values.get(key, 0.0) + weight * c.real
-    terms = y * np.sqrt(cons.multiplicity) * np.array([values.get(k, 0.0) for k in cons.labels])
+            values[key] = values.get(key, 0.0) + c.real
+    terms = y * np.array([values.get(k, 0.0) for k in cons.labels])
     want = float(u[:cons.dim_gamma] @ x[:cons.dim_gamma])
     return abs(terms.sum() - want) <= 1e-9 * (np.abs(terms).sum() + abs(want))
 
@@ -444,8 +444,7 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     on the ring (`completed_on_face`).  Without a proof the search runs
     to MAX_ITER (`max_iter`).
     """
-    cons, nrows = _distinct_rows(full := build_affine_constraints(problem)), len(full.rhs)
-    del full  # the copied rows are not kept through the factorization and the search
+    cons = _distinct_rows(build_affine_constraints(problem))
     rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
@@ -480,8 +479,9 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
         status="not_found" if got is None else "feasible", generator=gen, residual=residual,
         iterations=iterations, affine_distance=affine_distance,
         certificate=None if got else _obstruction_certificate(problem),
-        constraints=(nrows, len(b), len(rows.Vt)), stop_reason=stop_reason,
-        separation=separation, gap_trace=tuple(gaps))
+        constraints=(len(b), len(rows.Vt), stable_ring_length(problem.r_gen, problem.target.n,
+                                                              problem.mode)),
+        stop_reason=stop_reason, separation=separation, gap_trace=tuple(gaps))
 
 
 # -- problem files -------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from .generators import _class_representative, _image_terms, _vector_to_gamma, basis_strings
 from .pauli import PauliOperator
-from .rings import CanonicalParams, assemble_sum, safe_ring_length
+from .rings import CanonicalParams, assemble_sum, safe_ring_length, stable_ring_length
 
 D_CANCEL_TOL = 1e-9
 GAUGE_TOL = 1e-9
@@ -231,10 +231,10 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     T_k = Re P_k (at r=2 in the combination basis) and, per term, the
     largest Hamiltonian coefficient, the larger of the two pieces that
     cancel in it, and the largest part of Im P_k off the span of the
-    unitality forms.
+    unitality forms.  The forms are read on the stable ring, 2 r_gen + 1 sites.
     """
     g, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
-                          safe_ring_length(r_gen, 2), r_gen)
+                          stable_ring_length(r_gen, 2, "global"), r_gen)
     f = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     g *= f[:, None, None]
     l *= f[:, None, None]

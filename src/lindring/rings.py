@@ -27,6 +27,13 @@ def safe_ring_length(gen_r: int, a_r: int) -> int:
     return 2 * (gen_r + a_r)
 
 
+def stable_ring_length(gen_r: int, a_r: int, mode: str) -> int:
+    """n0: rings of n >= n0 sites share one row space (feasibility.build_affine_constraints)."""
+    if mode not in ("global", "local"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return 2 * gen_r + a_r - 1 if mode == "global" else gen_r + a_r
+
+
 def assemble_sum(a: PauliOperator, n: int) -> PauliOperator:
     """A = sum over all n cyclic placements of the window operator a."""
     if n < a.n:
@@ -58,19 +65,17 @@ def ti_sum_is_zero(b: PauliOperator) -> bool:
 # -- conservation --------------------------------------------------------------
 
 
-def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int | None = None) -> float:
+def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int) -> float:
     """Norm of sum_j L_j(A) on an n-site ring.
 
     A is translation invariant, so L_j(A) = T^j L_0(A): one placement of
     the generator and a ring sum of its image give the whole defect.
     """
-    if n is None:
-        n = safe_ring_length(gen.r, a.n)
     return assemble_sum(gen.apply(assemble_sum(a, n)), n).hs_norm()
 
 
 def local_conservation_check(
-    gen: LindbladGenerator, a: PauliOperator, n: int | None = None, tol: float = ZERO_TOL
+    gen: LindbladGenerator, a: PauliOperator, n: int, tol: float = ZERO_TOL
 ) -> tuple[bool, float, tuple[int, int] | None]:
     """Whether every placement of the generator kills every placement of a.
 
@@ -78,8 +83,6 @@ def local_conservation_check(
     against all placements of a.  Returns (ok, worst residual, first
     offending placement (j, k) or None).
     """
-    if n is None:
-        n = safe_ring_length(gen.r, a.n)
     worst = 0.0
     offender = None
     for k in range(n):
@@ -97,7 +100,7 @@ class ConservationReport:
     n: int
     residual: float
     verdict: str  # conserved | violated | indeterminate
-    short_ring: bool  # n below safe_ring_length: windows may collide on the ring
+    short_ring: bool  # n below stable_ring_length: the verdict may not hold on longer rings
     offender: tuple[int, int] | None = None
 
 
@@ -111,21 +114,15 @@ def check_conservation(
     """Conservation check with a fail-closed indeterminate band."""
     if n is None:
         n = safe_ring_length(gen.r, a.n)
+    short_ring = n < stable_ring_length(gen.r, a.n, mode)  # refuses an unknown mode
     if mode == "global":
-        residual = global_conservation_residual(gen, a, n)
-        offender = None
-    elif mode == "local":
-        ok, residual, offender = local_conservation_check(gen, a, n, tol=zero_tol)
+        residual, offender = global_conservation_residual(gen, a, n), None
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if residual < zero_tol:
-        verdict = "conserved"
-    elif residual <= INDETERMINATE_TOL:
-        verdict = "indeterminate"
-    else:
-        verdict = "violated"
+        _, residual, offender = local_conservation_check(gen, a, n, tol=zero_tol)
+    verdict = ("conserved" if residual < zero_tol
+               else "indeterminate" if residual <= INDETERMINATE_TOL else "violated")
     return ConservationReport(mode=mode, n=n, residual=residual, verdict=verdict,
-                              short_ring=n < safe_ring_length(gen.r, a.n), offender=offender)
+                              short_ring=short_ring, offender=offender)
 
 
 # -- two-site normal form -------------------------------------------------------

@@ -333,12 +333,15 @@ def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
 
 
 def test_check_reports_short_ring(heis_gen, ising_density, capsys):
-    # a ring below safe_ring_length(2, 2) = 8 is flagged in the report, not warned about
-    for n, short in (("3", True), ("8", False)):
-        assert main(["check", "--gen", heis_gen, "--density", ising_density, "--n", n]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert json.loads(out)["result"]["short_ring"] is short
+    # a ring below stable_ring_length(2, 2, mode) is flagged in the report,
+    # not warned about: 5 sites global, 4 local
+    for mode, n0 in (("global", 5), ("local", 4)):
+        for n, short in ((n0 - 1, True), (n0, False), (8, False)):
+            assert main(["check", "--gen", heis_gen, "--density", ising_density,
+                         "--mode", mode, "--n", str(n)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["result"]["short_ring"] is short
 
 
 # -- kernel and canon ----------------------------------------------------------
@@ -465,14 +468,29 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert rep["result"]["status"] == "not_found"
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
     assert "generator" not in rep["result"]
-    # the search solved the distinct rows of its linear system
-    assert rep["result"]["constraints"] == {"rows": 200, "distinct_rows": 67, "rank": 61}
+    # the search factored the distinct rows of its linear system, built on
+    # the stable ring of 2 r + w - 1 = 5 sites; the default ring is longer
+    assert rep["result"]["constraints"] == {"rows": 64, "rank": 61, "stable_from": 5}
+    assert rep["result"]["short_ring"] is False
     # a checked separating hyperplane ended the search at its first check
     assert rep["result"]["stop_reason"] == "separated"
     sep = rep["result"]["separation"]
     assert set(sep) == {"margin", "lambda_min", "y_dot_b", "null_dim"}
     assert sep["margin"] > 0 and isinstance(sep["null_dim"], int)
     assert rep["result"]["gap_trace"] == [[25, rep["result"]["gap_trace"][0][1]]]
+
+
+def test_search_short_ring_verdict_is_its_own(heis_density, tmp_path):
+    # below the stable length (5 sites for r = 2 global) the rows and the
+    # verdict belong to that ring alone: the Heisenberg density is conserved
+    # on 3 sites and refused from 4 on
+    for n, code, status, short in (("3", 0, "feasible", True), ("4", 3, "not_found", True),
+                                   (None, 3, "not_found", False)):
+        args = ["search", "--density", heis_density, "--r", "2", "--seed", "1"]
+        code_got, rep = run_json(args + (["--n", n] if n else []), tmp_path)
+        assert (code_got, rep["result"]["status"]) == (code, status)
+        assert rep["result"]["short_ring"] is short
+        assert rep["result"]["constraints"]["stable_from"] == 5
 
 
 def test_search_problem_section(ising_density, tmp_path):

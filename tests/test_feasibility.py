@@ -8,8 +8,9 @@ import scipy.linalg
 from conftest import random_hermitian_window
 import lindring.feasibility as feasibility
 from lindring.pauli import PauliOperator, parse_operator
-from lindring.generators import LindbladGenerator, basis_strings
-from lindring.rings import assemble_sum, global_conservation_residual
+from lindring.generators import LindbladGenerator, _image_terms, basis_strings
+from lindring.rings import (assemble_sum, global_conservation_residual, safe_ring_length,
+                            stable_ring_length)
 from lindring.feasibility import (
     VERIFY_TOL,
     FeasibilityProblem,
@@ -152,7 +153,8 @@ def test_exchange_point_conserves_all_charges():
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_constraint_rows_match_generator_action(r, mode):
-    # away from any conserving point: each row reads the real image coefficient
+    # away from any conserving point: each row reads the real image
+    # coefficient of one placement of the generator, on the stable ring
     rng = np.random.default_rng(10 * r + (mode == "local"))
     a = random_hermitian_window(rng, 2)
     prob = FeasibilityProblem(a, r_gen=r, mode=mode)
@@ -163,14 +165,13 @@ def test_constraint_rows_match_generator_action(r, mode):
     gamma = b + b.conj().T
     eta = rng.standard_normal(m)
     gen = LindbladGenerator(r, hamiltonian=PauliOperator(r, dict(zip(basis, eta))), gamma=gamma)
-    n = prob.n
+    n = stable_ring_length(r, 2, mode)
+    assert n < prob.n
     image: dict[str, complex] = {}
     if mode == "global":
-        A = assemble_sum(a, n)
-        for s in range(n):
-            for u, c in gen.apply(A, s).terms.items():
-                rep = min(u[i:] + u[:i] for i in range(n))
-                image["target0:" + rep] = image.get("target0:" + rep, 0j) + c
+        for u, c in gen.apply(assemble_sum(a, n)).terms.items():
+            rep = min(u[i:] + u[:i] for i in range(n))
+            image["target0:" + rep] = image.get("target0:" + rep, 0j) + c
     else:
         for k in range(n):
             for u, c in gen.apply(a.embed(n, k)).terms.items():
@@ -268,8 +269,8 @@ def row_space(K):
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_distinct_rows_same_system(r, mode):
-    # the search reads the distinct rows of [K | b], each scaled by
-    # sqrt(multiplicity): the same least-squares system as all the rows
+    # the search reads each distinct nonzero row of [K | b] once, unweighted:
+    # the same solution set and the same projection onto it as all the rows
     cons = build_affine_constraints(FeasibilityProblem(PauliOperator(1, {"Z": 1.0}),
                                                        r_gen=r, mode=mode))
     K = cons.matrix
@@ -278,24 +279,25 @@ def test_distinct_rows_same_system(r, mode):
     assert red.matrix.any(axis=1).all()
     assert len({row.tobytes() for row in np.column_stack([red.matrix, red.rhs])}) == len(red.rhs)
     assert len(red.rhs) == len(np.unique(Kb[Kb.any(axis=1)], axis=0)) < len(K)
+    # each kept row is the first copy, under its own label
+    first = [cons.labels.index(label) for label in red.labels]
+    assert first == sorted(first)
+    assert np.array_equal(red.matrix, K[first]) and np.array_equal(red.rhs, cons.rhs[first])
     # a copy of every row with its zeros signed -0.0 merges with the row
     twin = dataclasses.replace(cons, matrix=np.vstack([K, np.where(K == 0, -0.0, K)]),
-                               rhs=np.concatenate([cons.rhs, cons.rhs]))
-    assert np.allclose(_distinct_rows(twin).matrix, np.sqrt(2.0) * red.matrix, rtol=1e-14, atol=0)
+                               rhs=np.concatenate([cons.rhs, cons.rhs]),
+                               labels=cons.labels + cons.labels)
+    merged = _distinct_rows(twin)
+    assert np.array_equal(merged.matrix, red.matrix) and merged.labels == red.labels
     # the reference keeps every copy; a zero row of K with a zero entry of b
-    # adds nothing to the row space or the step, and leaving those rows out
-    # keeps the reference SVD small
+    # adds nothing, and leaving those rows out keeps the reference SVD small
     nonzero = K.any(axis=1)
     Q, pinv = row_space(K[nonzero])
     rng = np.random.default_rng(r)
-    # copies of a row of K that get different entries of b make the system
-    # inconsistent; the copies that still agree in [K | b] keep their weights
-    b_off = cons.rhs + 0.1 * rng.integers(0, 2, len(K)) * nonzero
-    assert np.linalg.norm(K[nonzero] @ (pinv @ b_off[nonzero]) - b_off[nonzero]) > 1e-2
-    for b in (cons.rhs, b_off):
+    # the build's b and a consistent b = K x0, whose copies may differ in their last bits
+    for b in (cons.rhs, K @ rng.standard_normal(K.shape[1])):
         assert not b[~nonzero].any()
         red = _distinct_rows(dataclasses.replace(cons, rhs=b))
-        assert len(red.rhs) < np.count_nonzero(nonzero)
         Qr, pinv_r = row_space(red.matrix)
         # equal ranks: |P - P'| is the sine of the largest principal angle
         assert Qr.shape[1] == Q.shape[1]
@@ -305,7 +307,71 @@ def test_distinct_rows_same_system(r, mode):
             tol = 1e-12 * (1.0 + np.linalg.norm(x))
             step = x - pinv @ (K[nonzero] @ x - b[nonzero])
             assert np.linalg.norm(x - pinv_r @ (red.matrix @ x - red.rhs) - step) < tol
-            assert abs(np.linalg.norm(red.matrix @ x - red.rhs) - np.linalg.norm(K @ x - b)) < tol
+            assert np.linalg.norm(red.matrix @ step - red.rhs) < tol
+
+
+def rows_up_to_scale(K):
+    """The nonzero rows of K scaled to a largest entry of 1, once each: a dense
+    array of the rows and a key per row, its nonzero pattern and values to 1e-9."""
+    i, j = np.nonzero(K)
+    vals = K[i, j]
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    first = np.lexsort((-np.abs(vals), i))[starts]  # the largest entry of each row
+    vals = vals / np.repeat(vals[first], np.diff(starts, append=len(i)))
+    keys = np.round(vals, 9) + 0.0
+    rows: dict[bytes, int] = {}
+    for k, (a, b) in enumerate(zip(starts, np.append(starts[1:], len(i)))):
+        rows.setdefault(j[a:b].tobytes() + keys[a:b].tobytes(), k)
+    dense = np.zeros((len(starts), K.shape[1]))
+    dense[np.repeat(np.arange(len(starts)), np.diff(starts, append=len(i))), j] = vals
+    return dense[list(rows.values())], rows.keys()
+
+
+def ring_rows(a, r, n, mode):
+    """Conservation rows on an n-site ring, apart from the build: the image of
+    the whole ring sum (global) or of every placement (local), up to scale."""
+    m = 4 ** r - 1
+    ops = [assemble_sum(a, n)] if mode == "global" else [a.embed(n, k) for k in range(n)]
+    R = np.vstack([_image_terms(r, A, mode == "global")[1] for A in ops])
+    R[:, m:m * m] /= np.sqrt(2.0)
+    return rows_up_to_scale(R)
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_stable_ring_rows_span_every_longer_ring(r, w, mode):
+    # the search's rows come from min(n, n0) sites; they must span the rows
+    # of every ring from n0 on, and nothing more.  Rows built on n0 - 1
+    # sites fall short for 14 of these 18 densities, every global one among them
+    a = random_hermitian_window(np.random.default_rng(10 * r + w), w)
+    n0 = 2 * r + w - 1 if mode == "global" else r + w
+    assert stable_ring_length(r, w, mode) == n0
+    K, built = rows_up_to_scale(build_affine_constraints(
+        FeasibilityProblem(a, r_gen=r, n=safe_ring_length(r, w), mode=mode)).matrix[:-1])
+    Q = None
+    for n in sorted({n0, n0 + 1, n0 + 2, safe_ring_length(r, w)}):
+        R, keys = ring_rows(a, r, n, mode)
+        if keys == built:
+            continue  # the same rows: local mode, and global mode at n0
+        if Q is None:
+            Q = row_space(K)[0].T
+        RQ = R @ Q.T
+        assert np.linalg.norm(R - RQ @ Q) <= 1e-12 * np.linalg.norm(R)
+        # R lies in the row space of the build; equal ranks make the spaces equal
+        gram = np.linalg.eigvalsh(RQ.T @ RQ)
+        assert gram[0] > 1e-9 * gram[-1]
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_build_is_the_same_on_every_ring_from_n0(r, mode):
+    a = random_hermitian_window(np.random.default_rng(r), 2)
+    first = build_affine_constraints(FeasibilityProblem(a, r_gen=r, mode=mode))
+    for n in range(stable_ring_length(r, 2, mode), safe_ring_length(r, 2)):
+        cons = build_affine_constraints(FeasibilityProblem(a, r_gen=r, n=n, mode=mode))
+        assert np.array_equal(cons.matrix, first.matrix) and np.array_equal(cons.rhs, first.rhs)
+        assert cons.labels == first.labels
 
 
 def test_build_peak_stays_near_one_copy_of_the_rows():
@@ -590,7 +656,8 @@ def test_search_wider_window_local_finds_ising():
     prob = ising_problem("local", r_gen=3)
     res = search(prob, seed=1)
     assert_feasible(res, prob, tol=VERIFY_TOL)
-    assert res.constraints == (1921, 568, 316)
+    # 568 rows factored, of rank 316, from the stable ring of r + w = 5 sites
+    assert res.constraints == (568, 316, 5)
 
 
 def test_search_wider_window_still_rejects_heisenberg():

@@ -198,6 +198,15 @@ def test_polynomial_terms_cancel_hamiltonian_and_gauge(r_gen):
     assert gauge.max() < 1e-12
 
 
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_polynomial_on_the_stable_ring_is_the_safe_rings(r_gen, monkeypatch):
+    # the tables are read on 2 r + 1 sites; the safe length 2 (r + 2) gives the same bits
+    stable = obstruction._polynomial(r_gen)
+    monkeypatch.setattr(obstruction, "stable_ring_length", lambda gen_r, a_r, mode: 2 * (gen_r + a_r))
+    safe = obstruction._polynomial.__wrapped__(r_gen)
+    assert all(np.array_equal(x, y) for x, y in zip(stable, safe))
+
+
 def test_perturbed_hamiltonian_table_is_caught(monkeypatch):
     pattern_forms = obstruction._pattern_forms
 

@@ -176,6 +176,8 @@ def test_check_conservation_verdicts():
     rep3 = check_conservation(tiny, parse_operator("Y"), mode="global", n=4)
     assert 1e-12 < rep3.residual < 1e-8
     assert rep3.verdict == "indeterminate"
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_conservation(gen, parse_operator("X"), mode="ring", n=6)
 
 
 def test_symmetrize_fields_preserves_ring_sum():
