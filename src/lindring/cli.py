@@ -279,7 +279,8 @@ def _cmd_search(args) -> int:
     }
     if res.generator is not None:
         result["generator"] = format_generator_file(res.generator)
-    result["constraints"] = dict(zip(("rows", "rank", "stable_from"), res.constraints))
+    result["constraints"] = dict(zip(("rows", "rank", "blocks", "fixed", "stable_from"),
+                                         res.constraints))
     result["short_ring"] = prob.n < result["constraints"]["stable_from"]
     if res.certificate is not None:
         result["certificate"] = {

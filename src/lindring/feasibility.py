@@ -124,7 +124,8 @@ class FeasibilityResult:
     iterations: int
     affine_distance: float
     certificate: DefinitenessReport | None = None
-    constraints: tuple[int, int, int] | None = None  # rows factored, rank of K, stable_from
+    # rows factored, rank of K, column blocks, fixed gamma directions (columns of B), stable_from
+    constraints: tuple[int, int, int, int, int] | None = None
     # the proof that ended the search (completed_on_face | separated) or max_iter
     stop_reason: str | None = None
     separation: Separation | None = None
@@ -238,14 +239,32 @@ class _RowFactor(NamedTuple):
     x0: np.ndarray  # K^+ b
     B: np.ndarray  # orthonormal basis of the gamma directions the rows fix
     dual: np.ndarray  # U / sv: K^T (dual @ Vt @ u) = u for u in the row space
+    blocks: int  # column blocks factored
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return x - self.Vt.T @ (self.Vt @ x) + self.x0
 
 
-def _factor_rows(cons: AffineConstraints) -> _RowFactor:
-    """One SVD of K: the affine projection, the least-squares point and the fixed gammas.
+def _column_blocks(P: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected component, with a row, of the row-column graph of P."""
+    free, blocks = P.any(axis=0), []
+    while free.any():
+        cols = np.arange(P.shape[1]) == free.argmax()
+        rows = P[:, cols].any(axis=1)
+        while not np.array_equal(cols, grown := P[rows].any(axis=0)):
+            cols, rows = grown, P[:, grown].any(axis=1)
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+        free &= ~cols
+    return blocks
 
+
+def _factor_rows(cons: AffineConstraints) -> _RowFactor:
+    """One SVD per block of K: the affine projection, the least-squares point and the fixed gammas.
+
+    No row links two column blocks of K (the trace row joins every
+    gamma_jj column into one), so the SVDs of the blocks, placed on their
+    rows and columns and cut at 1e-13 of the largest singular value over
+    all blocks, sorted down, are a thin SVD of K.
     With Vt an orthonormal basis of the row space and x0 = K^+ b, the map
     x - Vt^T Vt x + x0 is the orthogonal projection onto the least-squares
     set of K x = b, which is the affine set whenever the rows are
@@ -257,14 +276,25 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     The cut of N scales with sv[0] / sv[-1], as the rounding in Vt does,
     so the trace stays in B.  The rank of K is len(Vt).
     """
-    U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
-    keep = sv > sv[0] * 1e-13
-    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
+    K = cons.matrix
+    blocks = _column_blocks(K != 0)
+    svds = [np.linalg.svd(K[np.ix_(rows, cols)], full_matrices=False) for rows, cols in blocks]
+    top = max(s[0] for _, s, _ in svds)
+    kept = [int((s > top * 1e-13).sum()) for _, s, _ in svds]
+    sv = np.concatenate([s[:k] for (_, s, _), k in zip(svds, kept)])
+    order = np.argsort(-sv)
+    # the places of each block's kept singular vectors in the sorted factor
+    places = np.split(np.argsort(order), np.cumsum(kept)[:-1])
+    U, Vt = np.zeros((K.shape[0], len(sv))), np.zeros((len(sv), K.shape[1]))
+    for (rows, cols), (u, _, v), k, at in zip(blocks, svds, kept, places):
+        U[np.ix_(rows, at)] = u[:, :k]
+        Vt[np.ix_(at, cols)] = v[:k]
+    sv = sv[order]
     x0 = Vt.T @ ((U.T @ cons.rhs) / sv)
     H = Vt[:, cons.dim_gamma:].T
     cut = np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1]
     B = Vt[:, :cons.dim_gamma].T @ _null_space(H, cut)
-    return _RowFactor(Vt, x0, B, U / sv)
+    return _RowFactor(Vt, x0, B, U / sv, len(blocks))
 
 
 # -- cone slice projection -----------------------------------------------------
@@ -479,8 +509,8 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
         status="not_found" if got is None else "feasible", generator=gen, residual=residual,
         iterations=iterations, affine_distance=affine_distance,
         certificate=None if got else _obstruction_certificate(problem),
-        constraints=(len(b), len(rows.Vt), stable_ring_length(problem.r_gen, problem.target.n,
-                                                              problem.mode)),
+        constraints=(len(b), len(rows.Vt), rows.blocks, rows.B.shape[1],
+                     stable_ring_length(problem.r_gen, problem.target.n, problem.mode)),
         stop_reason=stop_reason, separation=separation, gap_trace=tuple(gaps))
 
 

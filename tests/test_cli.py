@@ -92,6 +92,21 @@ def test_cli_loads_numpy_alone():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_leave_numpy_ma_unloaded(ising_density, heis_density, tmp_path):
+    # numpy.ma costs every fresh process a cold import (np.unique loads it)
+    runs = [["search", "--density", ising_density, "--r", "2", "--seed", "1"],
+            ["search", "--density", heis_density, "--r", "2", "--seed", "1"],
+            ["obstruction", "--r", "3", "--mu", "0.5", "--nu", "0.3"],
+            ["scan", "--r", "2", "--family", "xx-field"]]
+    code = ("import json, sys; from lindring.cli import main; "
+            f"codes = [main(argv + ['--out', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]; "
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindring.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == [[0, 3, 0, 0], False]
+
+
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -469,8 +484,10 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
     assert "generator" not in rep["result"]
     # the search factored the distinct rows of its linear system, built on
-    # the stable ring of 2 r + w - 1 = 5 sites; the default ring is longer
-    assert rep["result"]["constraints"] == {"rows": 64, "rank": 61, "stable_from": 5}
+    # the stable ring of 2 r + w - 1 = 5 sites (the default ring is longer),
+    # in 8 column blocks; they fix 53 gamma directions
+    assert rep["result"]["constraints"] == {"rows": 64, "rank": 61, "blocks": 8, "fixed": 53,
+                                            "stable_from": 5}
     assert rep["result"]["short_ring"] is False
     # a checked separating hyperplane ended the search at its first check
     assert rep["result"]["stop_reason"] == "separated"

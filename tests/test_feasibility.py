@@ -8,12 +8,13 @@ import scipy.linalg
 from conftest import random_hermitian_window
 import lindring.feasibility as feasibility
 from lindring.pauli import PauliOperator, parse_operator
-from lindring.generators import LindbladGenerator, _image_terms, basis_strings
+from lindring.generators import LindbladGenerator, _image_terms, _null_space, basis_strings
 from lindring.rings import (assemble_sum, global_conservation_residual, safe_ring_length,
                             stable_ring_length)
 from lindring.feasibility import (
     VERIFY_TOL,
     FeasibilityProblem,
+    _column_blocks,
     _complete_on_face,
     _distinct_rows,
     _factor_rows,
@@ -190,7 +191,7 @@ def test_constraint_rows_match_generator_action(r, mode):
                                      (2, "local"), (3, "global")])
 def test_one_factorization(r, mode):
     # the affine projection, the fixed gamma directions B and the face
-    # completion all come from one SVD of the rows
+    # completion all come from one factorization of the rows, an SVD per block
     prob = ising_problem(mode, r)
     cons = build_affine_constraints(prob)
     K, b, m2 = cons.matrix, cons.rhs, cons.dim_gamma
@@ -215,6 +216,52 @@ def test_one_factorization(r, mode):
         N = scipy.linalg.null_space(K)[:m2]
         assert np.abs(B.T @ N).max() < 1e-10
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
+
+
+def dense_factor(cons):
+    """The factorization by one SVD of all the rows: Vt, x0 and B."""
+    U, sv, Vt = np.linalg.svd(cons.matrix, full_matrices=False)
+    keep = sv > sv[0] * 1e-13
+    U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
+    H = Vt[:, cons.dim_gamma:].T
+    N = _null_space(H, np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1])
+    return Vt, Vt.T @ ((U.T @ cons.rhs) / sv), Vt[:, :cons.dim_gamma].T @ N
+
+
+def same_span(Q, R):
+    """The sine of the largest angle between the column spans of orthonormal Q and R."""
+    return max(np.linalg.norm(Q - R @ (R.T @ Q), 2), np.linalg.norm(R - Q @ (Q.T @ R), 2))
+
+
+@pytest.mark.parametrize("r, name, mode, blocks", [
+    (3, "ising", "global", 9), (3, "ising", "local", 15), (3, "heisenberg", "global", 8),
+    (3, "xyz+zyx", "global", 33), (1, "ising", "global", None), (1, "ising", "local", None),
+    (2, "heisenberg", "global", None), (2, "ising", "local", None)])
+def test_block_factor_matches_dense_svd(r, name, mode, blocks):
+    # one SVD per column block gives the rank, the projector, x0 and B of one SVD of K
+    density = {"ising": ISING, "heisenberg": HEISENBERG, "xyz+zyx": {"XYZ": 1.0, "ZYX": 1.0}}[name]
+    prob = FeasibilityProblem(PauliOperator(len(next(iter(density))), density), r_gen=r, mode=mode)
+    cons = _distinct_rows(build_affine_constraints(prob))
+    K = cons.matrix
+    rows = _factor_rows(cons)
+    Vt, x0, B = dense_factor(cons)
+    assert rows.Vt.shape == Vt.shape and rows.B.shape == B.shape
+    assert same_span(rows.Vt.T, Vt.T) < 1e-12
+    assert same_span(rows.B, B) < 1e-12
+    assert np.abs(rows.x0 - x0).max() < 1e-12
+    assert np.abs(K.T @ rows.dual - rows.Vt.T).max() < 1e-12
+    # every row lies in one block, and the blocks share no row and no column
+    found = _column_blocks(K != 0)
+    assert rows.blocks == len(found)
+    assert blocks is None or len(found) == blocks
+    owner = np.full(K.shape[1], -1)
+    for i, (block_rows, cols) in enumerate(found):
+        assert (owner[cols] == -1).all()
+        owner[cols] = i
+    assert sorted(np.concatenate([block_rows for block_rows, _ in found])) == list(range(len(K)))
+    for i, (block_rows, _) in enumerate(found):
+        for row in K[block_rows]:
+            assert (owner[np.flatnonzero(row)] == i).all()
 
 
 def test_fixed_directions_keep_the_trace():
@@ -656,8 +703,9 @@ def test_search_wider_window_local_finds_ising():
     prob = ising_problem("local", r_gen=3)
     res = search(prob, seed=1)
     assert_feasible(res, prob, tol=VERIFY_TOL)
-    # 568 rows factored, of rank 316, from the stable ring of r + w = 5 sites
-    assert res.constraints == (568, 316, 5)
+    # 568 rows factored, of rank 316, in 15 column blocks, fixing 260 gamma
+    # directions, from the stable ring of r + w = 5 sites
+    assert res.constraints == (568, 316, 15, 260, 5)
 
 
 def test_search_wider_window_still_rejects_heisenberg():
