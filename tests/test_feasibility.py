@@ -190,13 +190,17 @@ def test_constraint_rows_match_generator_action(r, mode):
 @pytest.mark.parametrize("r, mode", [(1, "global"), (1, "local"), (2, "global"),
                                      (2, "local"), (3, "global")])
 def test_one_factorization(r, mode):
-    # the affine projection, the fixed gamma directions B and the face
-    # completion all come from one factorization of the rows, an SVD per block
+    # the row space, the fixed gamma directions B and the face completion
+    # all come from one factorization of the rows, an SVD per block
     prob = ising_problem(mode, r)
     cons = build_affine_constraints(prob)
     K, b, m2 = cons.matrix, cons.rhs, cons.dim_gamma
     rows = _factor_rows(cons)
-    project, x0, B = rows.project, rows.x0, rows.B
+    Vt, x0, B = rows.Vt, rows.x0, rows.B
+
+    def project(x):
+        return x - Vt.T @ (Vt @ x) + x0
+
     rng = np.random.default_rng(r)
     x = rng.standard_normal(K.shape[1])
     y = project(x)
@@ -518,6 +522,52 @@ def test_search_completes_near_ising():
         res = search(prob, seed=seed)
         assert_feasible(res, prob)
         assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+
+
+def off_ising_terms(a, alpha, beta, gamma, extra):
+    """alpha (a.s)(a.s) + beta (a.s I + I a.s) + gamma II, then 0.3 alpha more on `extra`."""
+    terms = {p + q: alpha * a[p] * a[q] for p in a for q in a}
+    for p in a:
+        terms[p + "I"] = terms["I" + p] = beta * a[p]
+    terms["II"] = gamma
+    terms[extra] += 0.3 * alpha
+    return terms
+
+
+@pytest.mark.parametrize("extra", ["XX", "YY"])
+def test_search_separates_near_ising(extra):
+    # the near-Ising density above, pushed off the Ising line: its gamma
+    # distance to the conserving set stays near 2.5e-4, so the refusal is the
+    # search's own hyperplane, found well before MAX_ITER
+    a = dict(zip("XYZ", (0.1888, -0.1984, 0.9618)))
+    terms = off_ising_terms(a, 1.079e-4, 0.0313, 0.0413, extra)
+    res = search(FeasibilityProblem(PauliOperator(2, terms), r_gen=2), seed=1)
+    assert (res.status, res.stop_reason) == ("not_found", "separated")
+    assert res.iterations <= 1500 and res.separation.margin > 0
+    assert res.certificate.verdict == "negative_definite"
+
+
+def test_search_separates_off_ising_draws():
+    # random Ising-type densities plus 0.3 alpha ZZ are refused within four checks
+    rng = np.random.default_rng(1)
+    for i in range(30):
+        a = rng.standard_normal(3)
+        a = dict(zip("XYZ", a / np.linalg.norm(a)))
+        alpha = 10 ** rng.uniform(-1, 0)
+        beta, gamma = rng.uniform(-0.5, 0.5, size=2)
+        terms = off_ising_terms(a, alpha, beta, gamma, "ZZ")
+        res = search(FeasibilityProblem(PauliOperator(2, terms), r_gen=2), seed=i + 1)
+        assert (res.status, res.stop_reason) == ("not_found", "separated"), i
+        assert res.iterations <= 100, i
+
+
+def test_search_separates_weak_zz_at_width_three():
+    # XX + 0.01 ZZ is obstructed at r=3 too; the search proves it by its own hyperplane
+    prob = FeasibilityProblem(PauliOperator(2, {"XX": 1.0, "ZZ": 0.01}), r_gen=3)
+    res = search(prob, seed=2)
+    assert (res.status, res.stop_reason) == ("not_found", "separated")
+    assert res.iterations <= 100
+    assert res.certificate.verdict == "negative_definite"
 
 
 def test_search_conserves_all_exchange_charges():
