@@ -25,14 +25,15 @@ attached to not_found results for two-site targets.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import PauliOperator, content_lines
 from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector, _image_terms,
-                         _is_hermitian, _null_space, _vector_to_gamma, basis_strings)
+                         _is_hermitian, _vector_to_gamma, basis_strings)
 from .rings import (assemble_sum, canonical_form, check_conservation, parse_density_file,
                     safe_ring_length, stable_ring_length)
 from .obstruction import (
@@ -177,7 +178,7 @@ def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator]]:
 
 
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
-    """Linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
+    """Distinct linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
     The window sits on sites 0..r-1 in both modes.  Global mode piles the
     image of the target's ring sum onto translation classes of ring
@@ -187,6 +188,9 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     target and per ring string.  Each row is the image coefficient as a
     functional of (gamma, H) in real coordinates; the packing's sqrt2 on
     Re gamma_jk and Im gamma_jk (j < k) divides those columns by sqrt2.
+    Rows are keyed on their nonzero entries: a zero row is left out and of
+    copies only the first is kept, under its own label.  A copy adds
+    nothing to the solution set.  K is written once, at its final size.
 
     The ring has min(n, n0) sites, n0 = stable_ring_length(r, w, mode)
     for a width-w target: each n >= n0 has the same row space, so the
@@ -205,41 +209,54 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     r = problem.r_gen
     m = len(basis_strings(r))
     dim_gamma = m * m
-    rows, labels = [], []
+    distinct: dict[bytes, tuple[str, np.ndarray, np.ndarray]] = {}
     for prefix, A in _blocks(problem):
-        keys, block = _image_terms(r, A, problem.mode == "global")
-        block[:, m:dim_gamma] *= 1.0 / np.sqrt(2.0)
-        rows.append(block)
-        labels.extend(f"{prefix}:{s}" for s in keys)
+        keys, row, col, val = _image_terms(r, A, problem.mode == "global")
+        val = val * np.where((m <= col) & (col < dim_gamma), 1.0 / np.sqrt(2.0), 1.0)
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        for i, c, v in zip(row[starts], np.split(col, starts[1:]), np.split(val, starts[1:])):
+            distinct.setdefault(c.tobytes() + v.tobytes(), (f"{prefix}:{keys[i]}", c, v))
 
-    trace_row = np.zeros((1, dim_gamma + m))
-    trace_row[0, :m] = 1.0
-    rows.append(trace_row)
-    labels.append("trace")
-    matrix = np.vstack(rows)
-    rhs = np.zeros(matrix.shape[0])
-    rhs[-1] = problem.gamma_trace
-    return AffineConstraints(matrix=matrix, rhs=rhs, labels=tuple(labels), dim_gamma=dim_gamma)
-
-
-def _distinct_rows(cons: AffineConstraints) -> AffineConstraints:
-    """The nonzero rows of [K | b] and their labels, each byte-distinct row once, first copy
-    first; -0.0 reads as 0.0.  A copy adds nothing to the solution set."""
-    K, b = cons.matrix, cons.rhs
-    seen: dict[bytes, int] = {}
-    for i in np.flatnonzero(K.any(axis=1) | (b != 0)):
-        seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), i)
-    index = np.fromiter(seen.values(), dtype=int, count=len(seen))
-    return AffineConstraints(K[index], b[index], tuple(cons.labels[i] for i in index),
-                             cons.dim_gamma)
+    matrix = np.zeros((len(distinct) + 1, dim_gamma + m))
+    for i, (_, c, v) in enumerate(distinct.values()):
+        matrix[i, c] = v
+    matrix[-1, :m] = 1.0
+    rhs = np.append(np.zeros(len(distinct)), problem.gamma_trace)
+    labels = tuple(label for label, _, _ in distinct.values()) + ("trace",)
+    return AffineConstraints(matrix=matrix, rhs=rhs, labels=labels, dim_gamma=dim_gamma)
 
 
-class _RowFactor(NamedTuple):
-    Vt: np.ndarray  # orthonormal basis of the row space
+@dataclass(frozen=True, eq=False)
+class _RowFactor:
     x0: np.ndarray  # K^+ b
-    B: np.ndarray  # orthonormal basis of the gamma directions the rows fix
-    dual: np.ndarray  # U / sv: K^T (dual @ Vt @ u) = u for u in the row space
+    rank: int  # rank of K
     blocks: int  # column blocks factored
+    # per block with fixed gamma directions: its gamma columns, an orthonormal basis B_j of
+    # those directions there, its rows and D_j with K^T (D_j c) = (B_j c, 0) on the block
+    pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    fixed: int  # fixed gamma directions: the width of B
+    m: int  # gamma is m x m
+
+    @functools.cached_property
+    def face(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitian matrices B_k of the columns of B and c = B^T g0, made on first use."""
+        parts = [np.zeros((Bj.shape[1], self.m * self.m)) for _, Bj, _, _ in self.pieces]
+        for part, (cols, Bj, _, _) in zip(parts, self.pieces):
+            part[:, cols] = Bj.T
+        return _vector_to_gamma(np.concatenate(parts), self.m), _fixed_coordinates(self, self.x0)
+
+
+def _fixed_coordinates(rows: _RowFactor, g: np.ndarray) -> np.ndarray:
+    """B^T g for a packed gamma g (or point), piece by piece."""
+    return np.concatenate([Bj.T @ g[cols] for cols, Bj, _, _ in rows.pieces])
+
+
+def _fixed_part(rows: _RowFactor, g: np.ndarray) -> np.ndarray:
+    """B B^T g for a packed gamma g, piece by piece."""
+    out = np.zeros_like(g)
+    for cols, Bj, _, _ in rows.pieces:
+        out[cols] = Bj @ (Bj.T @ g[cols])
+    return out
 
 
 def _column_blocks(P: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -256,39 +273,37 @@ def _column_blocks(P: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _factor_rows(cons: AffineConstraints) -> _RowFactor:
-    """One SVD per block of K: the row space, the least-squares point and the fixed gammas.
+    """One SVD per block of K: the rank, the least-squares point and the fixed gammas, per block.
 
-    No row links two column blocks of K (the trace row joins every
-    gamma_jj column into one), so the SVDs of the blocks, placed on their
-    rows and columns and cut at 1e-13 of the largest singular value over
-    all blocks, sorted down, are a thin SVD of K, with Vt an orthonormal
-    basis of the row space and x0 = K^+ b.  A packed gamma direction w is fixed by the rows exactly
-    when (w, 0) lies in their span; with N a basis of the null space of
-    the Hamiltonian columns of Vt, B = Vt_gamma^T N is an orthonormal
-    basis of those directions, the trace among them.  B is far thinner
-    than the conserving span, so every gamma projection goes through it.
-    The cut of N scales with sv[0] / sv[-1], as the rounding in Vt does,
-    so the trace stays in B.  The rank of K is len(Vt).
+    No row links two column blocks of K (the trace row joins every gamma_jj
+    column into one), so the SVDs of the blocks, cut at 1e-13 of the
+    largest singular value over all blocks, make a thin SVD of K, and
+    x0 = K^+ b.  A packed gamma direction w is fixed by the rows exactly
+    when (w, 0) lies in their span.  The Hamiltonian part H of Vt is block
+    diagonal too: with N_j the null space of a block's part, B_j =
+    Vt_gamma,j^T N_j is an orthonormal basis of the fixed directions on its
+    gamma columns, the trace among them.  B is far thinner than the
+    conserving span, so every gamma projection goes through the pieces.
+    The cut of N, eps max(H.shape) sv[0] / sv[-1] times the largest singular
+    value of H, scales as the rounding in Vt does, so the trace stays in B.
     """
-    K = cons.matrix
+    K, b, g = cons.matrix, cons.rhs, cons.dim_gamma
     blocks = _column_blocks(K != 0)
     svds = [np.linalg.svd(K[np.ix_(rows, cols)], full_matrices=False) for rows, cols in blocks]
     top = max(s[0] for _, s, _ in svds)
     kept = [int((s > top * 1e-13).sum()) for _, s, _ in svds]
-    sv = np.concatenate([s[:k] for (_, s, _), k in zip(svds, kept)])
-    order = np.argsort(-sv)
-    # the places of each block's kept singular vectors in the sorted factor
-    places = np.split(np.argsort(order), np.cumsum(kept)[:-1])
-    U, Vt = np.zeros((K.shape[0], len(sv))), np.zeros((len(sv), K.shape[1]))
-    for (rows, cols), (u, _, v), k, at in zip(blocks, svds, kept, places):
-        U[np.ix_(rows, at)] = u[:, :k]
-        Vt[np.ix_(at, cols)] = v[:k]
-    sv = sv[order]
-    x0 = Vt.T @ ((U.T @ cons.rhs) / sv)
-    H = Vt[:, cons.dim_gamma:].T
-    cut = np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1]
-    B = Vt[:, :cons.dim_gamma].T @ _null_space(H, cut)
-    return _RowFactor(Vt, x0, B, U / sv, len(blocks))
+    svds = [(u[:, :k], s[:k], v[:k]) for (u, s, v), k in zip(svds, kept)]
+    sv = np.concatenate([s for _, s, _ in svds])
+    hams = [np.linalg.svd(v[:, cols >= g].T) for (_, cols), (_, _, v) in zip(blocks, svds)]
+    cut = np.finfo(float).eps * max(K.shape[1] - g, len(sv)) * sv.max() / sv.min()
+    cut *= max((s[0] for _, s, _ in hams if len(s)), default=0.0)
+    x0, pieces = np.zeros(K.shape[1]), []
+    for (rows, cols), (u, s, v), (_, hs, hv) in zip(blocks, svds, hams):
+        x0[cols] = v.T @ ((u.T @ b[rows]) / s)
+        if (N := hv[np.count_nonzero(hs > cut):].T).shape[1]:
+            pieces.append((cols[cols < g], v[:, cols < g].T @ N, rows, (u / s) @ N))
+    fixed = sum(Bj.shape[1] for _, Bj, _, _ in pieces)
+    return _RowFactor(x0, len(sv), len(blocks), pieces, fixed, math.isqrt(g))
 
 
 # -- cone slice projection -----------------------------------------------------
@@ -350,8 +365,10 @@ def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerat
 
 def _hyperplane(cons: AffineConstraints, rows: _RowFactor, v: np.ndarray) -> np.ndarray:
     """y with K^T y the best fit to v among the K^T y with K_H^T y = 0, which are (B c, 0)."""
-    u = rows.B @ (rows.B.T @ v[:cons.dim_gamma])
-    return rows.dual @ (rows.Vt[:, :cons.dim_gamma] @ u)
+    y = np.zeros(len(cons.rhs))
+    for cols, Bj, block_rows, Dj in rows.pieces:
+        y[block_rows] = Dj @ (Bj.T @ v[cols])
+    return y
 
 
 def _ring_check(problem: FeasibilityProblem, cons: AffineConstraints, y: np.ndarray,
@@ -397,7 +414,7 @@ def _separation(problem: FeasibilityProblem, cons: AffineConstraints, rows: _Row
             or not _factors(W - (y_dot_b + 0.5 * bound) / tau * np.eye(m))
             or not _ring_check(problem, cons, y, u, seed)):
         return None
-    return Separation(tau * lam - y_dot_b, lam, y_dot_b, len(y) - len(rows.Vt) + rows.B.shape[1])
+    return Separation(tau * lam - y_dot_b, lam, y_dot_b, len(y) - rows.rank + rows.fixed)
 
 
 def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
@@ -435,13 +452,12 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
-    K, b, B = cons.matrix, cons.rhs, rows.B
-    g0 = rows.x0[:m * m]
+    K, b = cons.matrix, cons.rhs
     v = warm[:m * m]
-    lam, V = np.linalg.eigh(_vector_to_gamma(v - B @ (B.T @ (v - g0)), m))
+    lam, V = np.linalg.eigh(_vector_to_gamma(v - _fixed_part(rows, v - rows.x0[:m * m]), m))
     if lam[-1] <= 0.0:
         return None
-    Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
+    Bk, c = rows.face
     rank = int((lam > 1e-2 * lam[-1]).sum())
     U = V[:, -rank:] * np.sqrt(lam[-rank:])
     best, least = U, np.inf
@@ -463,15 +479,15 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     """FISTA for f = |B^T (gamma - g0)|^2 / 2 on {gamma PSD, tr gamma = tau}, g0 from x0.
 
     H is free, so gamma completes exactly when f = 0.  B has orthonormal
-    columns, so each step projects z - B B^T (z - g0) with step size 1
-    (Beck and Teboulle, SIAM J. Imaging Sci. 2, 2009).  Every CHECK_PERIOD
-    iterations the search records |B^T (gamma - g0)| and looks for a proof,
-    stopping at the first: a separating hyperplane (`separated`) or, when
-    K x0 = b, a completion from gamma that _accept, the only judge of a
-    feasible result, certifies on the ring (`completed_on_face`).
+    columns, so each step projects z - B B^T (z - g0), block by block, with
+    step size 1 (Beck and Teboulle, SIAM J. Imaging Sci. 2, 2009).  Every
+    CHECK_PERIOD iterations the search records |B^T (gamma - g0)| and looks
+    for a proof, stopping at the first: a separating hyperplane (`separated`)
+    or, when K x0 = b, a completion from gamma that _accept, the only judge
+    of a feasible result, certifies on the ring (`completed_on_face`).
     Without a proof the search runs to MAX_ITER (`max_iter`).
     """
-    cons = _distinct_rows(build_affine_constraints(problem))
+    cons = build_affine_constraints(problem)
     rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
@@ -480,18 +496,18 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     # K x0 != b leaves only traceless conserving gammas: nothing to complete
     completes = np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * max(1.0, tau) * row_scale
 
-    B, g0 = rows.B, rows.x0[:m * m]
+    g0 = rows.x0[:m * m]
     gamma = _project_cone(np.random.default_rng(seed).standard_normal(m * m) * (tau / m), m, tau)
     z, t = gamma, 1.0
     stop_reason, got, separation, gaps, iterations = "max_iter", None, None, [], 0
     for iterations in range(1, MAX_ITER + 1):
-        step = _project_cone(z - B @ (B.T @ (z - g0)), m, tau)
+        step = _project_cone(z - _fixed_part(rows, z - g0), m, tau)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = step + ((t - 1.0) / t_next) * (step - gamma)
         gamma, t = step, t_next
         if iterations % CHECK_PERIOD:
             continue
-        gaps.append((iterations, float(np.linalg.norm(B.T @ (gamma - g0)))))
+        gaps.append((iterations, float(np.linalg.norm(_fixed_coordinates(rows, gamma - g0)))))
         if (separation := _separation(problem, cons, rows, gamma - g0, seed)) is not None:
             stop_reason = "separated"
             break
@@ -501,11 +517,12 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
             break
 
     gen, residual = got or (None, None)
+    distance = float(np.linalg.norm(_fixed_coordinates(rows, gamma - g0)))
     return FeasibilityResult(
         status="not_found" if got is None else "feasible", generator=gen, residual=residual,
-        iterations=iterations, affine_distance=float(np.linalg.norm(B.T @ (gamma - g0))),
+        iterations=iterations, affine_distance=distance,
         certificate=None if got else _obstruction_certificate(problem),
-        constraints=(len(b), len(rows.Vt), rows.blocks, rows.B.shape[1],
+        constraints=(len(b), rows.rank, rows.blocks, rows.fixed,
                      stable_ring_length(problem.r_gen, problem.target.n, problem.mode)),
         stop_reason=stop_reason, separation=separation, gap_trace=tuple(gaps))
 

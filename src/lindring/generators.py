@@ -23,6 +23,7 @@ import numpy as np
 
 from .pauli import (
     _COMPLEX_RE,
+    _MUL1,
     _REAL_RE,
     PauliOperator,
     _coefficient,
@@ -30,7 +31,6 @@ from .pauli import (
     _splice,
     content_lines,
     format_operator,
-    mul_strings,
     parse_operator,
     partial_trace,
     sum_operators,
@@ -55,15 +55,18 @@ def basis_strings(r: int) -> list[str]:
 def product_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Products of all r-site strings: P_a P_b = phase[a, b] P_c, c = index[a, b].
 
-    Indices follow all_strings(r).  Every entry comes from mul_strings, so
-    the phases are exactly those of the string algebra.  Built on first
+    Indices follow all_strings(r), so site i is the base-4 digit of weight
+    4^(r-1-i).  The one-site products of mul_strings combine digit by
+    digit, the phases multiplied from 1 + 0j in mul_strings's site order,
+    so every entry is exactly that of the string algebra.  Built on first
     use for each width; both arrays are read-only.
     """
-    strings = all_strings(r)
-    pos = {s: i for i, s in enumerate(strings)}
-    products = [mul_strings(s, t) for s in strings for t in strings]
-    phase = np.array([ph for ph, _ in products]).reshape(len(strings), -1)
-    index = np.array([pos[u] for _, u in products]).reshape(phase.shape)
+    phase1 = np.array([[_MUL1[a, b][0] for b in "IXYZ"] for a in "IXYZ"], dtype=complex)
+    index1 = np.array([["IXYZ".index(_MUL1[a, b][1]) for b in "IXYZ"] for a in "IXYZ"])
+    digits = (np.arange(4 ** r)[:, None] // 4 ** np.arange(r - 1, -1, -1) % 4).T  # site 0 first
+    phase, index = np.ones((4 ** r, 4 ** r), dtype=complex), np.zeros((4 ** r, 4 ** r), dtype=int)
+    for a, b in zip(digits[:, :, None], digits[:, None, :]):
+        phase, index = phase * phase1[a, b], 4 * index + index1[a, b]
     phase.flags.writeable = False
     index.flags.writeable = False
     return phase, index
@@ -80,12 +83,6 @@ def _window_sites(offset: int, r: int, n: int) -> tuple[int, ...]:
 def _is_hermitian(g: np.ndarray, tol: float) -> bool:
     """|g - g^dag| within tol * max(1, max |g|): the bound scales with g, as in validate_psd."""
     return np.abs(g - g.conj().T).max() <= tol * max(1.0, np.abs(g).max())
-
-
-def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
-    """Orthonormal null space basis of A: the right singular vectors not in sv > rcond * max sv."""
-    _, sv, vh = np.linalg.svd(A)
-    return vh[np.count_nonzero(sv > rcond * sv.max()):].conj().T
 
 
 def _class_representative(s: str) -> str:
@@ -178,16 +175,18 @@ def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
-    """Image of A under generators on window sites 0..r-1, as real functionals per row key.
+    """Image of A under generators on window sites 0..r-1, as sparse real functionals per row key.
 
     A ring string u reaches the strings piece + u[r:] through the window
-    terms of its window piece u[:r].  Returns the keys and a real array
-    whose row i is the coefficient of key i, a functional of (gamma, H)
-    in real coordinates.  A must have real Pauli coefficients.  With
-    reduce_rows the keys are translation class representatives.  Rows
-    follow key insertion order, unless a `keys` mapping gives the row of
-    each key it names (several may share one); other terms are dropped.
-    Entries sum their terms in (string of A, window term) order.
+    terms of its window piece u[:r].  Returns the keys and the nonzero
+    entries (row, col, val), sorted by row, then column: val is the
+    coefficient of (gamma, H) coordinate col, in real coordinates, on key
+    row.  A must have real Pauli coefficients.  With reduce_rows the keys
+    are translation class representatives.  Rows follow key insertion
+    order, unless a `keys` mapping gives the row of each key it names
+    (several may share one); other terms are dropped.  A stable sort
+    groups the terms of each entry, so it sums them in (string of A,
+    window term) order, as one dense bincount over every entry would.
     """
     strings = all_strings(r)
     ncols = len(strings) ** 2 - len(strings)
@@ -216,9 +215,13 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
         flat.append(row[kept] * ncols + cols[kept])
         weights.append(coeff.real * vals[kept])
 
-    size = max(ids.values(), default=-1) + 1
-    R = np.bincount(np.concatenate(flat), np.concatenate(weights), size * ncols)
-    return list(ids), R.reshape(size, ncols)
+    flat = np.concatenate(flat)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.diff(flat, prepend=-1) != 0
+    vals = np.bincount(np.cumsum(first) - 1, np.concatenate(weights)[order])
+    flat, nonzero = flat[first], vals != 0
+    return list(ids), flat[nonzero] // ncols, flat[nonzero] % ncols, vals[nonzero]
 
 
 class LindbladGenerator:
@@ -318,12 +321,13 @@ def superop_matrix(gen: LindbladGenerator) -> np.ndarray:
 def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperator]:
     """Orthonormal basis of the generator's kernel on its window.
 
-    Null directions are singular vectors with singular value below
-    tol times the largest singular value.
+    Null directions are right singular vectors whose singular value is not
+    above tol times the largest one.
     """
+    _, sv, vh = np.linalg.svd(superop_matrix(gen))
     strings = all_strings(gen.r)
     return [PauliOperator(gen.r, dict(zip(strings, vec)))
-            for vec in _null_space(superop_matrix(gen), tol).T]
+            for vec in vh[np.count_nonzero(sv > tol * sv.max()):].conj()]
 
 
 def validate_psd(gen: LindbladGenerator) -> np.ndarray:

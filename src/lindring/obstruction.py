@@ -105,9 +105,10 @@ def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     keys = {s: i for i, rots in enumerate(rotations) for s in rots}
     weight = n / np.array([len(rots) for rots in rotations])
     sums = _component_ring_sums(n)
-    forms = np.empty((len(rotations), len(sums), m * m + m))
+    forms = np.zeros((len(rotations), len(sums), m * m + m))
     for c, A in enumerate(sums):
-        forms[:, c] = weight[:, None] * _image_terms(r, A, False, keys=keys)[1]
+        _, row, col, val = _image_terms(r, A, False, keys=keys)
+        forms[row, c, col] = weight[row] * val
     return forms[..., :m * m], forms[..., m * m:]
 
 
@@ -192,8 +193,10 @@ def _unitality_patterns(r_gen: int) -> dict[str, tuple[str, ...]]:
 def _unitality_coordinates(r_gen: int) -> np.ndarray:
     """Gamma coordinates of the window identity image; each pattern's strings pile onto its row."""
     rows = {s: i for i, strings in enumerate(_unitality_patterns(r_gen).values()) for s in strings}
-    _, R = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
-    return R[:, :-(4 ** r_gen - 1)]
+    _, row, col, val = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
+    R = np.zeros((max(rows.values()) + 1, (4 ** r_gen - 1) ** 2))
+    R[row, col] = val  # the identity has no Hamiltonian image
+    return R
 
 
 def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:

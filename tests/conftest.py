@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lindring.pauli import PauliOperator
-from lindring.generators import LindbladGenerator, basis_strings
+from lindring.generators import (LindbladGenerator, _class_representative, _real_column,
+                                 all_strings, basis_strings)
 
 
 def random_operator(rng, n, num_terms=6, hermitian=False):
@@ -92,3 +93,29 @@ def _low_rank_gamma(xs, m, rank, scale, complex_factor):
         F = F + 1j * xs[m * rank:].reshape(m, rank)
     gamma = scale * (F @ F.conj().T)
     return 0.5 * (gamma + gamma.conj().T)
+
+
+def dense_image(r, A, reduce_rows, keys=None):
+    """Reference for generators._image_terms: the keys and one dense real array of rows.
+
+    Every term of the image is summed by one dense bincount over all the
+    (row, coordinate) entries, in (string of A, window term) order.
+    """
+    strings = all_strings(r)
+    ncols = len(strings) ** 2 - len(strings)
+    ids = {} if keys is None else keys
+    flat, weights = [], []
+    for u, coeff in A.terms.items():
+        images = [piece + u[r:] for piece in strings]
+        if reduce_rows:
+            images = [_class_representative(key) for key in images]
+        key_ids = np.array([ids.setdefault(key, len(ids)) if keys is None else keys.get(key, -1)
+                            for key in images])
+        rows, cols, vals = _real_column(r, strings.index(u[:r]))
+        row = key_ids[rows]
+        kept = row >= 0
+        flat.append(row[kept] * ncols + cols[kept])
+        weights.append(coeff.real * vals[kept])
+    size = max(ids.values(), default=-1) + 1
+    R = np.bincount(np.concatenate(flat), np.concatenate(weights), size * ncols)
+    return list(ids), R.reshape(size, ncols)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_hermitian_window
+from conftest import dense_image, random_hermitian_window
 import lindring.feasibility as feasibility
 from lindring.pauli import PauliOperator, parse_operator
-from lindring.generators import LindbladGenerator, _image_terms, _null_space, basis_strings
+from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import (assemble_sum, global_conservation_residual, safe_ring_length,
                             stable_ring_length)
 from lindring.feasibility import (
@@ -16,8 +16,8 @@ from lindring.feasibility import (
     FeasibilityProblem,
     _column_blocks,
     _complete_on_face,
-    _distinct_rows,
     _factor_rows,
+    _fixed_coordinates,
     _gauss_newton_system,
     _ring_check,
     _separation,
@@ -179,11 +179,13 @@ def test_constraint_rows_match_generator_action(r, mode):
                 image[f"target0@{k}:{u}"] = c
     # a Hermitian gamma and real eta map the Hermitian density to a Hermitian image
     assert max(abs(c.imag) for c in image.values()) < 1e-12
-    got = cons.matrix[:-1] @ pack_point(gamma, eta)
-    labels = cons.labels[:-1]
-    want = [image.get(lab, 0j).real for lab in labels]
-    assert np.abs(got - np.array(want)).max() < 1e-12
-    rows = set(labels)
+    # the build keeps one row of each set of copies; all the rows have every key
+    every = all_rows(prob)
+    for system in (cons, every):
+        got = system.matrix[:-1] @ pack_point(gamma, eta)
+        want = [image.get(lab, 0j).real for lab in system.labels[:-1]]
+        assert np.abs(got - np.array(want)).max() < 1e-12
+    rows = set(every.labels)
     assert not [key for key, c in image.items() if abs(c) > 1e-12 and key not in rows]
 
 
@@ -196,7 +198,9 @@ def test_one_factorization(r, mode):
     cons = build_affine_constraints(prob)
     K, b, m2 = cons.matrix, cons.rhs, cons.dim_gamma
     rows = _factor_rows(cons)
-    Vt, x0, B = rows.Vt, rows.x0, rows.B
+    # the reference row space, with the factor's x0 and its pieces of B
+    Vt, x0, B = dense_factor(cons)[0], rows.x0, dense_B(rows)
+    assert rows.rank == len(Vt)
 
     def project(x):
         return x - Vt.T @ (Vt @ x) + x0
@@ -213,7 +217,7 @@ def test_one_factorization(r, mode):
     warm = pack_point(rank_one_gamma(r, "X" * r)) + 1e-3 * rng.standard_normal(K.shape[1])
     cand = _complete_on_face(prob, cons, rows, warm)
     assert cand is not None
-    assert np.abs(B.T @ (cand[:m2] - x0[:m2])).max() < 1e-10
+    assert np.abs(_fixed_coordinates(rows, cand[:m2] - x0[:m2])).max() < 1e-10
     assert np.linalg.norm(K @ cand - b) < 1e-9
     if r <= 2:
         # independent reference: B is the complement of the gamma parts of the null space
@@ -228,8 +232,19 @@ def dense_factor(cons):
     keep = sv > sv[0] * 1e-13
     U, sv, Vt = U[:, keep], sv[keep], Vt[keep]
     H = Vt[:, cons.dim_gamma:].T
-    N = _null_space(H, np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1])
+    _, sh, vh = np.linalg.svd(H)
+    N = vh[np.count_nonzero(sh > np.finfo(float).eps * max(H.shape) * sv[0] / sv[-1] * sh.max()):].T
     return Vt, Vt.T @ ((U.T @ cons.rhs) / sv), Vt[:, :cons.dim_gamma].T @ N
+
+
+def dense_B(rows):
+    """The pieces of B placed on their gamma columns, side by side: one dense matrix."""
+    B = np.zeros((rows.m * rows.m, rows.fixed))
+    at = 0
+    for cols, Bj, _, _ in rows.pieces:
+        B[cols, at:at + Bj.shape[1]] = Bj
+        at += Bj.shape[1]
+    return B
 
 
 def same_span(Q, R):
@@ -245,15 +260,19 @@ def test_block_factor_matches_dense_svd(r, name, mode, blocks):
     # one SVD per column block gives the rank, the projector, x0 and B of one SVD of K
     density = {"ising": ISING, "heisenberg": HEISENBERG, "xyz+zyx": {"XYZ": 1.0, "ZYX": 1.0}}[name]
     prob = FeasibilityProblem(PauliOperator(len(next(iter(density))), density), r_gen=r, mode=mode)
-    cons = _distinct_rows(build_affine_constraints(prob))
+    cons = build_affine_constraints(prob)
     K = cons.matrix
     rows = _factor_rows(cons)
     Vt, x0, B = dense_factor(cons)
-    assert rows.Vt.shape == Vt.shape and rows.B.shape == B.shape
-    assert same_span(rows.Vt.T, Vt.T) < 1e-12
-    assert same_span(rows.B, B) < 1e-12
+    # the pieces' total width is that of the one B, and their projector is its projector
+    assert rows.rank == len(Vt)
+    assert rows.fixed == sum(Bj.shape[1] for _, Bj, _, _ in rows.pieces) == B.shape[1]
+    assert same_span(dense_B(rows), B) < 1e-12
+    projector = np.zeros((cons.dim_gamma, cons.dim_gamma))
+    for cols, Bj, _, _ in rows.pieces:
+        projector[np.ix_(cols, cols)] += Bj @ Bj.T
+    assert np.abs(projector - B @ B.T).max() < 1e-12
     assert np.abs(rows.x0 - x0).max() < 1e-12
-    assert np.abs(K.T @ rows.dual - rows.Vt.T).max() < 1e-12
     # every row lies in one block, and the blocks share no row and no column
     found = _column_blocks(K != 0)
     assert rows.blocks == len(found)
@@ -266,6 +285,16 @@ def test_block_factor_matches_dense_svd(r, name, mode, blocks):
     for i, (block_rows, _) in enumerate(found):
         for row in K[block_rows]:
             assert (owner[np.flatnonzero(row)] == i).all()
+    # each piece is on the gamma columns of one block, with orthonormal columns, and
+    # its D_j turns a c on the block's rows into the hyperplane (B_j c, 0)
+    for cols, Bj, block_rows, Dj in rows.pieces:
+        block_rows_i, block_cols = found[owner[cols[0]]]
+        assert np.array_equal(cols, block_cols[block_cols < cons.dim_gamma])
+        assert np.array_equal(block_rows, block_rows_i)
+        assert np.abs(Bj.T @ Bj - np.eye(Bj.shape[1])).max() < 1e-12
+        want = np.zeros((K.shape[1], Bj.shape[1]))
+        want[cols] = Bj
+        assert np.abs(K[block_rows].T @ Dj - want).max() < 1e-12
 
 
 def test_fixed_directions_keep_the_trace():
@@ -273,8 +302,8 @@ def test_fixed_directions_keep_the_trace():
     # the trace direction in Vt is rounding well above machine precision
     prob = FeasibilityProblem(PauliOperator(1, {"X": 8.564052386204182, "Z": -9.635214922746345}),
                               r_gen=1)
-    cons = _distinct_rows(build_affine_constraints(prob))
-    B = _factor_rows(cons).B
+    cons = build_affine_constraints(prob)
+    B = dense_B(_factor_rows(cons))
     trace = pack_point(np.eye(3))[:9] / np.sqrt(3)
     assert np.linalg.norm(trace - B @ (B.T @ trace)) < 1e-12
     K = cons.matrix
@@ -288,11 +317,15 @@ def test_fixed_directions_keep_the_trace():
 def test_gauss_newton_jacobian(r):
     # the completion's closed-form Jacobian against central differences of
     # the residual B^T (pack(U U^dag) - g0) along random complex dU
-    rows = _factor_rows(_distinct_rows(build_affine_constraints(ising_problem(r_gen=r))))
-    x0, B = rows.x0, rows.B
+    rows = _factor_rows(build_affine_constraints(ising_problem(r_gen=r)))
+    x0, B = rows.x0, dense_B(rows)
     m = len(basis_strings(r))
     g0 = x0[:m * m]
-    Bk, c = _vector_to_gamma(B.T, m), B.T @ g0
+    # the completion's system, made from the pieces once per factor
+    Bk, c = rows.face
+    assert rows.face is rows.face
+    assert np.array_equal(Bk, _vector_to_gamma(B.T, m))
+    assert np.abs(c - B.T @ g0).max() < 1e-15 * np.abs(g0).sum()
 
     def resid(U):
         return B.T @ (pack_point(U @ U.conj().T)[:m * m] - g0)
@@ -317,15 +350,64 @@ def row_space(K):
     return Vt[:rank].T, (Vt[:rank].T / sv[:rank]) @ U[:, :rank].T
 
 
+def all_rows(prob):
+    """Every row of the problem, copies and zero rows too, from one dense image per block."""
+    r, m = prob.r_gen, len(basis_strings(prob.r_gen))
+    rows, labels = [], []
+    for prefix, A in feasibility._blocks(prob):
+        keys, block = dense_image(r, A, prob.mode == "global")
+        block[:, m:m * m] *= 1.0 / np.sqrt(2.0)
+        rows.append(block)
+        labels.extend(f"{prefix}:{s}" for s in keys)
+    trace_row = np.zeros((1, m * m + m))
+    trace_row[0, :m] = 1.0
+    K = np.vstack(rows + [trace_row])
+    rhs = np.zeros(len(K))
+    rhs[-1] = prob.gamma_trace
+    return feasibility.AffineConstraints(K, rhs, tuple(labels) + ("trace",), m * m)
+
+
+def distinct_rows(cons):
+    """The nonzero rows of [K | b] and their labels, each byte-distinct row once, first copy
+    first; -0.0 reads as 0.0.  The reference for the build's own row keys."""
+    K, b = cons.matrix, cons.rhs
+    seen: dict[bytes, int] = {}
+    for i in np.flatnonzero(K.any(axis=1) | (b != 0)):
+        seen.setdefault((np.append(K[i], b[i]) + 0.0).tobytes(), i)
+    index = np.fromiter(seen.values(), dtype=int, count=len(seen))
+    return feasibility.AffineConstraints(K[index], b[index], tuple(cons.labels[i] for i in index),
+                                         cons.dim_gamma)
+
+
+@pytest.mark.parametrize("density", [ISING, HEISENBERG, TRANSVERSE, {"Z": 1.0}, {"XX": 1.0},
+                                     {"XX": 1.0, "ZZ": 0.01}, {"XX": 1.0, "YY": 0.5, "ZZ": 0.2},
+                                     {"II": 1.0}, {"XYZ": 1.0, "ZYX": 1.0}])
+def test_build_keeps_each_distinct_row_once(density):
+    # keyed on its sparse entries, the build writes what the dense reference
+    # keeps of all the rows, byte for byte, labels and order too
+    for r in (1, 2, 3):
+        for mode in ("global", "local"):
+            prob = FeasibilityProblem(PauliOperator(len(next(iter(density))), density),
+                                      r_gen=r, mode=mode)
+            cons, want = build_affine_constraints(prob), distinct_rows(all_rows(prob))
+            assert cons.matrix.shape == want.matrix.shape and cons.dim_gamma == want.dim_gamma
+            assert cons.matrix.tobytes() == want.matrix.tobytes()
+            assert cons.rhs.tobytes() == want.rhs.tobytes()
+            assert cons.labels == want.labels
+
+
 @pytest.mark.parametrize("mode", ["global", "local"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_distinct_rows_same_system(r, mode):
     # the search reads each distinct nonzero row of [K | b] once, unweighted:
     # the same solution set and the same projection onto it as all the rows
-    cons = build_affine_constraints(FeasibilityProblem(PauliOperator(1, {"Z": 1.0}),
-                                                       r_gen=r, mode=mode))
+    prob = FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=r, mode=mode)
+    cons = all_rows(prob)
     K = cons.matrix
-    red = _distinct_rows(cons)
+    red = distinct_rows(cons)
+    # the build writes exactly these rows
+    built = build_affine_constraints(prob)
+    assert built.matrix.tobytes() == red.matrix.tobytes() and built.labels == red.labels
     Kb = np.column_stack([K, cons.rhs]) + 0.0
     assert red.matrix.any(axis=1).all()
     assert len({row.tobytes() for row in np.column_stack([red.matrix, red.rhs])}) == len(red.rhs)
@@ -338,7 +420,7 @@ def test_distinct_rows_same_system(r, mode):
     twin = dataclasses.replace(cons, matrix=np.vstack([K, np.where(K == 0, -0.0, K)]),
                                rhs=np.concatenate([cons.rhs, cons.rhs]),
                                labels=cons.labels + cons.labels)
-    merged = _distinct_rows(twin)
+    merged = distinct_rows(twin)
     assert np.array_equal(merged.matrix, red.matrix) and merged.labels == red.labels
     # the reference keeps every copy; a zero row of K with a zero entry of b
     # adds nothing, and leaving those rows out keeps the reference SVD small
@@ -348,7 +430,7 @@ def test_distinct_rows_same_system(r, mode):
     # the build's b and a consistent b = K x0, whose copies may differ in their last bits
     for b in (cons.rhs, K @ rng.standard_normal(K.shape[1])):
         assert not b[~nonzero].any()
-        red = _distinct_rows(dataclasses.replace(cons, rhs=b))
+        red = distinct_rows(dataclasses.replace(cons, rhs=b))
         Qr, pinv_r = row_space(red.matrix)
         # equal ranks: |P - P'| is the sine of the largest principal angle
         assert Qr.shape[1] == Q.shape[1]
@@ -383,7 +465,7 @@ def ring_rows(a, r, n, mode):
     the whole ring sum (global) or of every placement (local), up to scale."""
     m = 4 ** r - 1
     ops = [assemble_sum(a, n)] if mode == "global" else [a.embed(n, k) for k in range(n)]
-    R = np.vstack([_image_terms(r, A, mode == "global")[1] for A in ops])
+    R = np.vstack([dense_image(r, A, mode == "global")[1] for A in ops])
     R[:, m:m * m] /= np.sqrt(2.0)
     return rows_up_to_scale(R)
 
@@ -426,8 +508,8 @@ def test_build_is_the_same_on_every_ring_from_n0(r, mode):
 
 
 def test_build_peak_stays_near_one_copy_of_the_rows():
-    # the image is scattered straight into the real rows: no complex
-    # (rows x m x m) tensor, and one copy when the trace row is stacked
+    # the image is kept as sparse entries and each distinct row is written
+    # once into K at its final size: no dense copy of all the rows
     prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=3, mode="global")
     build_affine_constraints(prob)
     tracemalloc.start()
@@ -436,7 +518,7 @@ def test_build_peak_stays_near_one_copy_of_the_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * K.nbytes
+    assert peak < 2.0 * K.nbytes
 
 
 def test_trace_row_normalizes():

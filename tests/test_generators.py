@@ -148,12 +148,16 @@ def test_image_terms_refuse_non_real_coefficients():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_product_table_matches_mul_strings(r):
+    # the digit arithmetic gives every phase bit for bit, signed zeros too
     phase, index = product_table(r)
     strings = all_strings(r)
     for a, s in enumerate(strings):
         for b, t in enumerate(strings):
             ph, u = mul_strings(s, t)
             assert phase[a, b] == ph and strings[index[a, b]] == u
+    want = np.array([[mul_strings(s, t)[0] for t in strings] for s in strings], dtype=complex)
+    assert phase.tobytes() == want.tobytes()
+    assert not phase.flags.writeable and not index.flags.writeable
 
 
 def test_apply_wraps_ring_boundary():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_image
+
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import CanonicalParams, assemble_sum
@@ -205,6 +207,43 @@ def test_polynomial_on_the_stable_ring_is_the_safe_rings(r_gen, monkeypatch):
     monkeypatch.setattr(obstruction, "stable_ring_length", lambda gen_r, a_r, mode: 2 * (gen_r + a_r))
     safe = obstruction._polynomial.__wrapped__(r_gen)
     assert all(np.array_equal(x, y) for x, y in zip(stable, safe))
+
+
+def dense_pattern_forms(patterns, n, r):
+    """Reference for obstruction._pattern_forms: one dense image per density component."""
+    m = 4 ** r - 1
+    rotations = [{q[i:] + q[:i] for i in range(n)} for q in (p.ljust(n, "I") for p in patterns)]
+    keys = {s: i for i, rots in enumerate(rotations) for s in rots}
+    weight = n / np.array([len(rots) for rots in rotations])
+    sums = obstruction._component_ring_sums(n)
+    forms = np.empty((len(rotations), len(sums), m * m + m))
+    for c, A in enumerate(sums):
+        forms[:, c] = weight[:, None] * dense_image(r, A, False, keys=keys)[1]
+    return forms[..., :m * m], forms[..., m * m:]
+
+
+def dense_unitality_coordinates(r):
+    """Reference for obstruction._unitality_coordinates: the dense image of the window identity."""
+    patterns = obstruction._unitality_patterns(r).values()
+    rows = {s: i for i, strings in enumerate(patterns) for s in strings}
+    return dense_image(r, PauliOperator.identity(r), False, keys=rows)[1][:, :-(4 ** r - 1)]
+
+
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_tables_match_a_dense_scatter(r_gen, monkeypatch):
+    # the sparse image entries, scattered, give the bits of the dense image:
+    # the polynomial tables and the unitality forms alike
+    tables = obstruction._polynomial(r_gen)
+    unitality = obstruction._unitality_coordinates(r_gen)
+    forms = unitality_forms(r_gen)
+    monkeypatch.setattr(obstruction, "_pattern_forms", dense_pattern_forms)
+    monkeypatch.setattr(obstruction, "_unitality_coordinates", dense_unitality_coordinates)
+    want = obstruction._polynomial.__wrapped__(r_gen)
+    assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(tables, want))
+    want = dense_unitality_coordinates(r_gen)
+    assert unitality.shape == want.shape and unitality.tobytes() == want.tobytes()
+    assert all(f.Q.tobytes() == g.Q.tobytes() for f, g in zip(forms.values(),
+                                                               unitality_forms(r_gen).values()))
 
 
 def test_perturbed_hamiltonian_table_is_caught(monkeypatch):
