@@ -72,6 +72,15 @@ def _read(path: str) -> str:
         raise ParseFailure(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _load(parse, path: str, **options):
+    """parse(text of the file at path, **options), with a ValueError read as a ParseFailure."""
+    text = _read(path)
+    try:
+        return parse(text, **options)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -100,10 +109,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_kernel(args) -> int:
-    try:
-        gen = parse_generator_file(_read(args.gen))
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    gen = _load(parse_generator_file, args.gen)
     tol = args.tol if args.tol is not None else KERNEL_TOL
     basis = kernel(gen, tol=tol)
     config = {"subcommand": "kernel", "gen": args.gen, "tol": tol}
@@ -117,11 +123,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        gen = parse_generator_file(_read(args.gen))
-        a = parse_density_file(_read(args.density))
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    gen = _load(parse_generator_file, args.gen)
+    a = _load(parse_density_file, args.density)
     if args.n is not None and args.n < max(gen.r, a.n):
         raise ParseFailure("ring shorter than the widest window")
     tol = args.tol if args.tol is not None else ZERO_TOL
@@ -142,10 +145,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    try:
-        a = parse_density_file(_read(args.density))
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    a = _load(parse_density_file, args.density)
     params = canonical_form(a)
     ising, _ = classify_ising(a)
     config = {"subcommand": "canon", "density": args.density}
@@ -257,10 +257,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        prob = parse_problem_file(_read(args.density), r_gen=args.r, n=args.n, mode=args.mode)
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    prob = _load(parse_problem_file, args.density, r_gen=args.r, n=args.n, mode=args.mode)
     res = search(prob, seed=args.seed)
     config = {
         "subcommand": "search", "density": args.density,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOperator, content_lines
+from .pauli import PauliOperator, sections
 from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector, _image_terms,
                          _is_hermitian, _vector_to_gamma, basis_strings)
 from .rings import (assemble_sum, canonical_form, check_conservation, parse_density_file,
@@ -530,19 +530,6 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
 # -- problem files -------------------------------------------------------------
 
 
-def _split_problem_file(text: str) -> tuple[str, str]:
-    """Density part and [problem] part of a file; the part is empty when it has no section.
-
-    The section starts at the first line that reads [problem] once its
-    comment is stripped, so a comment that mentions it does not count.
-    """
-    for lineno, _, line in content_lines(text):
-        if line == "[problem]":
-            lines = text.splitlines(keepends=True)
-            return "".join(lines[:lineno - 1]), "".join(lines[lineno:])
-    return text, ""
-
-
 def parse_problem_file(text: str, r_gen: int | None = None, n: int | None = None,
                        mode: str | None = None) -> FeasibilityProblem:
     """Read a density (r=<int> header plus operator lines) and an optional [problem] section.
@@ -550,11 +537,11 @@ def parse_problem_file(text: str, r_gen: int | None = None, n: int | None = None
     The keyword options that are not None and the keys the section sets
     form one option set: a key given both ways is refused as set twice.
     """
-    head, tail = _split_problem_file(text)
-    target = parse_density_file(head)
+    found = sections(text, ("problem",))
+    target = parse_density_file("\n".join(line for _, _, line in found.get(None, [])))
     opts = {key: val for key, val in (("r_gen", r_gen), ("n", n), ("mode", mode))
             if val is not None}
-    for _, raw, line in content_lines(tail):
+    for _, raw, line in found.get("problem", []):
         if "=" not in line:
             raise ValueError(f"bad problem line: {raw!r}")
         key, val = (t.strip() for t in line.split("=", 1))

@@ -1,38 +1,36 @@
 """Local Lindblad generators and their action on ring operators.
 
-A generator with window width r consists of a Hermitian Hamiltonian h
-on r sites and a dissipator given either in diagonal form (a list of
-jump operators L_k) or in structure form (a Hermitian, positive
-semidefinite coefficient matrix gamma over the non-identity Pauli
-strings of the window).  Acting on an observable A it produces
+A generator with window width r is a Hermitian Hamiltonian h on r sites
+and a Hermitian, positive semidefinite structure matrix gamma over the
+non-identity Pauli strings of the window.  Acting on an observable A it
+produces
 
     i [A, h] + sum_{j,k} gamma_{jk} ([P_j A, P_k] + [P_j, A P_k])
 
-which in diagonal form reads i[A, h] + sum_k (2 L_k A L_k^dag
-- {L_k^dag L_k, A}).  The same expression governs conservation:
-A is conserved when the generator maps it to zero.
+Jump operators L_k are the same generator written in the eigenbasis of
+gamma, i[A, h] + sum_k (2 L_k A L_k^dag - {L_k^dag L_k, A}); they are
+read into (h, gamma) when the generator is made.  The same expression
+governs conservation: A is conserved when the generator maps it to zero.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
 
 import numpy as np
 
 from .pauli import (
-    _COMPLEX_RE,
+    _COEFF_RE,
     _MUL1,
-    _REAL_RE,
     PauliOperator,
     _coefficient,
     _format_coeff,
     _splice,
-    content_lines,
     format_operator,
     parse_operator,
     partial_trace,
+    sections,
     sum_operators,
 )
 
@@ -225,13 +223,16 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
 
 
 class LindbladGenerator:
-    """Window-local generator; exactly one of `lindblads` or `gamma` is set.
+    """Window-local generator (H, gamma), from a structure matrix or from jump operators.
 
-    All action reads the real coordinates of the structure form, [gamma_jj]
-    [Re gamma_jk] [Im gamma_jk] (j < k) [Re H_j]: the image of a window
-    string is its _real_column contracted with them.  A ring string is
-    split into its window piece and the rest, and the piece is replaced by
-    its image, made on first use and kept.
+    Jump operators L = c0 I + sum_j c_j P_j are read into gamma = sum c c^dag,
+    and their identity parts, which act as Hamiltonian terms
+    i(c0* M - c0 M^dag) with M = L - c0 I, are folded into H.  All action
+    reads the real coordinates [gamma_jj] [Re gamma_jk] [Im gamma_jk]
+    (j < k) [Re H_j]: the image of a window string is its _real_column
+    contracted with them.  A ring string is split into its window piece
+    and the rest, and the piece is replaced by its image, made on first
+    use and kept.
     """
 
     def __init__(self, r, hamiltonian=None, lindblads=None, gamma=None):
@@ -240,39 +241,40 @@ class LindbladGenerator:
             hamiltonian = PauliOperator.zero(self.r)
         if hamiltonian.n != self.r:
             raise ValueError("hamiltonian window does not match r")
-        if not hamiltonian.is_hermitian(1e-12):
-            raise ValueError("hamiltonian must be Hermitian")
-        self.hamiltonian = hamiltonian
         if (lindblads is None) == (gamma is None):
             raise ValueError("give either jump operators or a structure matrix")
+        basis = basis_strings(self.r)
+        m = len(basis)
         if lindblads is not None:
-            self.form = "diagonal"
-            self.lindblads = list(lindblads)
-            for L in self.lindblads:
+            gamma = np.zeros((m, m), dtype=complex)
+            ident = "I" * self.r
+            for L in lindblads:
                 if L.n != self.r:
                     raise ValueError("jump operator window does not match r")
-            self.gamma = None
-        else:
-            self.form = "structure"
-            g = np.asarray(gamma, dtype=complex)
-            m = len(basis_strings(self.r))
-            if g.shape != (m, m):
-                raise ValueError(f"gamma must be {m}x{m} for r={self.r}")
-            if not _is_hermitian(g, GAMMA_HERMITICITY_TOL):
-                raise ValueError("gamma must be Hermitian")
-            self.gamma = g
-            self.lindblads = None
-        self._coordinates = None
+                c = np.array([L.terms.get(s, 0j) for s in basis])
+                gamma += np.outer(c, c.conj())
+                c0 = L.terms.get(ident, 0j)
+                if abs(c0) > 0:
+                    M = L - PauliOperator(self.r, {ident: c0})
+                    hamiltonian = hamiltonian + 1j * (c0.conjugate() * M - c0 * M.dagger())
+        # after the fold: a folded term that overflowed leaves a NaN imaginary part
+        if not hamiltonian.is_hermitian(1e-12):
+            raise ValueError("hamiltonian must be Hermitian")
+        g = np.asarray(gamma, dtype=complex)
+        if g.shape != (m, m):
+            raise ValueError(f"gamma must be {m}x{m} for r={self.r}")
+        if not _is_hermitian(g, GAMMA_HERMITICITY_TOL):
+            raise ValueError("gamma must be Hermitian")
+        self.hamiltonian = hamiltonian
+        self.gamma = g
+        eta = [hamiltonian.terms.get(t, 0j) for t in basis]
+        self._coordinates = np.concatenate([_gamma_to_vector(g, off=1.0), np.real(eta)])
         self._images: dict[str, list[tuple[str, float]]] = {}
 
     # -- action -------------------------------------------------------------
 
     def _column(self, b: int) -> np.ndarray:
         """Amplitudes of the image of window string b on every window string."""
-        if self._coordinates is None:
-            s = to_structure(self)
-            eta = [s.hamiltonian.terms.get(t, 0j) for t in basis_strings(self.r)]
-            self._coordinates = np.concatenate([_gamma_to_vector(s.gamma, off=1.0), np.real(eta)])
         rows, cols, vals = _real_column(self.r, b)
         return np.bincount(rows, vals * self._coordinates[cols], 4 ** self.r)
 
@@ -336,51 +338,24 @@ def validate_psd(gen: LindbladGenerator) -> np.ndarray:
     The bound scales with gamma, as the rounding of a written and re-read
     gamma does.
     """
-    if gen.form != "structure":
-        raise ValueError("only structure-form generators carry gamma")
     w = np.linalg.eigvalsh(gen.gamma)
     if w.min() < -GAMMA_PSD_TOL * max(1.0, np.abs(w).max()):
         raise ValueError(f"gamma is not positive semidefinite (min eig {w.min():.3e})")
     return w
 
 
-def diagonalize_structure(gen: LindbladGenerator) -> LindbladGenerator:
-    """Equivalent diagonal form: jump operators from the eigenbasis of gamma.
+def diagonalize_structure(gen: LindbladGenerator) -> list[PauliOperator]:
+    """Jump operators of the eigenbasis of gamma: with gen.hamiltonian, the same generator.
 
     gamma is refused as validate_psd refuses it.  Every positive eigenvalue
     keeps its jump operator: one below the refusal bound may still be
     genuine, and dropping it would move the action by up to that bound.
     """
-    if gen.form != "structure":
-        raise ValueError("generator is already diagonal")
     validate_psd(gen)
     w, v = np.linalg.eigh(gen.gamma)
     basis = basis_strings(gen.r)
-    ls = [PauliOperator(gen.r, dict(zip(basis, np.sqrt(w[k]) * v[:, k])))
-          for k in np.flatnonzero(w > 0.0)]
-    return LindbladGenerator(gen.r, hamiltonian=gen.hamiltonian, lindblads=ls)
-
-
-def to_structure(gen: LindbladGenerator) -> LindbladGenerator:
-    """Equivalent structure form.
-
-    Identity components of jump operators act as Hamiltonian terms
-    i(c0* L - c0 L^dag) and are folded into the Hamiltonian.
-    """
-    if gen.form == "structure":
-        return gen
-    basis = basis_strings(gen.r)
-    g = np.zeros((len(basis), len(basis)), dtype=complex)
-    h = gen.hamiltonian
-    ident = "I" * gen.r
-    for L in gen.lindblads:
-        c = np.array([L.terms.get(s, 0j) for s in basis])
-        g += np.outer(c, c.conj())
-        c0 = L.terms.get(ident, 0j)
-        if abs(c0) > 0:
-            M = L - PauliOperator(gen.r, {ident: c0})
-            h = h + 1j * (c0.conjugate() * M - c0 * M.dagger())
-    return LindbladGenerator(gen.r, hamiltonian=h, gamma=g)
+    return [PauliOperator(gen.r, dict(zip(basis, np.sqrt(w[k]) * v[:, k])))
+            for k in np.flatnonzero(w > 0.0)]
 
 
 def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
@@ -394,16 +369,15 @@ def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
     """
     if gen.r != 2:
         raise ValueError("reduction is defined for two-site generators")
-    sgen = to_structure(gen)
     labels = "IXYZ"
     # pad with the identity (window string 0); each string index splits into two letters
     g16 = np.zeros((16, 16), dtype=complex)
-    g16[1:, 1:] = sgen.gamma
+    g16[1:, 1:] = gen.gamma
     g16 = g16.reshape(4, 4, 4, 4)  # (j, mu, k, lam)
     # contract the traced factor; tr(P_j P_j) = 2 fixes the weight
     g = 2.0 * np.einsum("amal->ml", g16)
     gamma_red = np.ascontiguousarray(g[1:, 1:])
-    h_red = partial_trace(sgen.hamiltonian, (0,))
+    h_red = partial_trace(gen.hamiltonian, (0,))
     extra = {}
     for lam in range(1, 4):
         w = 2.0 * g[0, lam].imag
@@ -416,16 +390,12 @@ def reduced_generator(gen: LindbladGenerator) -> LindbladGenerator:
 
 # -- file format ---------------------------------------------------------------
 
-_SECTION_RE = re.compile(r"^\[(hamiltonian|lindblad|gamma)\]$")
 
-
-def _parse_complex_token(tok: str) -> complex:
-    """A decimal or an (a+bi) literal, the whole token and nothing else."""
-    if m := _COMPLEX_RE.fullmatch(tok):
-        return _coefficient(m.group(1), m.group(2))
-    if _REAL_RE.fullmatch(tok):
-        return _coefficient(tok)
-    raise ValueError(f"bad matrix entry {tok!r}")
+def _matrix_entry(tok: str) -> complex:
+    """A coefficient literal, the whole token and nothing else."""
+    if not (m := _COEFF_RE.fullmatch(tok)):
+        raise ValueError(f"bad matrix entry {tok!r}")
+    return _coefficient(m)
 
 
 def parse_generator_file(text: str) -> LindbladGenerator:
@@ -439,42 +409,35 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     with an eigenvalue below -GAMMA_PSD_TOL * max(1, max |eigenvalue|) are
     refused.
     """
-    sections: dict[str, list[str]] = {}
-    current = None
-    for _, raw, line in content_lines(text):
-        m = _SECTION_RE.match(line)
-        if m:
-            current = m.group(1)
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise ValueError(f"content before any section header: {raw!r}")
-        sections[current].append(line)
-    if ("lindblad" in sections) == ("gamma" in sections):
+    found = sections(text, ("hamiltonian", "lindblad", "gamma"))
+    if None in found:
+        raise ValueError(f"content before any section header: {found[None][0][1]!r}")
+    if ("lindblad" in found) == ("gamma" in found):
         raise ValueError("need exactly one of [lindblad] or [gamma]")
+    lines = {name: [line for _, _, line in entries] for name, entries in found.items()}
 
     r = None
     hamiltonian = None
-    if sections.get("hamiltonian"):
-        hamiltonian = sum_operators(parse_operator(line) for line in sections["hamiltonian"])
+    if lines.get("hamiltonian"):
+        hamiltonian = sum_operators(parse_operator(line) for line in lines["hamiltonian"])
         r = hamiltonian.n
 
-    if "lindblad" in sections:
-        if not sections["lindblad"]:
+    if "lindblad" in lines:
+        if not lines["lindblad"]:
             raise ValueError("[lindblad] section is empty")
-        ls = [parse_operator(line) for line in sections["lindblad"]]
+        ls = [parse_operator(line) for line in lines["lindblad"]]
         r = r if r is not None else ls[0].n
         if any(L.n != r for L in ls):
             raise ValueError("jump operators and hamiltonian disagree on window size")
         return LindbladGenerator(r, hamiltonian=hamiltonian, lindblads=ls)
 
-    lines = sections["gamma"]
-    if not lines:
+    rows = lines["gamma"]
+    if not rows:
         raise ValueError("[gamma] section is empty")
     order = None
-    if lines[0].replace(" ", "").lower().startswith("order="):
-        order = lines[0].split("=", 1)[1].split()
-        lines = lines[1:]
+    if rows[0].replace(" ", "").lower().startswith("order="):
+        order = rows[0].split("=", 1)[1].split()
+        rows = rows[1:]
     if order is None:
         if r is None:
             raise ValueError("cannot infer window size: give [hamiltonian] or an order line")
@@ -489,10 +452,10 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     m = len(basis_strings(r))
     if len(order) != m or set(order) != set(basis_strings(r)):
         raise ValueError(f"order must list the {m} non-identity strings exactly once")
-    rows = [[_parse_complex_token(tok) for tok in line.split()] for line in lines]
-    if len(rows) != m or any(len(row) != m for row in rows):
+    entries = [[_matrix_entry(tok) for tok in row.split()] for row in rows]
+    if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"gamma must have {m} rows of {m} entries")
-    declared = np.array(rows, dtype=complex)
+    declared = np.array(entries, dtype=complex)
     # reorder into the canonical lexicographic basis
     perm = [order.index(s) for s in basis_strings(r)]
     gamma = declared[np.ix_(perm, perm)]
@@ -502,18 +465,13 @@ def parse_generator_file(text: str) -> LindbladGenerator:
 
 
 def format_generator_file(gen: LindbladGenerator) -> str:
-    """Inverse of parse_generator_file."""
+    """A [hamiltonian] and [gamma] file that parse_generator_file reads back as gen."""
     out = []
     if gen.hamiltonian.num_terms:
         out.append("[hamiltonian]")
         out.append(format_operator(gen.hamiltonian))
-    if gen.form == "diagonal":
-        out.append("[lindblad]")
-        for L in gen.lindblads:
-            out.append(format_operator(L))
-    else:
-        out.append("[gamma]")
-        out.append("order = " + " ".join(basis_strings(gen.r)))
-        for row in gen.gamma:
-            out.append(" ".join(_format_coeff(c) for c in row))
+    out.append("[gamma]")
+    out.append("order = " + " ".join(basis_strings(gen.r)))
+    for row in gen.gamma:
+        out.append(" ".join(_format_coeff(c) for c in row))
     return "\n".join(out) + "\n"

@@ -228,75 +228,50 @@ def partial_trace(op: PauliOperator, sites: tuple[int, ...]) -> PauliOperator:
 # -- text format --------------------------------------------------------------
 
 _DECIMAL = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
-_COMPLEX_RE = re.compile(
-    rf"^\(\s*([+-]?{_DECIMAL})\s*(?:([+-]\s*{_DECIMAL})\s*i\s*)?\)"
-)
-_REAL_RE = re.compile(rf"^[+-]?{_DECIMAL}")
-_STRING_RE = re.compile(r"^[IXYZ]+")
+# a coefficient literal: (a+bi), (a) or a signed decimal; whitespace is gone before any match
+_COEFF = rf"\((?P<re>[+-]?{_DECIMAL})(?:(?P<im>[+-]{_DECIMAL})i)?\)|(?P<real>[+-]?{_DECIMAL})"
+_COEFF_RE = re.compile(_COEFF)
+# one operator term: signs, an optional coefficient and '*', a Pauli string
+_TERM_RE = re.compile(rf"(?P<sign>[+-]*)(?:(?P<coeff>{_COEFF})\*?)?(?P<string>[IXYZ]+)")
 
 
-def _coefficient(re_part: str, im_part: str | None = None) -> complex:
-    """Value of a matched coefficient literal; one that overflows to inf is refused."""
-    c = complex(float(re_part), float(im_part.replace(" ", "")) if im_part else 0.0)
+def _coefficient(m: re.Match, group: int | str = 0) -> complex:
+    """Value of the coefficient literal m matched, m[group]; one that overflows to inf is refused."""
+    c = complex(float(m["re"] or m["real"]), float(m["im"] or 0.0))
     if not cmath.isfinite(c):
-        raise ValueError(f"coefficient {re_part}{im_part or ''} is not finite")
+        raise ValueError(f"coefficient {m[group]} is not finite")
     return c
 
 
 def parse_operator(text: str, n: int | None = None) -> PauliOperator:
     """Parse an operator expression.
 
-    Grammar: terms joined by + or -, each term an optional coefficient,
-    an optional '*', and a Pauli string over IXYZ.  Coefficients are
-    decimals or parenthesized complex literals such as (1.5-0.25i).
-    '#' starts a comment; whitespace is ignored.
+    Grammar: terms, each one or more signs (optional on the first term),
+    an optional coefficient, an optional '*' after it, and a Pauli string
+    over IXYZ.  Coefficients are decimals or parenthesized complex
+    literals such as (1.5-0.25i).  '#' starts a comment; whitespace is
+    ignored.
     """
-    body = text.split("#", 1)[0]
-    s = re.sub(r"\s+", "", body)
+    s = re.sub(r"\s+", "", text.split("#", 1)[0])
     if not s:
         if n is None:
             raise ValueError("empty operator expression and no ring size given")
         return PauliOperator.zero(n)
     terms: dict[str, complex] = {}
     pos = 0
-    first = True
     while pos < len(s):
-        sign = 1.0
-        took_sign = False
-        while pos < len(s) and s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -sign
-            took_sign = True
-            pos += 1
-        if not first and not took_sign:
-            raise ValueError(f"expected + or - at column {pos} in {text!r}")
-        first = False
-        coeff = 1 + 0j
-        if pos < len(s) and s[pos] == "(":
-            m = _COMPLEX_RE.match(s[pos:])
-            if not m:
-                raise ValueError(f"bad complex coefficient at column {pos} in {text!r}")
-            coeff = _coefficient(m.group(1), m.group(2))
-            pos += m.end()
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-        else:
-            m = _REAL_RE.match(s[pos:])
-            if m:
-                coeff = _coefficient(m.group(0))
-                pos += m.end()
-                if pos < len(s) and s[pos] == "*":
-                    pos += 1
-        m = _STRING_RE.match(s[pos:])
-        if not m:
-            raise ValueError(f"expected Pauli string at column {pos} in {text!r}")
-        label = m.group(0)
-        pos += m.end()
+        m = _TERM_RE.match(s, pos)
+        if not m or (pos and not m["sign"]):
+            raise ValueError(f"bad term at column {pos} in {text!r}")
+        sign = -1.0 if m["sign"].count("-") % 2 else 1.0
+        coeff = _coefficient(m, "coeff") if m["coeff"] else 1 + 0j
+        label = m["string"]
         if n is not None and len(label) != n:
             raise ValueError(f"string {label!r} has {len(label)} sites, expected {n}")
         if n is None:
             n = len(label)
         terms[label] = terms.get(label, 0j) + sign * coeff
+        pos = m.end()
     return PauliOperator(n, _finite(terms))
 
 
@@ -321,6 +296,24 @@ def content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, raw, line
+
+
+def sections(text: str, names) -> dict:
+    """The content_lines under each [name] header, by name; key None holds those before the first.
+
+    A header is a line that reads [name] once its comment is stripped; a
+    repeated header continues its section.
+    """
+    headers = {f"[{name}]": name for name in names}
+    out: dict = {}
+    current = None
+    for entry in content_lines(text):
+        if entry[2] in headers:
+            current = headers[entry[2]]
+            out.setdefault(current, [])
+        else:
+            out.setdefault(current, []).append(entry)
+    return out
 
 
 def _format_coeff(c: complex) -> str:

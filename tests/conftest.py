@@ -33,7 +33,7 @@ def random_structure_generator(rng, r, rank=None, with_h=True):
 
 
 def oracle_generators(rng, r):
-    """A structure-form and a diagonal-form generator of width r.
+    """Constructor keywords of a generator of width r from gamma, and of one from jump operators.
 
     gamma is PSD on a few random strings so the dense oracle stays cheap;
     the jump operators carry identity parts, which act as Hamiltonian terms.
@@ -45,12 +45,16 @@ def oracle_generators(rng, r):
     ham = random_hermitian_window(rng, r)
     jumps = [random_operator(rng, r, num_terms=3) + PauliOperator.identity(r) * (0.3 - 0.7j)
              for _ in range(2)]
-    return (LindbladGenerator(r, hamiltonian=ham, gamma=gamma),
-            LindbladGenerator(r, hamiltonian=ham, lindblads=jumps))
+    return {"hamiltonian": ham, "gamma": gamma}, {"hamiltonian": ham, "lindblads": jumps}
 
 
-def dense_lindblad_apply(gen, rho, offset=0, sites=None):
-    """Dense-matrix oracle for the generator action, at `offset` or at `sites`."""
+def dense_lindblad_apply(rho, hamiltonian, gamma=None, lindblads=None, offset=0, sites=None):
+    """Dense-matrix oracle for the action of the generator given by these inputs.
+
+    It reads the inputs a test passed to LindbladGenerator, not the
+    generator: jump operators act as 2 L rho L^dag - {L^dag L, rho}, with
+    their identity parts, which the generator folds into its Hamiltonian.
+    """
     n = rho.n
 
     def embed(op):
@@ -58,22 +62,16 @@ def dense_lindblad_apply(gen, rho, offset=0, sites=None):
 
     out = np.zeros((2**n, 2**n), dtype=complex)
     d = rho.to_dense()
-    h = embed(gen.hamiltonian).to_dense()
+    h = embed(hamiltonian).to_dense()
     out += 1j * (d @ h - h @ d)
-    if gen.form == "diagonal":
-        ls = [embed(L).to_dense() for L in gen.lindblads]
-        for L in ls:
-            Ld = L.conj().T
-            out += 2 * L @ d @ Ld - Ld @ L @ d - d @ Ld @ L
-    else:
-        ps = [embed(PauliOperator.from_label(s)).to_dense() for s in basis_strings(gen.r)]
-        m = len(ps)
-        for j in range(m):
-            for k in range(m):
-                g = gen.gamma[j, k]
-                if g == 0:
-                    continue
-                out += g * (2 * ps[j] @ d @ ps[k] - ps[k] @ ps[j] @ d - d @ ps[k] @ ps[j])
+    for op in lindblads or []:
+        L = embed(op).to_dense()
+        Ld = L.conj().T
+        out += 2 * L @ d @ Ld - Ld @ L @ d - d @ Ld @ L
+    if gamma is not None:
+        ps = [embed(PauliOperator.from_label(s)).to_dense() for s in basis_strings(hamiltonian.n)]
+        for j, k in zip(*np.nonzero(gamma)):
+            out += gamma[j, k] * (2 * ps[j] @ d @ ps[k] - ps[k] @ ps[j] @ d - d @ ps[k] @ ps[j])
     return out
 
 

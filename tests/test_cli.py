@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import lindring
 from lindring.cli import main
 from lindring.pauli import PauliOperator
-from lindring.generators import LindbladGenerator, basis_strings, format_generator_file
+from lindring.generators import (
+    LindbladGenerator, basis_strings, format_generator_file, parse_generator_file)
 from lindring.rings import format_density_file
 
 
@@ -171,6 +173,27 @@ def test_overflow_in_analysis_exit_2(tmp_path, capsys):
                  ["search", "--density", str(big_density), "--r", "1"]):
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     assert "overflow encountered" in capsys.readouterr().err
+
+
+def test_jump_file_reports_as_its_gamma_file(ising_density, tmp_path):
+    # jump operators with identity and complex parts are read into (H, gamma):
+    # the [gamma] file written for them gives the same reports, byte for byte,
+    # once the file name and the configuration hash are masked
+    jumps = tmp_path / "jumps.gen"
+    jumps.write_text("[hamiltonian]\n0.25*ZZ + 0.5*XI\n[lindblad]\n"
+                     "(0.3-0.7i)*II + XX + (0+0.5i)*YZ\n0.5*IX + 0.2*II - (0.1+0.2i)*ZY\n")
+    written = tmp_path / "written.gen"
+    written.write_text(format_generator_file(parse_generator_file(jumps.read_text())))
+    assert "[lindblad]" not in written.read_text()
+    for argv in (["kernel"], ["check", "--density", ising_density],
+                 ["check", "--density", ising_density, "--mode", "local", "--n", "9"]):
+        reports = []
+        for gen in (jumps, written):
+            out = tmp_path / "out.json"
+            code = main(argv + ["--gen", str(gen), "--out", str(out)])
+            text = out.read_text().replace(str(gen), "GEN")
+            reports.append((code, re.sub(r'"config_hash": "[0-9a-f]+"', "", text)))
+        assert reports[0] == reports[1]
 
 
 def test_non_finite_coefficient_exit_2(heis_gen, sx_density, tmp_path, capsys):

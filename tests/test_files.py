@@ -50,27 +50,28 @@ def test_density_roundtrip(op):
     assert again.terms == _as_written(op)
 
 
-_generators = st.integers(1, 2).flatmap(lambda r: st.tuples(
-    _operators(r, _finite, min_size=0), psd_gammas(r), st.lists(_operators(r), min_size=1, max_size=3),
-    st.booleans()))
+# jump parts below 1e150 keep gamma = sum c c^dag finite, and Hamiltonian
+# parts below 1e300 the Hamiltonian with the identity parts folded in;
+# past that, the generator is refused when it is made
+# (test_jump_operators_that_overflow_are_refused_when_made)
+_jump_part = st.floats(-1e150, 1e150)
+_generators = st.integers(1, 2).flatmap(lambda r: st.one_of(
+    st.builds(lambda ham, gamma: LindbladGenerator(r, hamiltonian=ham, gamma=gamma),
+              _operators(r, _finite), psd_gammas(r)),
+    st.builds(lambda ham, jumps: LindbladGenerator(r, hamiltonian=ham, lindblads=jumps),
+              _operators(r, st.floats(-1e300, 1e300)),
+              st.lists(_operators(r, st.builds(complex, _jump_part, _jump_part)),
+                       min_size=1, max_size=3))))
 
 
 @settings(max_examples=60, deadline=None)
-@given(parts=_generators)
-def test_generator_roundtrip(parts):
-    ham, gamma, jumps, structure = parts
-    if structure:
-        gen = LindbladGenerator(ham.n, hamiltonian=ham, gamma=gamma)
-    else:
-        gen = LindbladGenerator(ham.n, hamiltonian=ham, lindblads=jumps)
+@given(gen=_generators)
+def test_generator_roundtrip(gen):
+    # one made from jump operators reads back as its own (H, gamma)
     again = parse_generator_file(format_generator_file(gen))
-    assert again.form == gen.form
-    assert again.hamiltonian.terms == _as_written(ham)
-    if structure:
-        written = np.where(np.abs(gamma.imag) <= PRUNE_TOL, gamma.real + 0j, gamma)
-        assert np.array_equal(again.gamma, written)
-    else:
-        assert [L.terms for L in again.lindblads] == [_as_written(L) for L in jumps]
+    assert again.hamiltonian.terms == _as_written(gen.hamiltonian)
+    written = np.where(np.abs(gen.gamma.imag) <= PRUNE_TOL, gen.gamma.real + 0j, gen.gamma)
+    assert np.array_equal(again.gamma, written)
 
 
 def test_large_gamma_reads_back():

@@ -27,7 +27,6 @@ from lindring.generators import (
     product_table,
     reduced_generator,
     superop_matrix,
-    to_structure,
     validate_psd,
 )
 
@@ -70,17 +69,21 @@ def test_apply_against_dense_oracle():
         offset = int(rng.integers(n))
         if trial % 2:
             gen = random_structure_generator(rng, r)
+            spec = {"hamiltonian": gen.hamiltonian, "gamma": gen.gamma}
         else:
             ls = [random_operator(rng, r, num_terms=3) for _ in range(1 + int(rng.integers(2)))]
-            gen = LindbladGenerator(r, hamiltonian=random_hermitian_window(rng, r), lindblads=ls)
+            spec = {"hamiltonian": random_hermitian_window(rng, r), "lindblads": ls}
+            gen = LindbladGenerator(r, **spec)
         rho = random_operator(rng, n)
         got = gen.apply(rho, offset=offset).to_dense()
-        want = dense_lindblad_apply(gen, rho, offset=offset)
+        want = dense_lindblad_apply(rho, offset=offset, **spec)
         assert np.abs(got - want).max() < 1e-10
-    # every window string under the generator, in both forms, on rings as
-    # short as the window and at offsets that wrap the ring
+    # every window string under a generator made from gamma and one made
+    # from jump operators, on rings as short as the window and at offsets
+    # that wrap the ring
     for r in (1, 2, 3):
-        for gen in oracle_generators(rng, r):
+        for spec in oracle_generators(rng, r):
+            gen = LindbladGenerator(r, **spec)
             for n in (r, r + 2):
                 for i, piece in enumerate(all_strings(r)):
                     offset = (n - 1 - i) % n
@@ -89,15 +92,15 @@ def test_apply_against_dense_oracle():
                         word[(offset + w) % n] = ch
                     rho = PauliOperator.from_label("".join(word), 0.5 - 1.5j)
                     got = gen.apply(rho, offset=offset).to_dense()
-                    want = dense_lindblad_apply(gen, rho, offset=offset)
+                    want = dense_lindblad_apply(rho, offset=offset, **spec)
                     assert np.abs(got - want).max() < 1e-10
     # placements at non-contiguous, reordered and wrapped sites
     for r, n, sites in ((1, 3, (-1,)), (2, 5, (4, 1)), (2, 4, (0, 2)), (2, 3, (2, 0)),
                         (3, 5, (4, 1, 2)), (3, 5, (0, 2, 4)), (3, 4, (3, 0, 1)), (3, 3, (2, 0, 1))):
-        for gen in oracle_generators(rng, r):
+        for spec in oracle_generators(rng, r):
             rho = random_operator(rng, n, num_terms=8)
-            got = gen.apply_at_sites(rho, sites).to_dense()
-            want = dense_lindblad_apply(gen, rho, sites=tuple(s % n for s in sites))
+            got = LindbladGenerator(r, **spec).apply_at_sites(rho, sites).to_dense()
+            want = dense_lindblad_apply(rho, sites=tuple(s % n for s in sites), **spec)
             assert np.abs(got - want).max() < 1e-10
 
 
@@ -108,14 +111,16 @@ def test_superop_matrix_full_rank_against_dense_oracle(r):
     rng = np.random.default_rng(31)
     gen = random_structure_generator(rng, r)
     assert np.linalg.matrix_rank(gen.gamma) == 4 ** r - 1
-    # and a diagonal form whose complex jump operators carry identity parts
-    for gen in (gen, oracle_generators(rng, r)[1]):
+    # and one made from complex jump operators that carry identity parts
+    jumps = oracle_generators(rng, r)[1]
+    for gen, spec in ((gen, {"hamiltonian": gen.hamiltonian, "gamma": gen.gamma}),
+                      (LindbladGenerator(r, **jumps), jumps)):
         M = superop_matrix(gen)
         assert M.dtype == np.float64
         strings = all_strings(r)
         for k, s in enumerate(strings):
             column = PauliOperator(r, {t: M[a, k] for a, t in enumerate(strings)})
-            want = dense_lindblad_apply(gen, PauliOperator.from_label(s))
+            want = dense_lindblad_apply(PauliOperator.from_label(s), **spec)
             assert np.abs(column.to_dense() - want).max() < 1e-10
 
 
@@ -234,22 +239,42 @@ def test_unitality():
     assert defect.hs_norm() > 0.1
 
 
-def test_to_structure_matches_diagonal():
+def test_jump_operators_read_into_gamma():
+    # gamma = sum c c^dag over the non-identity parts; with the identity
+    # parts folded into H, (H, gamma) alone acts as the jump operators do
     rng = np.random.default_rng(5)
+    basis = basis_strings(2)
     for _ in range(20):
-        ls = [random_operator(rng, 2, num_terms=4) for _ in range(2)]
-        gen = LindbladGenerator(2, hamiltonian=random_hermitian_window(rng, 2), lindblads=ls)
-        sgen = to_structure(gen)
+        ls = [random_operator(rng, 2, num_terms=4) + (0.3 - 0.7j) * PauliOperator.identity(2)
+              for _ in range(2)]
+        ham = random_hermitian_window(rng, 2)
+        gen = LindbladGenerator(2, hamiltonian=ham, lindblads=ls)
+        c = np.array([[L.coefficient(t) for t in basis] for L in ls])
+        assert np.abs(gen.gamma - c.T @ c.conj()).max() < 1e-12
+        assert gen.hamiltonian.coefficient("II") == ham.coefficient("II")
+        assert gen.hamiltonian.is_hermitian()
+        again = LindbladGenerator(2, hamiltonian=gen.hamiltonian, gamma=gen.gamma)
         rho = random_operator(rng, 3)
-        d = (gen.apply(rho, offset=1) - sgen.apply(rho, offset=1)).hs_norm()
-        assert d < 1e-10
+        want = dense_lindblad_apply(rho, ham, lindblads=ls, offset=1)
+        assert np.abs(again.apply(rho, offset=1).to_dense() - want).max() < 1e-10
+
+
+def test_jump_operators_that_overflow_are_refused_when_made():
+    # the command line runs with numpy overflow raising: a gamma that
+    # overflows is refused before the generator acts, and kernel exits 2
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        LindbladGenerator(1, lindblads=[parse_operator("1e200*X")])
+    # a folded identity term that overflows leaves a NaN imaginary part in H
+    with pytest.raises(ValueError, match="hamiltonian must be Hermitian"):
+        LindbladGenerator(2, hamiltonian=parse_operator("1.7e308*XX"),
+                          lindblads=[parse_operator("(0+1e154i)*II + 1e154*XX")])
 
 
 def test_diagonalize_structure_roundtrip():
     rng = np.random.default_rng(15)
     for _ in range(10):
         gen = random_structure_generator(rng, 2, rank=3)
-        dgen = diagonalize_structure(gen)
+        dgen = LindbladGenerator(2, hamiltonian=gen.hamiltonian, lindblads=diagonalize_structure(gen))
         rho = random_operator(rng, 2)
         assert (gen.apply(rho) - dgen.apply(rho)).hs_norm() < 1e-10
 
@@ -276,7 +301,7 @@ def test_structure_and_diagonal_forms_act_alike(case):
     ham = PauliOperator(r, dict(zip(basis_strings(r), eta)))
     gen = LindbladGenerator(r, hamiltonian=ham, gamma=gamma)
     M = superop_matrix(gen)
-    D = superop_matrix(diagonalize_structure(gen))
+    D = superop_matrix(LindbladGenerator(r, hamiltonian=ham, lindblads=diagonalize_structure(gen)))
     assert np.abs(D - M).max() <= 1e-12 * max(1.0, np.abs(M).max())
 
 
@@ -329,6 +354,7 @@ def test_reduced_generator_hamiltonian_part():
 
 
 def test_generator_file_roundtrip_diagonal():
+    # a generator made from jump operators is written as its (H, gamma)
     gen = LindbladGenerator(
         2,
         hamiltonian=parse_operator("0.25*ZZ"),
@@ -336,7 +362,8 @@ def test_generator_file_roundtrip_diagonal():
     )
     text = format_generator_file(gen)
     back = parse_generator_file(text)
-    assert back.form == "diagonal"
+    assert "[gamma]" in text and "[lindblad]" not in text
+    assert np.array_equal(back.gamma, gen.gamma)
     assert (back.hamiltonian - gen.hamiltonian).hs_norm() < 1e-12
     rng = np.random.default_rng(2)
     rho = random_operator(rng, 2)
@@ -348,7 +375,6 @@ def test_generator_file_roundtrip_gamma():
     gen = random_structure_generator(rng, 1)
     text = format_generator_file(gen)
     back = parse_generator_file(text)
-    assert back.form == "structure"
     assert np.abs(back.gamma - gen.gamma).max() < 1e-12
 
 
@@ -397,7 +423,7 @@ def test_hermiticity_bound_scales_with_gamma():
         F = rng.standard_normal((15, 2))
         gamma = 1e5 * F @ F.T
         assert np.abs(gamma - gamma.T).max() > GAMMA_HERMITICITY_TOL
-        assert LindbladGenerator(2, gamma=gamma).form == "structure"
+        assert np.array_equal(LindbladGenerator(2, gamma=gamma).gamma, gamma)
         assert pack_point(gamma).shape == (15 * 15 + 15,)
     # an asymmetry far above rounding is refused at this scale too
     bad = 0.5 * (gamma + gamma.T)

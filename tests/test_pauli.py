@@ -7,6 +7,7 @@ from lindring.pauli import (
     mul_strings,
     parse_operator,
     partial_trace,
+    sections,
 )
 
 
@@ -202,6 +203,36 @@ def test_parse_errors():
                  "1e308*XX + 1e308*XX"):
         with pytest.raises(ValueError, match="not finite"):
             parse_operator(text)
+
+
+def test_term_grammar():
+    # one coefficient grammar: (a+bi), (a) or a signed decimal, then '*' or not
+    assert parse_operator("(1.5)XX").terms == {"XX": 1.5}
+    assert parse_operator("+XX").terms == {"XX": 1}
+    assert parse_operator("X - -Y").terms == {"X": 1, "Y": 1}
+    # a coefficient with no string, a '*' with no coefficient, a term with
+    # no sign: each refused at the column where its term starts, counted
+    # in the text without whitespace
+    for text, column in (("2*", 0), ("*XX", 0), ("XX + 2*", 2), ("XX 2YY", 2), ("X+Y(2)Z", 3)):
+        with pytest.raises(ValueError, match=f"at column {column} in"):
+            parse_operator(text)
+    # a literal that overflows is named alone, not with its term
+    with pytest.raises(ValueError, match=r"^coefficient \(1-1e400i\) is not finite$"):
+        parse_operator("XX + (1-1e400i)*ZZ")
+    # the signs before a term are the term's, the literal is what follows
+    with pytest.raises(ValueError, match="^coefficient 1e999 is not finite$"):
+        parse_operator("-(1)XX - -1e999ZZ")
+
+
+def test_sections():
+    # key None holds the lines before the first header; a header is a
+    # comment-stripped line, and a repeated one continues its section
+    text = "a  # [x]\n[x]\nb\n[y]  # header\n\n[z]\n[x]\nc # note\n"
+    assert sections(text, ("x", "y")) == {
+        None: [(1, "a  # [x]", "a")],
+        "x": [(3, "b", "b"), (8, "c # note", "c")],
+        "y": [(6, "[z]", "[z]")],
+    }
 
 
 def test_format_roundtrip():

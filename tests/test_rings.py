@@ -108,11 +108,12 @@ def test_global_residual_against_dense_oracle():
     # placements, also on rings shorter than the safe length
     rng = np.random.default_rng(12)
     for r in (1, 2, 3):
-        for gen in oracle_generators(rng, r):
+        for spec in oracle_generators(rng, r):
+            gen = LindbladGenerator(r, **spec)
             a = random_hermitian_window(rng, 2)
             for n in range(max(r, 2), 7):
                 A = assemble_sum(a, n)
-                dense = sum(dense_lindblad_apply(gen, A, offset=j) for j in range(n))
+                dense = sum(dense_lindblad_apply(A, offset=j, **spec) for j in range(n))
                 want = np.linalg.norm(dense) / 2 ** (n / 2)
                 assert abs(global_conservation_residual(gen, a, n) - want) <= 1e-12 * want
 
