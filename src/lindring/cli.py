@@ -168,7 +168,7 @@ def _cmd_obstruction(args) -> int:
     params = CanonicalParams.at(args.mu, args.nu, (args.hx, args.hy, args.hz))
     assemble = assemble_C_2site if args.r == 2 else assemble_C_3site
     mat = assemble(params)
-    rep = certify_definiteness(mat.C)
+    rep = certify_definiteness(mat.C, blocks=mat.blocks)
     config = {
         "subcommand": "obstruction", "r": args.r,
         "mu": args.mu, "nu": args.nu,

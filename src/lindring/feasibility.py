@@ -339,7 +339,8 @@ def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport 
         return None
     try:
         assemble = assemble_C_2site if problem.r_gen == 2 else assemble_C_3site
-        return certify_definiteness(assemble(canonical_form(problem.target)).C)
+        mat = assemble(canonical_form(problem.target))
+        return certify_definiteness(mat.C, blocks=mat.blocks)
     except (ValueError, ArithmeticError):
         return None
 

@@ -257,7 +257,9 @@ class LindbladGenerator:
                 if abs(c0) > 0:
                     M = L - PauliOperator(self.r, {ident: c0})
                     hamiltonian = hamiltonian + 1j * (c0.conjugate() * M - c0 * M.dagger())
-        # after the fold: a folded term that overflowed leaves a NaN imaginary part
+            if not np.isfinite(np.array(list(hamiltonian.terms.values()), dtype=complex)).all():
+                raise ValueError("hamiltonian overflows when the identity parts of the jump "
+                                 "operators are folded into it")
         if not hamiltonian.is_hermitian(1e-12):
             raise ValueError("hamiltonian must be Hermitian")
         g = np.asarray(gamma, dtype=complex)

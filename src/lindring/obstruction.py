@@ -16,6 +16,14 @@ part is the obstruction matrix C = sum_{i<=j} a_i a_j T_ij, a = (1, mu,
 nu, h_x, h_y, h_z): 21 real symmetric tables per width, built once.
 When C is negative definite, no generator of that width with a nonzero
 dissipative part conserves the density.
+
+A point's weights a_i a_j decide which tables count.  C vanishes exactly
+off the connected components of the nonzero entries of those tables, so
+its spectrum is the union of theirs: at h = 0 and width 3 they have
+sizes 9, 9, 9, 9, 6, 6, 6, 6, 1, 1, 1; with every weight nonzero, one
+block holds the whole matrix.  Every certificate (scan, obstruction,
+search) reads the blocks of its own point, from the tables and never
+from rounding, so a point gets the same verdict bits in any of them.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ _PATTERN_STRINGS = {"xx": "XX", "yy": "YY", "zz": "ZZ", "x": "X", "y": "Y", "z":
 MU_AXIS = tuple(round(0.05 * k, 2) for k in range(21))
 H_AXIS = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 
-_CHUNK = 4  # grid points per stacked scan pass; larger chunks raise peak memory
+# a scan pass starts no new point past _CHUNK dense width-3 matrices' worth of
+# entries: four dense points, or dozens whose blocks are small; more raise peak memory
+_CHUNK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +74,17 @@ class QuadraticForm:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionMatrix:
-    """C at one point; gauge_residual is sum_k |a_i a_j| times the per-term gauge residuals."""
+    """C at one point; gauge_residual is sum_k |a_i a_j| times the per-term gauge residuals.
+
+    blocks partitions the basis into index sets off which C is exactly zero
+    (None: one block).
+    """
 
     C: np.ndarray
     basis: str
     params: CanonicalParams
     gauge_residual: float = 0.0
+    blocks: tuple[np.ndarray, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,21 +278,69 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 # overflow is caught by the finiteness check, which names the point
 @np.errstate(over="ignore", invalid="ignore")
-def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
-
-    Terms are summed elementwise in a fixed order, so each matrix is
-    bit-identical to its point's alone.  The checks bound the Hamiltonian
-    part and the gauge residual by the per-term values times |a_i a_j|.
-    """
-    T, ham, ham_pieces, gauge_terms = _polynomial(r_gen)
+def _weights(points: np.ndarray) -> np.ndarray:
+    """The term weights a_i a_j at a stack of (mu, nu, hx, hy, hz) points."""
     a = np.column_stack([np.ones(len(points)), points])
-    w = a[:, _I] * a[:, _J]
-    C = sum(wk[:, None, None] * Tk for wk, Tk in zip(w.T, T))
+    return a[:, _I] * a[:, _J]
+
+
+def _blocks(T: np.ndarray, terms: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the exact nonzero entries of the tables T[terms].
+
+    Exact zeros only: where no other term weighs, C is 0.0 off these blocks.
+    Ordered by first index.  Squaring the reach matrix costs the same for
+    any number of components; feasibility._column_blocks grows one at a
+    time, five times slower on the 55 of the width-3 origin.
+    """
+    reach = (T != 0)[terms].any(axis=0) | np.eye(T.shape[1], dtype=bool)
+    while not np.array_equal(grown := reach.astype(float) @ reach > 0, reach):
+        reach = grown  # paths of doubled length, until row i is i's component
+    first = reach.argmax(axis=1)  # each index's component, named by its first index
+    return [np.flatnonzero(first == i) for i in dict.fromkeys(first.tolist())]
+
+
+def _term_entries(T: np.ndarray, terms: np.ndarray, entries: np.ndarray) -> list[tuple]:
+    """(k, positions, values) of the nonzero entries of each table T_k, k in terms.
+
+    `entries` are flat indices into C and must hold every such entry (the
+    blocks of these terms do); positions index into them.
+    """
+    flat = T.reshape(len(T), -1)
+    position = np.zeros(flat.shape[1], dtype=int)
+    position[entries] = np.arange(len(entries))
+    out = []
+    for k in terms:
+        nonzero = np.flatnonzero(flat[k])
+        out.append((k, position[nonzero], flat[k, nonzero]))
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _combine(w: np.ndarray, term_entries: list[tuple], width: int) -> np.ndarray:
+    """sum_k w[:, k] T_k on `width` entries, from 0.0 and one term after another.
+
+    Elementwise in a fixed order, so an entry has the same bits however the
+    points are stacked and whichever other entries are summed.  A sum that
+    starts at +0.0 never reads -0.0, so skipping the zero entries of a table
+    leaves every bit as the dense sum has it.
+    """
+    out = np.zeros((len(w), width))
+    for k, at, values in term_entries:
+        out[:, at] += w[:, k, None] * values
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_terms(r_gen: int, w: np.ndarray, scale: np.ndarray, points) -> np.ndarray:
+    """Check the assembly at a stack of points whose C has largest entries `scale`.
+
+    Bounds the Hamiltonian part and the gauge residual by the per-term
+    values times |a_i a_j|; returns the gauge residuals.
+    """
+    _, ham, ham_pieces, gauge_terms = _polynomial(r_gen)
     lc = (np.abs(w) * ham).sum(axis=1)
     term_max = (np.abs(w) * ham_pieces).max(axis=1)
     gauge = (np.abs(w) * gauge_terms).sum(axis=1)
-    scale = np.abs(C).max(axis=(1, 2))
     # finite parameters can still overflow the quadratic weights
     _require(np.isfinite(lc) & np.isfinite(scale) & np.isfinite(gauge), OverflowError,
              points, "obstruction matrix is not finite")
@@ -286,7 +349,28 @@ def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
              "Hamiltonian part failed to cancel", lc)
     _require(gauge <= GAUGE_TOL * (1.0 + scale), ArithmeticError,
              points, "imaginary part not spanned by unitality forms", gauge)
-    return C, gauge
+    return gauge
+
+
+def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
+
+    Sums the terms some point weighs (_combine), so each matrix equals
+    its point's alone and its entries have the bits scan gives them.
+    """
+    T = _polynomial(r_gen)[0]
+    w = _weights(points)
+    m = T.shape[1]
+    C = _combine(w, _term_entries(T, np.flatnonzero(w.any(axis=0)), np.arange(m * m)), m * m)
+    return C.reshape(-1, m, m), _check_terms(r_gen, w, np.abs(C).max(axis=1), points)
+
+
+def _obstruction_matrix(r_gen: int, params: CanonicalParams, basis: str) -> ObstructionMatrix:
+    point = _point(params)
+    C, gauge = _assemble(r_gen, point)
+    blocks = _blocks(_polynomial(r_gen)[0], np.flatnonzero(_weights(point)[0]))
+    return ObstructionMatrix(C=C[0], basis=basis, params=params,
+                             gauge_residual=float(gauge[0]), blocks=tuple(blocks))
 
 
 # combination basis: 9 symmetric then 6 antisymmetric pairings, unit norm
@@ -313,18 +397,13 @@ def combination_matrix() -> np.ndarray:
 
 def assemble_C_2site(params: CanonicalParams) -> ObstructionMatrix:
     """Obstruction matrix of a width-2 generator, in the combination basis."""
-    C, gauge = _assemble(2, _point(params))
-    return ObstructionMatrix(
-        C=C[0], basis="two-site combinations: 9 symmetric + 6 antisymmetric, unit norm",
-        params=params, gauge_residual=float(gauge[0]))
+    return _obstruction_matrix(
+        2, params, "two-site combinations: 9 symmetric + 6 antisymmetric, unit norm")
 
 
 def assemble_C_3site(params: CanonicalParams) -> ObstructionMatrix:
     """Obstruction matrix of a width-3 generator, over the 63 window strings."""
-    C, gauge = _assemble(3, _point(params))
-    return ObstructionMatrix(
-        C=C[0], basis="primitive three-site window strings (63)",
-        params=params, gauge_residual=float(gauge[0]))
+    return _obstruction_matrix(3, params, "primitive three-site window strings (63)")
 
 
 def _c2_blocks(mu: float, nu: float, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,47 +485,86 @@ def _factors(A: np.ndarray) -> bool:
     return True
 
 
-def _certify(C: np.ndarray, zero_band: float, points=None) -> list[DefinitenessReport]:
-    """Verdicts for a stack of square matrices, one stacked eigensolve."""
-    scale = 1.0 + np.abs(C).max(axis=(1, 2))
+def _certify(stacks, owners, zero_band: float, points=None):
+    """Verdicts for points whose matrices are direct sums of blocks.
+
+    stacks is a list of stacks of square blocks, one size per stack, and
+    owners[s][j] the point that block stacks[s][j] belongs to; one
+    eigensolve and one Cholesky confirmation per stack.  Returns each
+    point's top eigenvalue, nullity and verdict, and each stack's
+    eigenvalues.
+    """
+    owner = np.concatenate(owners)
+    n = 1 + int(owner.max())
+
+    def per_point(ufunc, start, values):
+        out = np.full(n, start)
+        ufunc.at(out, owner, np.concatenate(values))
+        return out
+
+    with np.errstate(invalid="ignore"):  # a NaN goes on to the finiteness check
+        scale = 1.0 + per_point(np.maximum, 0.0, [np.abs(C).max(axis=(1, 2)) for C in stacks])
     _require(np.isfinite(scale), OverflowError, points, "matrix is not finite")
-    _require(np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * scale, ValueError,
-             points, "matrix is not symmetric")
-    S = 0.5 * (C + C.swapaxes(1, 2))
-    ev = np.linalg.eigvalsh(S)
-    max_eig = ev[:, -1]
-    tol = zero_band * (1.0 + np.abs(ev).max(axis=1))
-    nullity = np.sum(np.abs(ev) < tol[:, None], axis=1)
+    asym = per_point(np.maximum, 0.0,
+                     [np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) for C in stacks])
+    _require(asym <= 1e-12 * scale, ValueError, points, "matrix is not symmetric")
+    sym = [0.5 * (C + C.swapaxes(1, 2)) for C in stacks]
+    evs = [np.linalg.eigvalsh(S) for S in sym]
+    max_eig = per_point(np.maximum, -np.inf, [ev[:, -1] for ev in evs])
+    tol = zero_band * (1.0 + per_point(np.maximum, 0.0, [np.abs(ev).max(axis=1) for ev in evs]))
+    nullity = per_point(np.add, 0, [np.sum(np.abs(ev) < tol[o, None], axis=1)
+                                    for o, ev in zip(owners, evs)])
     verdict = np.where(max_eig >= tol, "indefinite",
                        np.where(max_eig > -tol, "negative_semidefinite", "negative_definite"))
     # a definite verdict leaves half the zero band of margin, far above the
     # rounding of a Cholesky factorization: -C - tol/2 factors when C is
-    # negative definite, and -C + tol/2 does not when C is indefinite
+    # negative definite, and -C + tol/2 does not when C is indefinite; a
+    # direct sum is definite when every block is, indefinite when one is
     definite = verdict == "negative_definite"
+    checked = verdict != "negative_semidefinite"
     shift = np.where(definite, 0.5, -0.5) * tol
-    eye = np.eye(C.shape[1])
-    agree = [verdict[i] == "negative_semidefinite"
-             or _factors((-S[i] - shift[i] * eye) / scale[i]) == definite[i]
-             for i in range(len(C))]
-    _require(np.array(agree), ArithmeticError, points,
+    factors = np.ones(n, dtype=bool)
+    for S, o in zip(sym, owners):
+        if (keep := checked[o]).any():
+            A, o, i = -S[keep], o[keep], np.arange(S.shape[1])
+            A[:, i, i] -= shift[o, None]
+            A /= scale[o, None, None]
+            # one stacked factorization; split only to find the blocks that fail
+            np.logical_and.at(factors, o, _factors(A) or [_factors(a) for a in A])
+    _require(~checked | (factors == definite), ArithmeticError, points,
              "eigenvalue verdict fails its Cholesky check")
-    return [DefinitenessReport(eigenvalues=ev[i], max_eigenvalue=float(max_eig[i]),
-                               nullity=int(nullity[i]), verdict=str(verdict[i]))
-            for i in range(len(C))]
+    return max_eig, nullity, verdict, evs
 
 
-def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND) -> DefinitenessReport:
+def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
+                         blocks=None) -> DefinitenessReport:
     """Eigenvalue verdict, confirmed by a Cholesky factorization when definite.
 
     Zero means |lambda| < zero_band * (1 + max |lambda|).  The verdict is
     negative_definite when everything lies below the zero band,
     negative_semidefinite when the top of the spectrum sits inside it,
-    and indefinite otherwise.
+    and indefinite otherwise.  `blocks` (default: one) partitions the
+    indices; C must be exactly zero off them, and each is certified alone,
+    as ObstructionMatrix.blocks and scan do.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
         raise ValueError("matrix must be square and nonempty")
-    return _certify(C[None], zero_band)[0]
+    blocks = [np.arange(len(C))] if blocks is None else [np.asarray(b) for b in blocks]
+    if not np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(C))):
+        raise ValueError("blocks must partition the indices")
+    off = np.ones(C.shape, dtype=bool)
+    for b in blocks:
+        off[np.ix_(b, b)] = False
+    if np.any(C[off] != 0):
+        raise ValueError("matrix is not zero off its blocks")
+    sizes = sorted({len(b) for b in blocks})
+    stacks = [np.stack([C[np.ix_(b, b)] for b in blocks if len(b) == s]) for s in sizes]
+    max_eig, nullity, verdict, evs = _certify(
+        stacks, [np.zeros(len(S), dtype=int) for S in stacks], zero_band)
+    return DefinitenessReport(eigenvalues=np.sort(np.concatenate([ev.ravel() for ev in evs])),
+                              max_eigenvalue=float(max_eig[0]), nullity=int(nullity[0]),
+                              verdict=str(verdict[0]))
 
 
 def c2prime_diagnostics(params: CanonicalParams):
@@ -536,8 +654,13 @@ def summarize_rows(r_gen: int, rows) -> dict:
 def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
     """Definiteness verdicts over a parameter grid, in grid order.
 
-    Points are assembled and certified in stacked chunks of _CHUNK: one
-    evaluation of the matrix polynomial and one eigensolve each.
+    Points are grouped by which of their weights a_i a_j are nonzero, and
+    each group's blocks (_blocks) are found once.  Passes take the points
+    group after group until they hold _CHUNK dense width-3 matrices' worth
+    of entries; a pass sums each point's terms on its block entries only,
+    then runs one eigensolve and one Cholesky confirmation per block size.
+    A point with every weight nonzero is one dense block.  A row depends
+    on its point alone: batched, alone, or as an obstruction report.
 
     The summary records every semidefinite point and whether all of them
     sit on the mu = nu = h_y = h_z = 0 line, the only place a width-2 or
@@ -547,12 +670,48 @@ def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
         raise ValueError("generator width must be 2 or 3")
     points = np.array([(mu, nu, hx, hy, hz) for mu, nu, hx, hy, hz in grid],
                       dtype=float).reshape(-1, 5)
-    rows = []
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start:start + _CHUNK]
-        C, _ = _assemble(r_gen, chunk)
-        rows += [ScanRow(*p, rep.max_eigenvalue, rep.nullity, rep.verdict)
-                 for p, rep in zip(chunk.tolist(), _certify(C, ZERO_BAND, chunk))]
+    T = _polynomial(r_gen)[0]
+    w = _weights(points)
+    patterns: dict[bytes, int] = {}
+    group = np.array([patterns.setdefault(row.tobytes(), len(patterns)) for row in w != 0],
+                     dtype=int)
+    layouts = []  # per pattern: its block sizes, and its tables on the block entries, packed
+    for key in patterns:
+        terms = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        blocks = _blocks(T, terms)
+        entries = np.concatenate([(b[:, None] * T.shape[1] + b).ravel() for b in blocks])
+        layouts.append(([len(b) for b in blocks], _term_entries(T, terms, entries), len(entries)))
+    # points sorted by pattern; a pass starts where the entries before it fill the budget
+    order = np.argsort(group, kind="stable")
+    group, w, sorted_points = group[order], w[order], points[order]
+    cost = np.array([width for *_, width in layouts], dtype=int)[group]
+    pass_of = (np.cumsum(cost) - cost) // (_CHUNK * 63 ** 2)
+    # runs of one pattern within one pass
+    starts = np.flatnonzero(np.diff(pass_of, prepend=-1) | np.diff(group, prepend=-1)).tolist()
+    max_eig, nullity = np.zeros(len(points)), np.zeros(len(points), dtype=int)
+    verdict = np.empty(len(points), dtype=object)
+    stacks: dict[int, list] = {}
+    lo = 0  # where the pass starts
+    for start, stop in zip(starts, starts[1:] + [len(points)]):
+        sizes, term_entries, width = layouts[group[start]]
+        C = _combine(w[start:stop], term_entries, width)
+        _check_terms(r_gen, w[start:stop], np.abs(C).max(axis=1), sorted_points[start:stop])
+        offset, owner = 0, np.arange(start - lo, stop - lo)
+        for size in sizes:
+            block = C[:, offset:offset + size * size].reshape(-1, size, size)
+            stacks.setdefault(size, []).append((block, owner))
+            offset += size * size
+        if stop < len(points) and pass_of[stop] == pass_of[start]:
+            continue
+        blocks, owners = zip(*[(np.concatenate([b for b, _ in parts]),
+                                np.concatenate([o for _, o in parts]))
+                               for parts in stacks.values()])
+        at = order[lo:stop]
+        max_eig[at], nullity[at], verdict[at], _ = _certify(
+            blocks, owners, ZERO_BAND, sorted_points[lo:stop])
+        stacks, lo = {}, stop
+    rows = [ScanRow(*p, e, k, str(v))
+            for p, e, k, v in zip(points.tolist(), max_eig.tolist(), nullity.tolist(), verdict)]
     return rows, summarize_rows(r_gen, rows)
 
 

@@ -96,19 +96,22 @@ def test_cli_loads_numpy_alone():
 
 def test_commands_leave_numpy_ma_unloaded(ising_density, heis_density, tmp_path):
     # numpy.ma costs every fresh process a cold import (np.unique loads it); the r=3
-    # refusal sorts the most image terms of any search
+    # refusal sorts the most image terms of any search, and the family scans group
+    # their points by weight pattern
     runs = [["search", "--density", ising_density, "--r", "2", "--seed", "1"],
             ["search", "--density", heis_density, "--r", "2", "--seed", "1"],
             ["search", "--density", heis_density, "--r", "3", "--seed", "1"],
             ["obstruction", "--r", "3", "--mu", "0.5", "--nu", "0.3"],
-            ["scan", "--r", "2", "--family", "xx-field"]]
+            ["scan", "--r", "2", "--family", "xx-field"],
+            ["scan", "--r", "3", "--family", "xyz"],
+            ["scan", "--r", "2", "--family", "xxz"]]
     code = ("import json, sys; from lindring.cli import main; "
             f"codes = [main(argv + ['--out', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]; "
             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindring.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert json.loads(out.stdout) == [[0, 3, 3, 0, 0], False]
+    assert json.loads(out.stdout) == [[0, 3, 3, 0, 0, 0, 0], False]
 
 
 def test_help_exit_0(capsys):

@@ -264,8 +264,9 @@ def test_jump_operators_that_overflow_are_refused_when_made():
     # overflows is refused before the generator acts, and kernel exits 2
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         LindbladGenerator(1, lindblads=[parse_operator("1e200*X")])
-    # a folded identity term that overflows leaves a NaN imaginary part in H
-    with pytest.raises(ValueError, match="hamiltonian must be Hermitian"):
+    # a folded identity term that overflows is named as the overflow, not as a
+    # Hermiticity failure of the (Hermitian, finite) input
+    with pytest.raises(ValueError, match="hamiltonian overflows when the identity parts"):
         LindbladGenerator(2, hamiltonian=parse_operator("1.7e308*XX"),
                           lindblads=[parse_operator("(0+1e154i)*II + 1e154*XX")])
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import CanonicalParams, assemble_sum
 from lindring import obstruction
+from lindring.cli import main
 from lindring.obstruction import (
     GAUGE_TOL,
     H_AXIS,
@@ -425,6 +428,55 @@ def test_cholesky_check_catches_a_wrong_eigenvalue(monkeypatch, r_gen, point):
         certify_definiteness(np.diag([-1.0, -2.0, 3.0]))
 
 
+def _one_indefinite_block():
+    # blocks {0, 3}, {1, 4}, {2}, interleaved; only {1, 4} has a positive eigenvalue
+    C = np.zeros((5, 5))
+    C[np.ix_([0, 3], [0, 3])] = [[-2.0, 1.0], [1.0, -3.0]]
+    C[np.ix_([1, 4], [1, 4])] = [[-1.0, 2.0], [2.0, -1.0]]
+    C[2, 2] = -0.5
+    return C, ([0, 3], [1, 4], [2])
+
+
+def test_cholesky_check_is_made_on_every_block(monkeypatch):
+    C, blocks = _one_indefinite_block()
+    rep = certify_definiteness(C, blocks=blocks)
+    assert rep.verdict == "indefinite" and rep.max_eigenvalue == pytest.approx(1.0)
+    assert np.allclose(rep.eigenvalues, np.linalg.eigvalsh(C))
+    eigvalsh = np.linalg.eigvalsh
+
+    def all_negative(a):
+        return -np.sort(np.abs(eigvalsh(a)), axis=-1)[..., ::-1]
+
+    # the indefinite block read as definite: that block does not factor
+    monkeypatch.setattr(np.linalg, "eigvalsh", all_negative)
+    with pytest.raises(ArithmeticError, match="Cholesky"):
+        certify_definiteness(C, blocks=blocks)
+    # a negative definite direct sum still passes under the same reading
+    D = C.copy()
+    D[np.ix_([1, 4], [1, 4])] = [[-3.0, 1.0], [1.0, -1.0]]
+    assert certify_definiteness(D, blocks=blocks).verdict == "negative_definite"
+
+    # and a negative definite sum whose blocks all read indefinite: every block factors
+    def all_positive(a):
+        return np.abs(eigvalsh(a))
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", all_positive)
+    with pytest.raises(ArithmeticError, match="Cholesky"):
+        certify_definiteness(D, blocks=blocks)
+
+
+def test_certify_blocks_must_partition_a_block_diagonal_matrix():
+    C, blocks = _one_indefinite_block()
+    with pytest.raises(ValueError, match="partition"):
+        certify_definiteness(C, blocks=([0, 3], [1, 4]))
+    with pytest.raises(ValueError, match="partition"):
+        certify_definiteness(C, blocks=([0, 3], [1, 4], [2], [3]))
+    C[0, 1] = C[1, 0] = 1e-300
+    with pytest.raises(ValueError, match="not zero off its blocks"):
+        certify_definiteness(C, blocks=blocks)
+    assert certify_definiteness(C).verdict == "indefinite"
+
+
 def test_eigenvalue_and_sylvester_agree_on_scan_points():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -530,6 +582,74 @@ def test_scan_batched_matches_pointwise(r_gen):
     assert rows_to_csv(rows) == rows_to_csv(single)
 
 
+def dense_certify(C, zero_band=obstruction.ZERO_BAND):
+    """The certificate without blocks: one eigensolve of each whole matrix."""
+    ev = np.linalg.eigvalsh(0.5 * (C + C.swapaxes(1, 2)))
+    top = ev[:, -1]
+    tol = zero_band * (1.0 + np.abs(ev).max(axis=1))
+    verdict = np.where(top >= tol, "indefinite",
+                       np.where(top > -tol, "negative_semidefinite", "negative_definite"))
+    return top, (np.abs(ev) < tol[:, None]).sum(axis=1), verdict
+
+
+def random_pattern_grid(rng, count):
+    """Points whose coordinates are often exactly 0, exactly 1 or underflow in a_i a_j."""
+    grid = np.column_stack([rng.uniform(0, 1, (count, 2)), rng.uniform(-2, 2, (count, 3))])
+    grid[rng.random(grid.shape) < 0.4] = 0.0
+    grid[:, :2][rng.random((count, 2)) < 0.15] = 1.0
+    grid[rng.random(grid.shape) < 0.1] = 1e-200
+    return [tuple(p) for p in grid.tolist()]
+
+
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_scan_blocks_match_the_dense_certificate(r_gen):
+    rng = np.random.default_rng(24 + r_gen)
+    grid = random_pattern_grid(rng, 100)
+    # at r=2 the first pass holds at least 70 points (15x15 each): several patterns in one pass
+    per_pass = obstruction._CHUNK * 63 ** 2 // 15 ** 2
+    assert len({tuple(v != 0) for v in obstruction._weights(np.array(grid[:per_pass]))}) > 3
+    for family in ("xyz", "ising-fields", "xxz", "xx-field"):
+        grid += family_grid(family)
+    rows, _ = scan(r_gen, grid)
+    C, _ = _assemble(r_gen, np.array(grid))
+    top, nullity, verdict = dense_certify(C)
+    assert [r.verdict for r in rows] == verdict.tolist()
+    assert [r.nullity for r in rows] == nullity.tolist()
+    size = np.abs(C).max(axis=(1, 2))
+    assert np.all(np.abs([r.max_eig for r in rows] - top) <= 1e-12 * (1 + size))
+    # the blocks rest on exact zeros: off them every weighted table is 0.0
+    T = obstruction._polynomial(r_gen)[0]
+    for active in {tuple(v != 0) for v in obstruction._weights(np.array(grid))}:
+        terms = np.flatnonzero(active)
+        blocks = obstruction._blocks(T, terms)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(T.shape[1]))
+        off = np.ones(T.shape[1:], dtype=bool)
+        for b in blocks:
+            off[np.ix_(b, b)] = False
+        assert np.all(T[terms][:, off] == 0.0)
+
+
+def test_scan_rows_are_obstruction_reports(tmp_path):
+    points = {2: [(1.0, nu, 0.0, 0.0, hz) for nu in (0.0, 0.35, 1.0) for hz in (0.0, 0.5, -2.0)]
+              + [(0.3, 0.7, 0.2, -1.5, 0.9), (0.0, 0.0, 0.0, 0.0, 0.0)],
+              3: [(1.0, 0.35, 0.0, 0.0, 0.5), (0.5, 0.25, 0.0, 0.0, 0.0),
+                  (0.0, 0.0, 0.0, 0.5, -1.0), (0.3, 0.7, 0.2, -1.5, 0.9)]}
+    # at mu = 1 the xxz matrix has exact zeros inside the blocks of its tables
+    mat = assemble_C_2site(CanonicalParams.at(1.0, 0.35, (0.0, 0.0, 0.5)))
+    assert any(np.any(mat.C[np.ix_(b, b)] == 0.0) for b in mat.blocks)
+    for r_gen, grid in points.items():
+        rows, _ = scan(r_gen, grid)
+        for i, (row, p) in enumerate(zip(rows, grid)):
+            out = tmp_path / f"r{r_gen}-{i}.json"
+            argv = ["obstruction", "--r", str(r_gen), "--out", str(out)]
+            for flag, v in zip(("--mu", "--nu", "--hx", "--hy", "--hz"), p):
+                argv += [flag, repr(v)]
+            assert main(argv) == 0
+            report = json.loads(out.read_text())["result"]
+            assert report["max_eigenvalue"] == row.max_eig
+            assert (report["nullity"], report["verdict"]) == (row.nullity, row.verdict)
+
+
 def test_scan_check_failures_name_the_point(monkeypatch):
     grid = [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)]
     for name in ("D_CANCEL_TOL", "GAUGE_TOL"):
@@ -540,7 +660,7 @@ def test_scan_check_failures_name_the_point(monkeypatch):
     C = np.stack([-np.eye(3)] * 3)
     C[1, 0, 2] = 1.0
     with pytest.raises(ValueError, match=r"not symmetric at .* = \(1\.0, 0\.0, 0\.5, -1\.0, 2\.0\)"):
-        obstruction._certify(C, obstruction.ZERO_BAND, np.array(grid + grid[:1]))
+        obstruction._certify([C], [np.arange(3)], obstruction.ZERO_BAND, np.array(grid + grid[:1]))
 
 
 _unit = st.floats(0.0, 1.0)
