@@ -21,15 +21,17 @@ A point's weights a_i a_j decide which tables count.  C vanishes exactly
 off the connected components of the nonzero entries of those tables, so
 its spectrum is the union of theirs: at h = 0 and width 3 they have
 sizes 9, 9, 9, 9, 6, 6, 6, 6, 1, 1, 1; with every weight nonzero, one
-block holds the whole matrix.  Every certificate (scan, obstruction,
-search) reads the blocks of its own point, from the tables and never
-from rounding, so a point gets the same verdict bits in any of them.
+block holds the whole matrix.  scan stacks the points of one weight
+pattern, which share its blocks.  Every certificate reads the blocks of
+its own point, from the tables and never from rounding, so a point gets
+the same verdict bits in scan, obstruction and search.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +52,8 @@ _PATTERN_STRINGS = {"xx": "XX", "yy": "YY", "zz": "ZZ", "x": "X", "y": "Y", "z":
 MU_AXIS = tuple(round(0.05 * k, 2) for k in range(21))
 H_AXIS = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 
-# a scan pass starts no new point past _CHUNK dense width-3 matrices' worth of
-# entries: four dense points, or dozens whose blocks are small; more raise peak memory
+# a scan pass holds points of one weight pattern and at most _CHUNK dense
+# width-3 matrices' worth of entries (four dense points); more raise peak memory
 _CHUNK = 4
 
 
@@ -269,9 +271,10 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     off_span = target - (target @ cols) @ np.linalg.pinv(cols.T @ cols, hermitian=True) @ cols.T
     del cols
     T = _vector_to_gamma(P, m, 2.0).real
-    if r_gen == 2:
-        S = combination_matrix()
-        T = S.T @ T @ S
+    if r_gen == 2:  # the +-1 congruence is exact on these integer tables; a zero stays 0.0
+        S = np.sign(combination_matrix())
+        norm = np.linalg.norm(S, axis=0)
+        T = S.T @ T @ S / np.outer(norm, norm)
     T = 0.5 * (T + T.swapaxes(1, 2))
     return T, ham, pieces, 0.5 * np.abs(off_span).max(axis=1)
 
@@ -485,35 +488,39 @@ def _factors(A: np.ndarray) -> bool:
     return True
 
 
-def _certify(stacks, owners, zero_band: float, points=None):
+def _packing(blocks, m: int) -> tuple[np.ndarray, list[int]]:
+    """Flat indices of the blocks' entries in an m x m matrix, smallest first; and the sizes."""
+    blocks = sorted(blocks, key=len)
+    return np.concatenate([(b[:, None] * m + b).ravel() for b in blocks]), [len(b) for b in blocks]
+
+
+def _stacks(rows: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Cut rows of packed block entries (_packing) into stacks (points, blocks, s, s)."""
+    stacks, offset = [], 0
+    for s, k in Counter(sizes).items():  # sizes are sorted: one slice per size
+        stacks.append(rows[:, offset:offset + k * s * s].reshape(len(rows), k, s, s))
+        offset += k * s * s
+    return stacks
+
+
+def _certify(stacks, zero_band: float, points=None):
     """Verdicts for points whose matrices are direct sums of blocks.
 
-    stacks is a list of stacks of square blocks, one size per stack, and
-    owners[s][j] the point that block stacks[s][j] belongs to; one
-    eigensolve and one Cholesky confirmation per stack.  Returns each
-    point's top eigenvalue, nullity and verdict, and each stack's
-    eigenvalues.
+    Each stack holds every point's blocks of one size, shaped (points,
+    blocks, s, s); one eigensolve and one Cholesky confirmation per stack.
+    Returns each point's top eigenvalue, nullity and verdict, and each
+    stack's eigenvalues.
     """
-    owner = np.concatenate(owners)
-    n = 1 + int(owner.max())
-
-    def per_point(ufunc, start, values):
-        out = np.full(n, start)
-        ufunc.at(out, owner, np.concatenate(values))
-        return out
-
     with np.errstate(invalid="ignore"):  # a NaN goes on to the finiteness check
-        scale = 1.0 + per_point(np.maximum, 0.0, [np.abs(C).max(axis=(1, 2)) for C in stacks])
+        scale = 1.0 + np.max([np.abs(C).max(axis=(1, 2, 3)) for C in stacks], axis=0)
     _require(np.isfinite(scale), OverflowError, points, "matrix is not finite")
-    asym = per_point(np.maximum, 0.0,
-                     [np.abs(C - C.swapaxes(1, 2)).max(axis=(1, 2)) for C in stacks])
+    asym = np.max([np.abs(C - C.swapaxes(2, 3)).max(axis=(1, 2, 3)) for C in stacks], axis=0)
     _require(asym <= 1e-12 * scale, ValueError, points, "matrix is not symmetric")
-    sym = [0.5 * (C + C.swapaxes(1, 2)) for C in stacks]
+    sym = [0.5 * (C + C.swapaxes(2, 3)) for C in stacks]
     evs = [np.linalg.eigvalsh(S) for S in sym]
-    max_eig = per_point(np.maximum, -np.inf, [ev[:, -1] for ev in evs])
-    tol = zero_band * (1.0 + per_point(np.maximum, 0.0, [np.abs(ev).max(axis=1) for ev in evs]))
-    nullity = per_point(np.add, 0, [np.sum(np.abs(ev) < tol[o, None], axis=1)
-                                    for o, ev in zip(owners, evs)])
+    max_eig = np.max([ev[..., -1].max(axis=1) for ev in evs], axis=0)
+    tol = zero_band * (1.0 + np.max([np.abs(ev).max(axis=(1, 2)) for ev in evs], axis=0))
+    nullity = np.sum([(np.abs(ev) < tol[:, None, None]).sum(axis=(1, 2)) for ev in evs], axis=0)
     verdict = np.where(max_eig >= tol, "indefinite",
                        np.where(max_eig > -tol, "negative_semidefinite", "negative_definite"))
     # a definite verdict leaves half the zero band of margin, far above the
@@ -522,15 +529,14 @@ def _certify(stacks, owners, zero_band: float, points=None):
     # direct sum is definite when every block is, indefinite when one is
     definite = verdict == "negative_definite"
     checked = verdict != "negative_semidefinite"
-    shift = np.where(definite, 0.5, -0.5) * tol
-    factors = np.ones(n, dtype=bool)
-    for S, o in zip(sym, owners):
-        if (keep := checked[o]).any():
-            A, o, i = -S[keep], o[keep], np.arange(S.shape[1])
-            A[:, i, i] -= shift[o, None]
-            A /= scale[o, None, None]
-            # one stacked factorization; split only to find the blocks that fail
-            np.logical_and.at(factors, o, _factors(A) or [_factors(a) for a in A])
+    shift = (np.where(definite, 0.5, -0.5) * tol)[checked, None, None]
+    factors = np.ones(len(verdict), dtype=bool)
+    for S in sym:
+        A, i = -S[checked], np.arange(S.shape[-1])
+        A[..., i, i] -= shift
+        A /= scale[checked, None, None, None]
+        # one stacked factorization; split only to find the points whose blocks fail
+        factors[checked] &= _factors(A) or [_factors(a) for a in A]
     _require(~checked | (factors == definite), ArithmeticError, points,
              "eigenvalue verdict fails its Cholesky check")
     return max_eig, nullity, verdict, evs
@@ -553,15 +559,10 @@ def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
     blocks = [np.arange(len(C))] if blocks is None else [np.asarray(b) for b in blocks]
     if not np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(C))):
         raise ValueError("blocks must partition the indices")
-    off = np.ones(C.shape, dtype=bool)
-    for b in blocks:
-        off[np.ix_(b, b)] = False
-    if np.any(C[off] != 0):
+    entries, sizes = _packing(blocks, len(C))
+    if np.any(np.delete(C.ravel(), entries) != 0):
         raise ValueError("matrix is not zero off its blocks")
-    sizes = sorted({len(b) for b in blocks})
-    stacks = [np.stack([C[np.ix_(b, b)] for b in blocks if len(b) == s]) for s in sizes]
-    max_eig, nullity, verdict, evs = _certify(
-        stacks, [np.zeros(len(S), dtype=int) for S in stacks], zero_band)
+    max_eig, nullity, verdict, evs = _certify(_stacks(C.ravel()[entries][None], sizes), zero_band)
     return DefinitenessReport(eigenvalues=np.sort(np.concatenate([ev.ravel() for ev in evs])),
                               max_eigenvalue=float(max_eig[0]), nullity=int(nullity[0]),
                               verdict=str(verdict[0]))
@@ -654,13 +655,12 @@ def summarize_rows(r_gen: int, rows) -> dict:
 def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
     """Definiteness verdicts over a parameter grid, in grid order.
 
-    Points are grouped by which of their weights a_i a_j are nonzero, and
-    each group's blocks (_blocks) are found once.  Passes take the points
-    group after group until they hold _CHUNK dense width-3 matrices' worth
-    of entries; a pass sums each point's terms on its block entries only,
-    then runs one eigensolve and one Cholesky confirmation per block size.
-    A point with every weight nonzero is one dense block.  A row depends
-    on its point alone: batched, alone, or as an obstruction report.
+    Points are taken one weight pattern (which a_i a_j are nonzero) at a
+    time: the pattern's blocks (_blocks) are found once, and its points go
+    in passes of at most _CHUNK dense width-3 matrices' worth of entries.
+    A pass sums each point's terms on its block entries only, then runs
+    one eigensolve and one Cholesky confirmation per block size.  A row
+    depends on its point alone: batched, alone, or as an obstruction report.
 
     The summary records every semidefinite point and whether all of them
     sit on the mu = nu = h_y = h_z = 0 line, the only place a width-2 or
@@ -672,44 +672,21 @@ def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
                       dtype=float).reshape(-1, 5)
     T = _polynomial(r_gen)[0]
     w = _weights(points)
-    patterns: dict[bytes, int] = {}
-    group = np.array([patterns.setdefault(row.tobytes(), len(patterns)) for row in w != 0],
-                     dtype=int)
-    layouts = []  # per pattern: its block sizes, and its tables on the block entries, packed
-    for key in patterns:
-        terms = np.flatnonzero(np.frombuffer(key, dtype=bool))
-        blocks = _blocks(T, terms)
-        entries = np.concatenate([(b[:, None] * T.shape[1] + b).ravel() for b in blocks])
-        layouts.append(([len(b) for b in blocks], _term_entries(T, terms, entries), len(entries)))
-    # points sorted by pattern; a pass starts where the entries before it fill the budget
-    order = np.argsort(group, kind="stable")
-    group, w, sorted_points = group[order], w[order], points[order]
-    cost = np.array([width for *_, width in layouts], dtype=int)[group]
-    pass_of = (np.cumsum(cost) - cost) // (_CHUNK * 63 ** 2)
-    # runs of one pattern within one pass
-    starts = np.flatnonzero(np.diff(pass_of, prepend=-1) | np.diff(group, prepend=-1)).tolist()
+    patterns: dict[bytes, list[int]] = {}  # each pattern's points, in grid order
+    for i, row in enumerate(w != 0):
+        patterns.setdefault(row.tobytes(), []).append(i)
     max_eig, nullity = np.zeros(len(points)), np.zeros(len(points), dtype=int)
     verdict = np.empty(len(points), dtype=object)
-    stacks: dict[int, list] = {}
-    lo = 0  # where the pass starts
-    for start, stop in zip(starts, starts[1:] + [len(points)]):
-        sizes, term_entries, width = layouts[group[start]]
-        C = _combine(w[start:stop], term_entries, width)
-        _check_terms(r_gen, w[start:stop], np.abs(C).max(axis=1), sorted_points[start:stop])
-        offset, owner = 0, np.arange(start - lo, stop - lo)
-        for size in sizes:
-            block = C[:, offset:offset + size * size].reshape(-1, size, size)
-            stacks.setdefault(size, []).append((block, owner))
-            offset += size * size
-        if stop < len(points) and pass_of[stop] == pass_of[start]:
-            continue
-        blocks, owners = zip(*[(np.concatenate([b for b, _ in parts]),
-                                np.concatenate([o for _, o in parts]))
-                               for parts in stacks.values()])
-        at = order[lo:stop]
-        max_eig[at], nullity[at], verdict[at], _ = _certify(
-            blocks, owners, ZERO_BAND, sorted_points[lo:stop])
-        stacks, lo = {}, stop
+    for key, members in patterns.items():
+        terms = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        entries, sizes = _packing(_blocks(T, terms), T.shape[1])
+        term_entries = _term_entries(T, terms, entries)
+        per_pass = _CHUNK * 63 ** 2 // len(entries)  # whole points, at least four
+        for at in np.array_split(np.array(members), -(-len(members) // per_pass)):
+            C = _combine(w[at], term_entries, len(entries))
+            _check_terms(r_gen, w[at], np.abs(C).max(axis=1), points[at])
+            max_eig[at], nullity[at], verdict[at], _ = _certify(
+                _stacks(C, sizes), ZERO_BAND, points[at])
     rows = [ScanRow(*p, e, k, str(v))
             for p, e, k, v in zip(points.tolist(), max_eig.tolist(), nullity.tolist(), verdict)]
     return rows, summarize_rows(r_gen, rows)

@@ -185,6 +185,20 @@ def test_assembled_matches_closed_form_up_to_global_scalar():
     assert scalars[0] == pytest.approx(4.0, abs=1e-12)
 
 
+def test_width2_tables_keep_the_closed_forms_exact_zeros():
+    # h = 0, one, two and three field axes; the congruence must not leave rounding off the blocks
+    sizes = {(0.5, 0.3, 0.0, 0.0, 0.0): [1] * 15,
+             (0.5, 0.3, 0.7, 0.0, 0.0): [1, 1, 1, 1, 2, 2, 2, 2, 3],
+             (0.5, 0.3, 0.7, -0.4, 0.0): [3, 3, 3, 6],
+             (0.5, 0.3, 0.7, -0.4, 1.1): [6, 9],
+             (1.0, 0.35, 0.0, 0.0, 0.5): [1, 1, 1, 1, 2, 2, 2, 2, 3]}
+    for (mu, nu, *h), want in sizes.items():
+        p = CanonicalParams.at(mu, nu, h)
+        mat = assemble_C_2site(p)
+        assert sorted(len(b) for b in mat.blocks) == want
+        assert np.array_equal(mat.C == 0, closed_form_C_2site(p).C == 0)
+
+
 def test_gauge_residual_certificate_is_small():
     rng = np.random.default_rng(23)
     for r_gen in (2, 3):
@@ -602,15 +616,24 @@ def random_pattern_grid(rng, count):
 
 
 @pytest.mark.parametrize("r_gen", [2, 3])
-def test_scan_blocks_match_the_dense_certificate(r_gen):
+def test_scan_blocks_match_the_dense_certificate(r_gen, monkeypatch):
     rng = np.random.default_rng(24 + r_gen)
     grid = random_pattern_grid(rng, 100)
-    # at r=2 the first pass holds at least 70 points (15x15 each): several patterns in one pass
-    per_pass = obstruction._CHUNK * 63 ** 2 // 15 ** 2
-    assert len({tuple(v != 0) for v in obstruction._weights(np.array(grid[:per_pass]))}) > 3
     for family in ("xyz", "ising-fields", "xxz", "xx-field"):
         grid += family_grid(family)
+    calls, certify = [], obstruction._certify
+
+    def record(stacks, zero_band, points=None):
+        calls.append((sum(S.size for S in stacks), points))
+        return certify(stacks, zero_band, points)
+
+    monkeypatch.setattr(obstruction, "_certify", record)
     rows, _ = scan(r_gen, grid)
+    # each pass: points of one weight pattern, within the entry budget; every point once
+    for entries, points in calls:
+        assert len({tuple(v != 0) for v in obstruction._weights(points)}) == 1
+        assert entries <= _CHUNK * 63 ** 2
+    assert sorted(tuple(p) for _, points in calls for p in points.tolist()) == sorted(grid)
     C, _ = _assemble(r_gen, np.array(grid))
     top, nullity, verdict = dense_certify(C)
     assert [r.verdict for r in rows] == verdict.tolist()
@@ -660,7 +683,7 @@ def test_scan_check_failures_name_the_point(monkeypatch):
     C = np.stack([-np.eye(3)] * 3)
     C[1, 0, 2] = 1.0
     with pytest.raises(ValueError, match=r"not symmetric at .* = \(1\.0, 0\.0, 0\.5, -1\.0, 2\.0\)"):
-        obstruction._certify([C], [np.arange(3)], obstruction.ZERO_BAND, np.array(grid + grid[:1]))
+        obstruction._certify([C[:, None]], obstruction.ZERO_BAND, np.array(grid + grid[:1]))
 
 
 _unit = st.floats(0.0, 1.0)
