@@ -38,6 +38,7 @@ from .rings import (assemble_sum, canonical_form, check_conservation, parse_dens
                     safe_ring_length, stable_ring_length)
 from .obstruction import (
     DefinitenessReport,
+    _column_blocks,
     _factors,
     assemble_C_2site,
     assemble_C_3site,
@@ -259,19 +260,6 @@ def _fixed_part(rows: _RowFactor, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_blocks(P: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, columns) of each connected component, with a row, of the row-column graph of P."""
-    free, blocks = P.any(axis=0), []
-    while free.any():
-        cols = np.arange(P.shape[1]) == free.argmax()
-        rows = P[:, cols].any(axis=1)
-        while not np.array_equal(cols, grown := P[rows].any(axis=0)):
-            cols, rows = grown, P[:, grown].any(axis=1)
-        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
-        free &= ~cols
-    return blocks
-
-
 def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     """One SVD per block of K: the rank, the least-squares point and the fixed gammas, per block.
 
@@ -446,10 +434,10 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     J^+ (-resid) = J^T (J J^T)^+ (-resid), by lstsq on the small Gram matrix,
     which is singular when J has dependent rows.  U U^dag is PSD by
     construction, and the trace is one of the components, so U = 0 is no
-    root.  K x0 = b must hold.  The descent stops once the residual is
-    below 1e-13 max(1, tau), or after 60 steps, and returns its smallest-residual
-    iterate unjudged: the caller certifies it on the ring.  None means
-    the projected gamma has no positive eigenvalue.
+    root.  K x0 = b must hold.  The descent stops once the residual is below
+    1e-13 max(1, tau), after 60 steps or when LAPACK cannot solve a step, and
+    returns its smallest-residual iterate unjudged: the caller certifies it
+    on the ring.  None means the projected gamma has no positive eigenvalue.
     """
     m = len(basis_strings(problem.r_gen))
     tau = problem.gamma_trace
@@ -468,7 +456,10 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
             best, least = U, size
         if size < 1e-13 * max(1.0, tau):
             break
-        delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
+        try:
+            delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
+        except np.linalg.LinAlgError:  # LAPACK found no step: stop at the best iterate
+            break
         U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
     U = best
     gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)

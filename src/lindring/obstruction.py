@@ -22,9 +22,9 @@ off the connected components of the nonzero entries of those tables, so
 its spectrum is the union of theirs: at h = 0 and width 3 they have
 sizes 9, 9, 9, 9, 6, 6, 6, 6, 1, 1, 1; with every weight nonzero, one
 block holds the whole matrix.  scan stacks the points of one weight
-pattern, which share its blocks.  Every certificate reads the blocks of
-its own point, from the tables and never from rounding, so a point gets
-the same verdict bits in scan, obstruction and search.
+pattern, which share its blocks; obstruction and search take one point
+down the same path.  Each sums the point's tables on its block entries
+alone, so a point gets the same bits in scan, obstruction and search.
 """
 
 from __future__ import annotations
@@ -288,18 +288,9 @@ def _weights(points: np.ndarray) -> np.ndarray:
 
 
 def _blocks(T: np.ndarray, terms: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the exact nonzero entries of the tables T[terms].
-
-    Exact zeros only: where no other term weighs, C is 0.0 off these blocks.
-    Ordered by first index.  Squaring the reach matrix costs the same for
-    any number of components; feasibility._column_blocks grows one at a
-    time, five times slower on the 55 of the width-3 origin.
-    """
+    """Components of the exact nonzeros of T[terms], ordered by first index: C is 0.0 off them."""
     reach = (T != 0)[terms].any(axis=0) | np.eye(T.shape[1], dtype=bool)
-    while not np.array_equal(grown := reach.astype(float) @ reach > 0, reach):
-        reach = grown  # paths of doubled length, until row i is i's component
-    first = reach.argmax(axis=1)  # each index's component, named by its first index
-    return [np.flatnonzero(first == i) for i in dict.fromkeys(first.tolist())]
+    return [cols for _, cols in _column_blocks(reach)]
 
 
 def _term_entries(T: np.ndarray, terms: np.ndarray, entries: np.ndarray) -> list[tuple]:
@@ -355,24 +346,17 @@ def _check_terms(r_gen: int, w: np.ndarray, scale: np.ndarray, points) -> np.nda
     return gauge
 
 
-def _assemble(r_gen: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Obstruction matrices and gauge residuals at a stack of (mu, nu, hx, hy, hz) points.
-
-    Sums the terms some point weighs (_combine), so each matrix equals
-    its point's alone and its entries have the bits scan gives them.
-    """
-    T = _polynomial(r_gen)[0]
-    w = _weights(points)
-    m = T.shape[1]
-    C = _combine(w, _term_entries(T, np.flatnonzero(w.any(axis=0)), np.arange(m * m)), m * m)
-    return C.reshape(-1, m, m), _check_terms(r_gen, w, np.abs(C).max(axis=1), points)
-
-
 def _obstruction_matrix(r_gen: int, params: CanonicalParams, basis: str) -> ObstructionMatrix:
+    """C at one point, summed on its block entries as a scan pass sums them."""
     point = _point(params)
-    C, gauge = _assemble(r_gen, point)
-    blocks = _blocks(_polynomial(r_gen)[0], np.flatnonzero(_weights(point)[0]))
-    return ObstructionMatrix(C=C[0], basis=basis, params=params,
+    T, w = _polynomial(r_gen)[0], _weights(point)
+    blocks = _blocks(T, terms := np.flatnonzero(w[0]))
+    entries, _ = _packing(blocks, T.shape[1])
+    packed = _combine(w, _term_entries(T, terms, entries), len(entries))
+    gauge = _check_terms(r_gen, w, np.abs(packed).max(axis=1), point)
+    C = np.zeros(T.shape[1:])
+    np.put(C, entries, packed[0])
+    return ObstructionMatrix(C=C, basis=basis, params=params,
                              gauge_residual=float(gauge[0]), blocks=tuple(blocks))
 
 
@@ -477,6 +461,19 @@ def closed_form_C_2site(params: CanonicalParams) -> ObstructionMatrix:
 
 
 # -- definiteness ------------------------------------------------------------
+
+
+def _column_blocks(P: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected component, with a row, of the row-column graph of P."""
+    free, blocks = P.any(axis=0), []
+    while free.any():
+        cols = np.arange(P.shape[1]) == free.argmax()
+        rows = P[:, cols].any(axis=1)
+        while not np.array_equal(cols, grown := P[rows].any(axis=0)):
+            cols, rows = grown, P[:, grown].any(axis=1)
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+        free &= ~cols
+    return blocks
 
 
 def _factors(A: np.ndarray) -> bool:

@@ -525,6 +525,17 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert rep["result"]["gap_trace"] == [[25, rep["result"]["gap_trace"][0][1]]]
 
 
+def test_search_refuses_weak_zz_locally_at_width_three(tmp_path):
+    # with some LAPACK builds a completion of this seed meets a Gram step that
+    # cannot be solved; the descent ends there and the search still refuses
+    density = tmp_path / "weak_zz.op"
+    density.write_text("r=2\nXX + 0.01*ZZ\n")
+    code, rep = run_json(["search", "--density", str(density), "--r", "3", "--mode", "local",
+                          "--seed", "3"], tmp_path)
+    assert code == 3
+    assert (rep["result"]["status"], rep["result"]["stop_reason"]) == ("not_found", "separated")
+
+
 def test_search_short_ring_verdict_is_its_own(heis_density, tmp_path):
     # below the stable length (5 sites for r = 2 global) the rows and the
     # verdict belong to that ring alone: the Heisenberg density is conserved

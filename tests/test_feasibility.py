@@ -11,10 +11,10 @@ from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
 from lindring.rings import (assemble_sum, global_conservation_residual, safe_ring_length,
                             stable_ring_length)
+from lindring.obstruction import _column_blocks
 from lindring.feasibility import (
     VERIFY_TOL,
     FeasibilityProblem,
-    _column_blocks,
     _complete_on_face,
     _factor_rows,
     _fixed_coordinates,
@@ -224,6 +224,29 @@ def test_one_factorization(r, mode):
         N = scipy.linalg.null_space(K)[:m2]
         assert np.abs(B.T @ N).max() < 1e-10
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
+
+
+def test_completion_stops_when_lapack_finds_no_step(monkeypatch):
+    # a Gram solve that LAPACK cannot do ends the descent at its best
+    # iterate, which goes to the ring check like any other completion
+    prob = ising_problem("global", 2)
+    cons = build_affine_constraints(prob)
+    rows = _factor_rows(cons)
+    warm = pack_point(rank_one_gamma(2, "XX")) + 1e-3 * np.random.default_rng(5).standard_normal(
+        cons.matrix.shape[1])
+    lstsq, gram_calls = np.linalg.lstsq, []
+
+    def failing(a, b, rcond=None):
+        if a.shape == (rows.fixed, rows.fixed):
+            gram_calls.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    cand = _complete_on_face(prob, cons, rows, warm)
+    assert len(gram_calls) == 1
+    assert cand is not None and cand.shape == (cons.matrix.shape[1],)
+    assert np.isfinite(cand).all()
 
 
 def dense_factor(cons):

@@ -15,7 +15,6 @@ from lindring.obstruction import (
     GAUGE_TOL,
     H_AXIS,
     _CHUNK,
-    _assemble,
     assemble_C_2site,
     assemble_C_3site,
     c2prime_diagnostics,
@@ -197,6 +196,24 @@ def test_width2_tables_keep_the_closed_forms_exact_zeros():
         mat = assemble_C_2site(p)
         assert sorted(len(b) for b in mat.blocks) == want
         assert np.array_equal(mat.C == 0, closed_form_C_2site(p).C == 0)
+
+
+@pytest.mark.parametrize("point, sizes", [
+    ((0.5, 0.3, 0.0, 0.0, 0.0), [1, 1, 1, 6, 6, 6, 6, 9, 9, 9, 9]),
+    ((0.0, 0.0, 0.0, 0.0, 0.0), [1] * 47 + [2] * 8),
+    ((0.5, 0.3, 0.7, 0.0, 0.0), [1, 12, 16, 16, 18]),
+    ((0.5, 0.3, 0.7, -0.4, 0.0), [28, 35]),
+    ((0.5, 0.3, 0.7, -0.4, 1.1), [63]),
+])
+def test_width3_blocks_keep_their_documented_sizes(point, sizes):
+    # h = 0, the origin, one, two and three field axes; C is 0.0 off the blocks
+    mat = assemble_C_3site(CanonicalParams.at(point[0], point[1], point[2:]))
+    assert sorted(len(b) for b in mat.blocks) == sizes
+    assert np.array_equal(np.sort(np.concatenate(mat.blocks)), np.arange(63))
+    off = np.ones((63, 63), dtype=bool)
+    for b in mat.blocks:
+        off[np.ix_(b, b)] = False
+    assert np.all(mat.C[off] == 0.0)
 
 
 def test_gauge_residual_certificate_is_small():
@@ -634,7 +651,8 @@ def test_scan_blocks_match_the_dense_certificate(r_gen, monkeypatch):
         assert len({tuple(v != 0) for v in obstruction._weights(points)}) == 1
         assert entries <= _CHUNK * 63 ** 2
     assert sorted(tuple(p) for _, points in calls for p in points.tolist()) == sorted(grid)
-    C, _ = _assemble(r_gen, np.array(grid))
+    assemble = assemble_C_2site if r_gen == 2 else assemble_C_3site
+    C = np.stack([assemble(CanonicalParams.at(p[0], p[1], p[2:])).C for p in grid])
     top, nullity, verdict = dense_certify(C)
     assert [r.verdict for r in rows] == verdict.tolist()
     assert [r.nullity for r in rows] == nullity.tolist()
@@ -694,11 +712,26 @@ _field = st.floats(-2.0, 2.0)
 @given(r_gen=st.sampled_from([2, 3]),
        grid=st.lists(st.tuples(_unit, _unit, _field, _field, _field), min_size=1, max_size=11))
 def test_batched_assembly_matches_one_point(r_gen, grid):
-    C, gauge = _assemble(r_gen, np.array(grid))
+    # a point's entries have the same bits in a scan pass, stacked with the
+    # other points of its weight pattern, as in its own obstruction matrix
+    passes, certify = [], obstruction._certify
+
+    def record(stacks, zero_band, points=None):
+        passes.append((stacks, points))
+        return certify(stacks, zero_band, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstruction, "_certify", record)
+        scan(r_gen, grid)
+    assert sorted(tuple(p) for _, points in passes for p in points.tolist()) == sorted(grid)
     assemble = assemble_C_2site if r_gen == 2 else assemble_C_3site
-    for p, Cp, g in zip(grid, C, gauge):
-        assert np.array_equal(Cp, assemble(CanonicalParams.at(p[0], p[1], p[2:])).C)
-        assert g < GAUGE_TOL * (1 + np.abs(Cp).max())
+    for stacks, points in passes:
+        for i, p in enumerate(points.tolist()):
+            mat = assemble(CanonicalParams.at(p[0], p[1], p[2:]))
+            entries, sizes = obstruction._packing(mat.blocks, len(mat.C))
+            alone = obstruction._stacks(mat.C.ravel()[entries][None], sizes)
+            assert all(np.array_equal(S[i], A[0]) for S, A in zip(stacks, alone, strict=True))
+            assert mat.gauge_residual < GAUGE_TOL * (1 + np.abs(mat.C).max())
 
 
 def test_family_grid_unknown_name():
