@@ -32,7 +32,6 @@ from .rings import (
     INDETERMINATE_TOL,
     ZERO_TOL,
     CanonicalParams,
-    canonical_form,
     canonical_residual,
     check_conservation,
     classify_ising,
@@ -146,8 +145,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_canon(args) -> int:
     a = _load(parse_density_file, args.density)
-    params = canonical_form(a)
-    ising, _ = classify_ising(a)
+    ising, params = classify_ising(a)
     config = {"subcommand": "canon", "density": args.density}
     result = {
         "mu": params.mu,
@@ -262,7 +260,7 @@ def _cmd_search(args) -> int:
     config = {
         "subcommand": "search", "density": args.density,
         "r_gen": prob.r_gen, "n": prob.n, "mode": prob.mode,
-        "gamma_trace": prob.gamma_trace,
+        "gamma_trace": 1.0,  # the search fixes tr gamma = 1
         "verify_tol": VERIFY_TOL, "max_iter": MAX_ITER,
         "seed": args.seed,
     }

@@ -5,11 +5,14 @@ Hamiltonian coefficients enter through the commutator and the structure
 matrix gamma enters through the dissipator, so for a fixed window width
 the conserving generators form an affine subspace.  Requiring gamma to
 be a physical dissipator adds the positive semidefinite cone, and the
-normalization tr(gamma) = gamma_trace cuts away the dissipatorless
-solutions that exist for every density.  A conserving generator with a
-genuine dissipative part is therefore a point in the intersection of
-an affine set with a compact slice of the PSD cone, and the search
-looks for it by accelerated projected gradient on gamma alone.
+normalization tr(gamma) = 1 cuts away the dissipatorless solutions that
+exist for every density.  A conserving generator with a genuine
+dissipative part is therefore a point in the intersection of an affine
+set with a compact slice of the PSD cone, and the search looks for it by
+accelerated projected gradient on gamma alone.  Conservation does not
+see scale: (H, gamma) conserves a exactly when s (H, gamma) conserves
+t a, so the search reads the target at unit Hilbert-Schmidt norm, and
+every bound is a plain number.
 
 The search stops at its first proof.  A feasible result has one judge:
 the point the face completion produces is certified independently,
@@ -51,37 +54,33 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 # iterations between two looks for a proof
 CHECK_PERIOD = 25
-# a separating margin counts above this share of tau |K^T y|
+# a separating margin counts above this share of |K^T y|
 SEPARATION_TOL = 1e-6
 
 
 class FeasibilityProblem:
     """A conservation target plus the shape of the generator to search over.
 
-    `target` is a Hermitian window operator.  `mode` picks the constraint:
-    local demands that the generator kill every placement of the target,
-    global only the ring sum.  `gamma_trace` fixes tr(gamma) and must be
-    positive; gamma = 0 solves every instance and is not interesting.
+    `target` is a Hermitian window operator, kept at unit Hilbert-Schmidt
+    norm.  `mode` picks the constraint: local demands that the generator
+    kill every placement of the target, global only the ring sum.
     """
 
     def __init__(self, target: PauliOperator, r_gen: int, n: int | None = None,
-                 mode: str = "global", gamma_trace: float = 1.0):
+                 mode: str = "global"):
         if not isinstance(target, PauliOperator):
             raise TypeError("target must be a PauliOperator")
+        if target.is_zero():
+            raise ValueError("target is zero")
+        target = target * (1.0 / target.hs_norm())
         if not target.is_hermitian(1e-12):
             raise ValueError("target must be Hermitian")
         # Hermitian means real Pauli coefficients; the rows read real parts only
         target = PauliOperator(target.n, {s: c.real for s, c in target.terms.items()})
-        if target.is_zero():
-            raise ValueError("target is zero")
         if r_gen not in (1, 2, 3):
             raise ValueError("generator width must be 1, 2, or 3")
         if mode not in ("local", "global"):
             raise ValueError(f"unknown mode {mode!r}")
-        gamma_trace = float(gamma_trace)
-        if not 0.0 < gamma_trace < float("inf"):
-            raise ValueError("gamma_trace must be positive and finite; "
-                             "gamma = 0 is the trivial solution")
         if n is None:
             n = safe_ring_length(r_gen, target.n)
         n = int(n)
@@ -91,7 +90,6 @@ class FeasibilityProblem:
         self.r_gen = int(r_gen)
         self.n = n
         self.mode = mode
-        self.gamma_trace = gamma_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +104,7 @@ class AffineConstraints:
 
 @dataclass(frozen=True)
 class Separation:
-    """A checked separating hyperplane y: margin = tau lambda_min(W) - y^T b > 0.
+    """A checked separating hyperplane y: margin = lambda_min(W) - y^T b > 0.
 
     W is the Hermitian matrix of the gamma part of K^T y, and null_dim the
     dimension of the y with no Hamiltonian part, K_H^T y = 0.
@@ -222,7 +220,7 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     for i, (_, c, v) in enumerate(distinct.values()):
         matrix[i, c] = v
     matrix[-1, :m] = 1.0
-    rhs = np.append(np.zeros(len(distinct)), problem.gamma_trace)
+    rhs = np.append(np.zeros(len(distinct)), 1.0)
     labels = tuple(label for label, _, _ in distinct.values()) + ("trace",)
     return AffineConstraints(matrix=matrix, rhs=rhs, labels=labels, dim_gamma=dim_gamma)
 
@@ -297,10 +295,10 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
 # -- cone slice projection -----------------------------------------------------
 
 
-def _project_simplex(lam: np.ndarray, tau: float) -> np.ndarray:
-    """Euclidean projection of eigenvalues onto {lam >= 0, sum lam = tau}."""
+def _project_simplex(lam: np.ndarray) -> np.ndarray:
+    """Euclidean projection of eigenvalues onto {lam >= 0, sum lam = 1}."""
     u = np.sort(lam)[::-1]
-    css = np.cumsum(u) - tau
+    css = np.cumsum(u) - 1.0
     ks = np.arange(1, u.size + 1)
     mask = u - css / ks > 0
     k = int(ks[mask][-1])
@@ -308,10 +306,10 @@ def _project_simplex(lam: np.ndarray, tau: float) -> np.ndarray:
     return np.maximum(lam - theta, 0.0)
 
 
-def _project_cone(g: np.ndarray, m: int, tau: float) -> np.ndarray:
-    """Project a packed gamma onto {PSD, fixed trace}."""
+def _project_cone(g: np.ndarray, m: int) -> np.ndarray:
+    """Project a packed gamma onto {PSD, trace 1}."""
     lam, V = np.linalg.eigh(_vector_to_gamma(g, m))
-    return _gamma_to_vector((V * _project_simplex(lam, tau)) @ V.conj().T)
+    return _gamma_to_vector((V * _project_simplex(lam)) @ V.conj().T)
 
 
 # -- search and verification ---------------------------------------------------
@@ -336,18 +334,13 @@ def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport 
 def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerator, float] | None:
     """Independent certification of a packed point: its generator and residual, or None.
 
-    Conservation is invariant under gamma -> s gamma and under a -> s a, so
-    the bounds scale: the residual with the trace and the target,
-    the PSD and trace errors with the trace.
+    The target has unit norm and gamma unit trace, so the bounds are plain numbers.
     """
     gen = generator_from_point(problem.r_gen, x)
     residual = verify_candidate(gen, problem)
     eigs = np.linalg.eigvalsh(gen.gamma)
-    trace_err = abs(float(np.trace(gen.gamma).real) - problem.gamma_trace)
-    scale = max(1.0, problem.gamma_trace)
-    size = max(1.0, problem.target.hs_norm())
-    if (residual < VERIFY_TOL * scale * size and eigs[0] > -PSD_TOL * scale
-            and trace_err < TRACE_TOL * scale):
+    trace_err = abs(float(np.trace(gen.gamma).real) - 1.0)
+    if residual < VERIFY_TOL and eigs[0] > -PSD_TOL and trace_err < TRACE_TOL:
         return gen, float(residual)
     return None
 
@@ -388,22 +381,22 @@ def _separation(problem: FeasibilityProblem, cons: AffineConstraints, rows: _Row
     <B d, gamma> >= |d|^2 + d.B^T g0 on the slice (optimality) but equals
     d.B^T g0 on every conserving gamma: B d, read off v by _hyperplane,
     separates when d != 0.  For K_H^T y = 0 and conserving
-    (gamma, H), y^T b = <W, gamma> >= tau lambda_min(W): a positive margin
-    is a conic Farkas certificate.  It must clear the bound, a Cholesky
-    factorization of W - (y^T b + bound / 2) / tau I and the ring check.
+    (gamma, H), y^T b = <W, gamma> >= lambda_min(W) on trace 1: a positive
+    margin is a conic Farkas certificate.  It must clear the bound, a
+    Cholesky factorization of W - (y^T b + bound / 2) I and the ring check.
     """
-    m, tau = len(basis_strings(problem.r_gen)), problem.gamma_trace
+    m = len(basis_strings(problem.r_gen))
     y = _hyperplane(cons, rows, v)
     u = cons.matrix.T @ y
     W = _vector_to_gamma(u[:cons.dim_gamma], m)
     y_dot_b = float(y @ cons.rhs)
     lam = float(np.linalg.eigvalsh(W)[0])
-    bound = SEPARATION_TOL * tau * np.linalg.norm(u)
-    if (tau * lam - y_dot_b <= bound
-            or not _factors(W - (y_dot_b + 0.5 * bound) / tau * np.eye(m))
+    bound = SEPARATION_TOL * np.linalg.norm(u)
+    if (lam - y_dot_b <= bound
+            or not _factors(W - (y_dot_b + 0.5 * bound) * np.eye(m))
             or not _ring_check(problem, cons, y, u, seed)):
         return None
-    return Separation(tau * lam - y_dot_b, lam, y_dot_b, len(y) - rows.rank + rows.fixed)
+    return Separation(lam - y_dot_b, lam, y_dot_b, len(y) - rows.rank + rows.fixed)
 
 
 def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
@@ -435,12 +428,11 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
     which is singular when J has dependent rows.  U U^dag is PSD by
     construction, and the trace is one of the components, so U = 0 is no
     root.  K x0 = b must hold.  The descent stops once the residual is below
-    1e-13 max(1, tau), after 60 steps or when LAPACK cannot solve a step, and
+    1e-13, after 60 steps or when LAPACK cannot solve a step, and
     returns its smallest-residual iterate unjudged: the caller certifies it
     on the ring.  None means the projected gamma has no positive eigenvalue.
     """
     m = len(basis_strings(problem.r_gen))
-    tau = problem.gamma_trace
     K, b = cons.matrix, cons.rhs
     v = warm[:m * m]
     lam, V = np.linalg.eigh(_vector_to_gamma(v - _fixed_part(rows, v - rows.x0[:m * m]), m))
@@ -454,7 +446,7 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
         resid, J = _gauss_newton_system(Bk, c, U)
         if (size := np.linalg.norm(resid)) < least:
             best, least = U, size
-        if size < 1e-13 * max(1.0, tau):
+        if size < 1e-13:
             break
         try:
             delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
@@ -462,13 +454,13 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
             break
         U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
     U = best
-    gpacked = _gamma_to_vector(U @ U.conj().T) * (tau / np.linalg.norm(U) ** 2)
+    gpacked = _gamma_to_vector(U @ U.conj().T) * (1.0 / np.linalg.norm(U) ** 2)
     eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
     return np.concatenate([gpacked, eta])
 
 
 def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
-    """FISTA for f = |B^T (gamma - g0)|^2 / 2 on {gamma PSD, tr gamma = tau}, g0 from x0.
+    """FISTA for f = |B^T (gamma - g0)|^2 / 2 on {gamma PSD, tr gamma = 1}, g0 from x0.
 
     H is free, so gamma completes exactly when f = 0.  B has orthonormal
     columns, so each step projects z - B B^T (z - g0), block by block, with
@@ -483,17 +475,16 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
-    tau = problem.gamma_trace
-    row_scale = max(1.0, np.abs(K).max())
-    # K x0 != b leaves only traceless conserving gammas: nothing to complete
-    completes = np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * max(1.0, tau) * row_scale
+    # K x0 != b leaves only traceless conserving gammas: nothing to complete;
+    # the trace row makes max |K| at least 1
+    completes = np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * np.abs(K).max()
 
     g0 = rows.x0[:m * m]
-    gamma = _project_cone(np.random.default_rng(seed).standard_normal(m * m) * (tau / m), m, tau)
+    gamma = _project_cone(np.random.default_rng(seed).standard_normal(m * m) * (1.0 / m), m)
     z, t = gamma, 1.0
     stop_reason, got, separation, gaps, iterations = "max_iter", None, None, [], 0
     for iterations in range(1, MAX_ITER + 1):
-        step = _project_cone(z - _fixed_part(rows, z - g0), m, tau)
+        step = _project_cone(z - _fixed_part(rows, z - g0), m)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = step + ((t - 1.0) / t_next) * (step - gamma)
         gamma, t = step, t_next
@@ -540,7 +531,7 @@ def parse_problem_file(text: str, r_gen: int | None = None, n: int | None = None
         if key in opts:
             raise ValueError(f"problem key {key!r} is set twice")
         opts[key] = val
-    unknown = set(opts) - {"r_gen", "n", "mode", "gamma_trace"}
+    unknown = set(opts) - {"r_gen", "n", "mode"}
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     if "r_gen" not in opts:
@@ -550,5 +541,4 @@ def parse_problem_file(text: str, r_gen: int | None = None, n: int | None = None
         r_gen=int(opts["r_gen"]),
         n=int(opts["n"]) if "n" in opts else None,
         mode=opts.get("mode", "global"),
-        gamma_trace=float(opts.get("gamma_trace", 1.0)),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import LindbladGenerator
-from .pauli import PauliOperator, content_lines, format_operator, parse_operator, sum_operators
+from .pauli import PRUNE_TOL, PauliOperator, content_lines, format_operator, parse_operator, sum_operators
 
 ZERO_TOL = 1e-12
 INDETERMINATE_TOL = 1e-8
@@ -35,13 +35,16 @@ def stable_ring_length(gen_r: int, a_r: int, mode: str) -> int:
 
 
 def assemble_sum(a: PauliOperator, n: int) -> PauliOperator:
-    """A = sum over all n cyclic placements of the window operator a."""
+    """A = sum over all n cyclic placements of the window operator a, pruned at each placement."""
     if n < a.n:
         raise ValueError("ring shorter than the density window")
-    out = PauliOperator.zero(n)
+    out: dict[str, complex] = {}
     for j in range(n):
-        out = out + a.embed(n, j)
-    return out
+        for s, c in a.embed(n, j).terms.items():
+            out[s] = out.get(s, 0j) + c
+            if abs(out[s]) <= PRUNE_TOL:
+                del out[s]
+    return PauliOperator._unchecked(n, out)
 
 
 # -- zero TI sums -------------------------------------------------------------
@@ -242,7 +245,7 @@ def canonical_form(a: PauliOperator) -> CanonicalParams:
     M, u0, u1 = _field_vectors(a)
 
     U, s, Vh = np.linalg.svd(M)
-    if s[0] <= 1e-12 * max(1.0, a.hs_norm()):
+    if s[0] <= 1e-12 * a.hs_norm():
         # pure field: rotate the averaged field onto the x axis
         avg = 0.5 * (u0 + u1)
         R = _frame_from_direction(avg)
@@ -316,7 +319,7 @@ def classify_ising(a: PauliOperator) -> tuple[bool, CanonicalParams]:
     params = canonical_form(a)
     M, u0, u1 = _field_vectors(a)
     u = u0 + u1
-    bound = CANONICAL_TOL * max(1.0, a.hs_norm())
+    bound = CANONICAL_TOL * a.hs_norm()
     U, s, Vh = np.linalg.svd(M)
     if s[0] <= bound:
         return True, params  # pure field
@@ -324,7 +327,7 @@ def classify_ising(a: PauliOperator) -> tuple[bool, CanonicalParams]:
         return False, params
     axis = U[:, 0] + Vh[0, :]
     norm2 = axis @ axis
-    if norm2 <= bound ** 2:
+    if norm2 <= CANONICAL_TOL ** 2:
         # antipodal principal axes: no field direction survives averaging
         return bool(np.linalg.norm(u) <= bound), params
     residual = u - axis * ((axis @ u) / norm2)

@@ -409,6 +409,12 @@ def test_canon_reports_parameters(tmp_path):
     assert res["h"] == pytest.approx([0.0, 0.0, 0.2])
     assert res["reconstruction_residual"] < 1e-10
     assert res["ising_type"] is False
+    # the normal form does not depend on the size of the density
+    path.write_text("r=2\n1e-13*XX + 1e-13*ZZ\n")
+    code, rep = run_json(["canon", "--density", str(path)], tmp_path)
+    assert (rep["result"]["mu"], rep["result"]["nu"]) == pytest.approx((1.0, 0.0))
+    assert rep["result"]["scale"] == pytest.approx(1e-13)
+    assert rep["result"]["ising_type"] is False
 
 
 def test_canon_flags_ising(ising_density, tmp_path):
@@ -523,6 +529,26 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert set(sep) == {"margin", "lambda_min", "y_dot_b", "null_dim"}
     assert sep["margin"] > 0 and isinstance(sep["null_dim"], int)
     assert rep["result"]["gap_trace"] == [[25, rep["result"]["gap_trace"][0][1]]]
+
+
+def test_search_refuses_a_tiny_heisenberg_density(tmp_path):
+    # the search reads the target at unit norm: 1e-13 (XX + YY + ZZ) is
+    # refused like XX + YY + ZZ, its ring image no longer under the pruning
+    density = tmp_path / "tiny.op"
+    density.write_text("r=2\n1e-13*XX + 1e-13*YY + 1e-13*ZZ\n")
+    code, rep = run_json(["search", "--density", str(density), "--r", "2", "--seed", "1"],
+                         tmp_path)
+    assert code == 3
+    assert (rep["result"]["status"], rep["result"]["stop_reason"]) == ("not_found", "separated")
+    assert rep["result"]["certificate"]["verdict"] == "negative_definite"
+
+
+def test_search_trace_key_exit_2(ising_density, tmp_path, capsys):
+    # tr gamma is fixed at 1, so the problem section has no key for it
+    prob = tmp_path / "prob.op"
+    prob.write_text(Path(ising_density).read_text() + "[problem]\nr_gen = 2\ngamma_trace = 2.5\n")
+    assert main(["search", "--density", str(prob)]) == 2
+    assert "unknown problem keys: ['gamma_trace']" in capsys.readouterr().err
 
 
 def test_search_refuses_weak_zz_locally_at_width_three(tmp_path):

@@ -101,7 +101,6 @@ def _problem_file(draw):
         "r_gen": _mostly(st.just("1"), st.sampled_from(["0", "4", "x"])),
         "n": st.sampled_from(["3", "4", "8", "1", "-2", "x"]),
         "mode": st.sampled_from(["global", "local", "both"]),
-        "gamma_trace": _NUMBER,
     }
     keys = ["r_gen"] + draw(st.lists(st.sampled_from(list(options)[1:]), unique=True))
     lines = draw(_density_lines()) + ["[problem]"]

@@ -104,13 +104,6 @@ def test_problem_rejects_bad_inputs():
     with pytest.raises(ValueError):
         FeasibilityProblem(a, r_gen=2, mode="ring")
     with pytest.raises(ValueError):
-        FeasibilityProblem(a, r_gen=2, gamma_trace=0.0)
-    with pytest.raises(ValueError):
-        FeasibilityProblem(a, r_gen=2, gamma_trace=-1.0)
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            FeasibilityProblem(a, r_gen=2, gamma_trace=bad)
-    with pytest.raises(ValueError):
         FeasibilityProblem(PauliOperator(2, {"XY": 1j}), r_gen=2)
     with pytest.raises(ValueError):
         FeasibilityProblem(PauliOperator.zero(2), r_gen=2)
@@ -169,6 +162,7 @@ def test_constraint_rows_match_generator_action(r, mode):
     n = stable_ring_length(r, 2, mode)
     assert n < prob.n
     image: dict[str, complex] = {}
+    a = prob.target  # the rows read the target at unit norm
     if mode == "global":
         for u, c in gen.apply(assemble_sum(a, n)).terms.items():
             rep = min(u[i:] + u[:i] for i in range(n))
@@ -321,8 +315,8 @@ def test_block_factor_matches_dense_svd(r, name, mode, blocks):
 
 
 def test_fixed_directions_keep_the_trace():
-    # the kept rows span singular values 684 to 1, so the Hamiltonian part of
-    # the trace direction in Vt is rounding well above machine precision
+    # the trace stays among the fixed directions when the kept rows span
+    # several scales: singular values 6.9 to 0.97 for this target at unit norm
     prob = FeasibilityProblem(PauliOperator(1, {"X": 8.564052386204182, "Z": -9.635214922746345}),
                               r_gen=1)
     cons = build_affine_constraints(prob)
@@ -386,7 +380,7 @@ def all_rows(prob):
     trace_row[0, :m] = 1.0
     K = np.vstack(rows + [trace_row])
     rhs = np.zeros(len(K))
-    rhs[-1] = prob.gamma_trace
+    rhs[-1] = 1.0
     return feasibility.AffineConstraints(K, rhs, tuple(labels) + ("trace",), m * m)
 
 
@@ -580,7 +574,7 @@ def assert_feasible(res, prob, tol=1e-8):
     assert res.residual < tol
     gam = res.generator.gamma
     assert np.linalg.eigvalsh(gam)[0] > -1e-9
-    assert np.trace(gam).real == pytest.approx(prob.gamma_trace, abs=1e-9)
+    assert np.trace(gam).real == pytest.approx(1.0, abs=1e-9)
     # the reported residual is reproducible from the returned generator
     assert verify_candidate(res.generator, prob) < tol
 
@@ -720,20 +714,23 @@ def test_search_rejects_transverse_ising(seed):
     assert res.certificate.verdict == "negative_definite"
 
 
-@pytest.mark.parametrize("tau, size", [(1e5, 1.0), (1e8, 1.0), (1.0, 1e5)])
-def test_search_scales_with_the_problem(tau, size):
-    # conservation is invariant under gamma -> s gamma and a -> s a, and so
-    # are the search's verdicts: its bounds scale with the trace and the target
-    target = PauliOperator(2, {s: size * c for s, c in ISING.items()})
-    prob = FeasibilityProblem(target, r_gen=2, gamma_trace=tau)
-    res = search(prob, seed=1)
-    assert res.status == "feasible"
-    bound = VERIFY_TOL * tau * max(1.0, target.hs_norm())
-    assert res.residual < bound
-    assert verify_candidate(res.generator, prob) < bound
-    gam = res.generator.gamma
-    assert np.linalg.eigvalsh(gam)[0] > -1e-9 * tau
-    assert np.trace(gam).real == pytest.approx(tau, rel=1e-9)
+@pytest.mark.parametrize("size", [1e-13, 1e-8, 1.0, 1e5])
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_search_scales_with_the_problem(size, mode):
+    # conservation is invariant under a -> s a, and so are the search's
+    # verdicts: it reads the target at unit norm.  Below 1e-12 the image of
+    # the raw target would fall under the operators' absolute pruning
+    for terms in (ISING, HEISENBERG):
+        prob = FeasibilityProblem(PauliOperator(2, {s: size * c for s, c in terms.items()}),
+                                  r_gen=2, mode=mode)
+        assert prob.target.hs_norm() == pytest.approx(1.0, abs=1e-15)
+        res = search(prob, seed=1)
+        if terms is ISING:
+            assert_feasible(res, prob)
+            assert res.stop_reason == "completed_on_face"
+        else:
+            assert (res.status, res.stop_reason) == ("not_found", "separated")
+            assert res.certificate.verdict == "negative_definite"
 
 
 def test_search_says_how_it_ended():
@@ -747,13 +744,6 @@ def test_search_says_how_it_ended():
     assert ident.gap_trace[0][0] == 25
     ising = search(ising_problem(), seed=1)
     assert (ising.status, ising.stop_reason, ising.iterations) == ("feasible", "completed_on_face", 25)
-
-
-def test_search_custom_trace_scale():
-    prob = ising_problem()
-    prob = FeasibilityProblem(prob.target, r_gen=2, gamma_trace=2.5)
-    res = search(prob, seed=1)
-    assert_feasible(res, prob)
 
 
 def spy_hyperplanes(monkeypatch):
@@ -770,11 +760,11 @@ def spy_hyperplanes(monkeypatch):
     return seen
 
 
-def farkas_margin(cons, y, tau):
-    """tau lambda_min(W) - y^T b, W the gamma part of K^T y, and K^T y."""
+def farkas_margin(cons, y):
+    """lambda_min(W) - y^T b, W the gamma part of K^T y, and K^T y."""
     m = round(np.sqrt(cons.dim_gamma))
     u = cons.matrix.T @ y
-    return tau * scipy.linalg.eigvalsh(_vector_to_gamma(u[:m * m], m))[0] - y @ cons.rhs, u
+    return scipy.linalg.eigvalsh(_vector_to_gamma(u[:m * m], m))[0] - y @ cons.rhs, u
 
 
 @pytest.mark.parametrize("terms, r", [({"XYZ": 1.0, "ZYX": 1.0}, 3),
@@ -788,7 +778,7 @@ def test_search_separates_targets_without_certificate(terms, r, monkeypatch):
     assert (res.status, res.stop_reason, res.certificate) == ("not_found", "separated", None)
     assert res.iterations == 25 and len(seen) == 1
     cons, _, _, y = seen[-1]
-    margin, u = farkas_margin(cons, y, prob.gamma_trace)
+    margin, u = farkas_margin(cons, y)
     m2 = cons.dim_gamma
     assert res.separation.margin > 1e-3 * np.linalg.norm(u)
     assert res.separation.margin == pytest.approx(margin, rel=1e-10)
@@ -815,7 +805,7 @@ def test_feasible_problems_never_separate(prob, seed, monkeypatch):
     res = search(prob, seed=seed)
     assert res.status == "feasible" and res.separation is None
     assert len(seen) == len(res.gap_trace) >= 1
-    assert max(farkas_margin(cons, y, prob.gamma_trace)[0] for cons, _, _, y in seen) <= 0.0
+    assert max(farkas_margin(cons, y)[0] for cons, _, _, y in seen) <= 0.0
 
 
 def test_corrupted_hyperplane_is_refused(monkeypatch):
@@ -883,7 +873,6 @@ r = 2
 r_gen = 2
 mode = global
 n = 8
-gamma_trace = 1.0
 """
 
 
@@ -892,7 +881,10 @@ def test_parse_problem_file():
     assert prob.r_gen == 2
     assert prob.mode == "global"
     assert prob.n == 8
-    assert prob.target.coefficient("XX") == pytest.approx(0.61)
+    # the target is read at unit norm
+    norm = np.linalg.norm([0.61, 0.34, 0.34, 0.05])
+    assert prob.target.coefficient("XX") == pytest.approx(0.61 / norm)
+    assert prob.target.hs_norm() == pytest.approx(1.0, abs=1e-15)
     # only a comment-stripped line reading [problem] opens the section
     noted = parse_problem_file("# see the [problem] section below\n" + PROBLEM_TEXT)
     assert noted.target.terms == prob.target.terms
@@ -910,6 +902,3 @@ def test_parse_problem_file_errors():
         parse_problem_file("r = 2\nXX\n[problem]\nbroken line\n")
     with pytest.raises(ValueError, match="r_gen"):
         parse_problem_file("r = 2\nXX\n[problem]\nr_gen = 1\nr_gen = 2\n")
-    for bad in ("inf", "nan"):
-        with pytest.raises(ValueError, match="gamma_trace"):
-            parse_problem_file(f"r = 2\nXX\n[problem]\nr_gen = 2\ngamma_trace = {bad}\n")

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def test_assemble_sum():
     assert A.num_terms == 4
     B = assemble_sum(parse_operator("Z"), 3)
     assert B.num_terms == 3
+
+
+@pytest.mark.parametrize("a, n", [
+    (parse_operator("XX + 0.3*ZI"), 6),
+    (parse_operator("XI - IX"), 5),  # cancels exactly, one string at a time
+    (parse_operator("XI - 1.000000000000001*IX + 0.5*ZZ"), 7),  # leaves 1e-15, below pruning
+    (random_operator(np.random.default_rng(3), 3, num_terms=20), 8),
+])
+def test_assemble_sum_is_the_running_sum(a, n):
+    # the ring sum adds each placement in place: the same strings, in the same
+    # order and with the same bits as adding whole operators one by one
+    want = functools.reduce(PauliOperator.__add__, [a.embed(n, j) for j in range(n)])
+    got = assemble_sum(a, n)
+    assert list(got.terms) == list(want.terms)
+    assert np.array(list(got.terms.values())).tobytes() == np.array(list(want.terms.values())).tobytes()
 
 
 def test_ti_sum_zero_divergence_form():
@@ -273,12 +290,15 @@ def test_classify_ising_curated():
         "XX + 0.7*ZI + 0.7*IZ",  # transverse field
         "XY + YX",
     ]
-    for text in yes:
-        flat, _ = classify_ising(parse_operator(text))
-        assert flat, text
-    for text in no:
-        flat, _ = classify_ising(parse_operator(text))
-        assert not flat, text
+    # the verdict does not depend on the size of the density
+    for scale in (1e-13, 1.0, 1e5):
+        for text in yes:
+            flat, _ = classify_ising(scale * parse_operator(text))
+            assert flat, (scale, text)
+        for text in no:
+            flat, p = classify_ising(scale * parse_operator(text))
+            assert not flat, (scale, text)
+            assert p.scale != 0.0, (scale, text)
 
 
 def test_classify_ising_rotated():
