@@ -46,7 +46,7 @@ from .obstruction import (
     rows_to_csv,
     scan,
 )
-from .feasibility import MAX_ITER, VERIFY_TOL, parse_problem_file, search
+from .feasibility import MAX_ITER, parse_problem_file, search
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -126,15 +126,12 @@ def _cmd_check(args) -> int:
     a = _load(parse_density_file, args.density)
     if args.n is not None and args.n < max(gen.r, a.n):
         raise ParseFailure("ring shorter than the widest window")
-    tol = args.tol if args.tol is not None else ZERO_TOL
-    report = check_conservation(gen, a, mode=args.mode, n=args.n, zero_tol=tol)
-    config = {
-        "subcommand": "check", "gen": args.gen, "density": args.density,
-        "mode": args.mode, "n": report.n, "zero_tol": tol,
-        "indeterminate_tol": INDETERMINATE_TOL,
-    }
+    report = check_conservation(gen, a, mode=args.mode, n=args.n)
+    config = {"subcommand": "check", "gen": args.gen, "density": args.density, "mode": args.mode,
+              "n": report.n, "zero_tol": ZERO_TOL, "indeterminate_tol": INDETERMINATE_TOL}
     result = {
         "residual": report.residual,
+        "scale": report.scale,
         "verdict": report.verdict,
         "offender": list(report.offender) if report.offender else None,
         "short_ring": report.short_ring,
@@ -261,7 +258,7 @@ def _cmd_search(args) -> int:
         "subcommand": "search", "density": args.density,
         "r_gen": prob.r_gen, "n": prob.n, "mode": prob.mode,
         "gamma_trace": 1.0,  # the search fixes tr gamma = 1
-        "verify_tol": VERIFY_TOL, "max_iter": MAX_ITER,
+        "verify_tol": ZERO_TOL, "max_iter": MAX_ITER,  # verify_tol: check's conserved bound
         "seed": args.seed,
     }
     result = {
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True, help="density file")
     p.add_argument("--mode", choices=("local", "global"), default="global")
     p.add_argument("--n", type=int, default=None, help="ring length")
-    p.add_argument("--tol", type=_tolerance, default=None, help="conserved below this")
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_check)
 

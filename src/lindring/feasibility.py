@@ -11,13 +11,13 @@ dissipative part is therefore a point in the intersection of an affine
 set with a compact slice of the PSD cone, and the search looks for it by
 accelerated projected gradient on gamma alone.  Conservation does not
 see scale: (H, gamma) conserves a exactly when s (H, gamma) conserves
-t a, so the search reads the target at unit Hilbert-Schmidt norm, and
-every bound is a plain number.
+t a, so the search reads the target at unit Hilbert-Schmidt norm.
 
-The search stops at its first proof.  A feasible result has one judge:
-the point the face completion produces is certified independently,
-through the ring residuals of its generator and never through the
-search state.  A refusal is proved by a hyperplane that separates the
+The search stops at its first proof.  A feasible result has one judge,
+the one `check` uses: the generator of the point the face completion
+produces must read conserved under rings.check_conservation on the
+problem's ring, with gamma passing validate_psd at unit trace; the
+search state has no say.  A refusal is proved by a hyperplane that separates the
 rows from the cone slice, a conic Farkas certificate read off the
 gradient B B^T (gamma - g0) and confirmed by a Cholesky factorization and on
 the ring image of LindbladGenerator.apply.  A search that finds neither
@@ -36,9 +36,9 @@ import numpy as np
 
 from .pauli import PauliOperator, sections
 from .generators import (LindbladGenerator, _class_representative, _gamma_to_vector, _image_terms,
-                         _is_hermitian, _vector_to_gamma, basis_strings)
-from .rings import (assemble_sum, canonical_form, check_conservation, parse_density_file,
-                    safe_ring_length, stable_ring_length)
+                         _is_hermitian, _vector_to_gamma, basis_strings, validate_psd)
+from .rings import (ConservationReport, assemble_sum, canonical_form, check_conservation,
+                    parse_density_file, safe_ring_length, stable_ring_length)
 from .obstruction import (
     DefinitenessReport,
     _column_blocks,
@@ -49,8 +49,6 @@ from .obstruction import (
 )
 
 MAX_ITER = 5000
-VERIFY_TOL = 1e-8
-PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 # iterations between two looks for a proof
 CHECK_PERIOD = 25
@@ -81,9 +79,7 @@ class FeasibilityProblem:
             raise ValueError("generator width must be 1, 2, or 3")
         if mode not in ("local", "global"):
             raise ValueError(f"unknown mode {mode!r}")
-        if n is None:
-            n = safe_ring_length(r_gen, target.n)
-        n = int(n)
+        n = int(safe_ring_length(r_gen, target.n) if n is None else n)
         if n < max(r_gen, target.n):
             raise ValueError("ring shorter than the widest window")
         self.target = target
@@ -315,9 +311,9 @@ def _project_cone(g: np.ndarray, m: int) -> np.ndarray:
 # -- search and verification ---------------------------------------------------
 
 
-def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> float:
-    """Conservation residual of the candidate, straight off the problem's ring."""
-    return check_conservation(gen, problem.target, problem.mode, problem.n).residual
+def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> ConservationReport:
+    """The conservation check of the candidate, straight off the problem's ring."""
+    return check_conservation(gen, problem.target, problem.mode, problem.n)
 
 
 def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport | None:
@@ -332,17 +328,15 @@ def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport 
 
 
 def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerator, float] | None:
-    """Independent certification of a packed point: its generator and residual, or None.
-
-    The target has unit norm and gamma unit trace, so the bounds are plain numbers.
-    """
+    """(generator, residual) of a point check reads conserved, gamma PSD of trace 1; else None."""
     gen = generator_from_point(problem.r_gen, x)
-    residual = verify_candidate(gen, problem)
-    eigs = np.linalg.eigvalsh(gen.gamma)
-    trace_err = abs(float(np.trace(gen.gamma).real) - 1.0)
-    if residual < VERIFY_TOL and eigs[0] > -PSD_TOL and trace_err < TRACE_TOL:
-        return gen, float(residual)
-    return None
+    report = verify_candidate(gen, problem)
+    try:
+        validate_psd(gen)
+    except ValueError:
+        return None
+    ok = report.verdict == "conserved" and abs(np.trace(gen.gamma).real - 1.0) < TRACE_TOL
+    return (gen, float(report.residual)) if ok else None
 
 
 def _hyperplane(cons: AffineConstraints, rows: _RowFactor, v: np.ndarray) -> np.ndarray:

@@ -79,8 +79,8 @@ def _window_sites(offset: int, r: int, n: int) -> tuple[int, ...]:
 
 
 def _is_hermitian(g: np.ndarray, tol: float) -> bool:
-    """|g - g^dag| within tol * max(1, max |g|): the bound scales with g, as in validate_psd."""
-    return np.abs(g - g.conj().T).max() <= tol * max(1.0, np.abs(g).max())
+    """|g - g^dag| within tol * max |g|: the bound scales with g, as in validate_psd."""
+    return np.abs(g - g.conj().T).max() <= tol * np.abs(g).max()
 
 
 def _class_representative(s: str) -> str:
@@ -335,13 +335,13 @@ def kernel(gen: LindbladGenerator, tol: float = KERNEL_TOL) -> list[PauliOperato
 
 
 def validate_psd(gen: LindbladGenerator) -> np.ndarray:
-    """Eigenvalues of gamma, raising if any is below -GAMMA_PSD_TOL * max(1, max |eigenvalue|).
+    """Eigenvalues of gamma, raising if any is below -GAMMA_PSD_TOL * max |eigenvalue|.
 
     The bound scales with gamma, as the rounding of a written and re-read
     gamma does.
     """
     w = np.linalg.eigvalsh(gen.gamma)
-    if w.min() < -GAMMA_PSD_TOL * max(1.0, np.abs(w).max()):
+    if w.min() < -GAMMA_PSD_TOL * np.abs(w).max():
         raise ValueError(f"gamma is not positive semidefinite (min eig {w.min():.3e})")
     return w
 
@@ -408,7 +408,7 @@ def parse_generator_file(text: str) -> LindbladGenerator:
     per line or [gamma] with an optional `order = <strings>` line
     followed by the rows of the structure matrix (entries are decimals
     or (a+bi) literals).  Non-finite coefficients and a structure matrix
-    with an eigenvalue below -GAMMA_PSD_TOL * max(1, max |eigenvalue|) are
+    with an eigenvalue below -GAMMA_PSD_TOL * max |eigenvalue| are
     refused.
     """
     found = sections(text, ("hamiltonian", "lindblad", "gamma"))

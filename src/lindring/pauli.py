@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import re
 
 import numpy as np
@@ -163,8 +164,13 @@ class PauliOperator:
         return complex(sum(a[s].conjugate() * b[s] for s in a if s in b))
 
     def hs_norm(self) -> float:
-        """Refused when arithmetic overflowed: an inf or NaN amplitude, or squares summing to inf."""
-        norm = float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+        """Refused on an inf or NaN amplitude; overflowing squares are summed by math.hypot."""
+        try:
+            norm = float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+        except OverflowError:  # a square above the largest float
+            norm = math.inf
+        if norm == math.inf:  # hypot scales by the largest amplitude; inf and NaN stay
+            norm = math.hypot(*map(abs, self.terms.values()))
         if not np.isfinite(norm):
             raise OverflowError("operator norm is not finite")
         return norm

@@ -3,9 +3,10 @@
 A density is a window operator a; its ring sum is A = sum_j T^j(a).
 Conservation comes in two strengths: global (the generator sum
 annihilates A) and local (every placement of the generator annihilates
-every placement of a).  Residuals below ZERO_TOL count as zero;
-residuals inside the band up to INDETERMINATE_TOL are neither accepted
-nor rejected and fail closed.
+every placement of a).  check_conservation, the one judge of a
+residual, the search's too, reads it against s = |a| (tr gamma + |H|)
+(conservation_scale): up to ZERO_TOL s it counts as zero, above
+INDETERMINATE_TOL s as a violation, and in between it fails closed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .generators import LindbladGenerator
 from .pauli import PRUNE_TOL, PauliOperator, content_lines, format_operator, parse_operator, sum_operators
 
-ZERO_TOL = 1e-12
-INDETERMINATE_TOL = 1e-8
+ZERO_TOL = 1e-8
+INDETERMINATE_TOL = 1e-6
 CANONICAL_TOL = 1e-10
 
 
@@ -62,7 +63,7 @@ def ti_sum_is_zero(b: PauliOperator) -> bool:
     for s, c in b.terms.items():
         core = s.strip("I")  # the identity string is the empty pattern
         sums[core] = sums.get(core, 0j) + c
-    return all(abs(v) <= ZERO_TOL for v in sums.values())
+    return all(abs(v) <= 1e-12 for v in sums.values())
 
 
 # -- conservation --------------------------------------------------------------
@@ -77,24 +78,29 @@ def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: in
     return assemble_sum(gen.apply(assemble_sum(a, n)), n).hs_norm()
 
 
-def local_conservation_check(
-    gen: LindbladGenerator, a: PauliOperator, n: int, tol: float = ZERO_TOL
-) -> tuple[bool, float, tuple[int, int] | None]:
+def conservation_scale(gen: LindbladGenerator, a: PauliOperator, n: int, mode: str) -> float:
+    """s = |a| (sum |gamma_jj| + |H|), as L(a) and its rounding grow; sum |gamma_jj| = tr gamma.
+
+    The norms leave out the identity, which every generator kills, and a
+    global residual reads the ring sum alone, where w 1 - 1 w cancels.
+    """
+    a = assemble_sum(a, n) if mode == "global" else a
+    a, h = (PauliOperator._unchecked(o.n, {**o.terms, "I" * o.n: 0}) for o in (a, gen.hamiltonian))
+    return a.hs_norm() * (float(np.abs(np.diag(gen.gamma)).sum()) + h.hs_norm())
+
+
+def local_conservation_check(gen: LindbladGenerator, a: PauliOperator,
+                             n: int) -> tuple[bool, float, tuple[int, int] | None]:
     """Whether every placement of the generator kills every placement of a.
 
     By translation symmetry only the generator at offset 0 is checked
     against all placements of a.  Returns (ok, worst residual, first
-    offending placement (j, k) or None).
+    placement (j, k) above ZERO_TOL s, or None).
     """
-    worst = 0.0
-    offender = None
-    for k in range(n):
-        r = gen.apply(a.embed(n, k), offset=0).hs_norm()
-        if r > worst:
-            worst = r
-        if offender is None and r > tol:
-            offender = (0, k)
-    return offender is None, worst, offender
+    tol = ZERO_TOL * conservation_scale(gen, a, n, "local")
+    residuals = [gen.apply(a.embed(n, k), offset=0).hs_norm() for k in range(n)]
+    offender = next(((0, k) for k, r in enumerate(residuals) if r > tol), None)
+    return offender is None, max(residuals), offender
 
 
 @dataclass(frozen=True)
@@ -102,29 +108,25 @@ class ConservationReport:
     mode: str
     n: int
     residual: float
+    scale: float  # s: the verdict reads residual / s against ZERO_TOL and INDETERMINATE_TOL
     verdict: str  # conserved | violated | indeterminate
     short_ring: bool  # n below stable_ring_length: the verdict may not hold on longer rings
     offender: tuple[int, int] | None = None
 
 
-def check_conservation(
-    gen: LindbladGenerator,
-    a: PauliOperator,
-    mode: str = "global",
-    n: int | None = None,
-    zero_tol: float = ZERO_TOL,
-) -> ConservationReport:
-    """Conservation check with a fail-closed indeterminate band."""
-    if n is None:
-        n = safe_ring_length(gen.r, a.n)
+def check_conservation(gen: LindbladGenerator, a: PauliOperator, mode: str = "global",
+                       n: int | None = None) -> ConservationReport:
+    """The verdict on the residual of the inputs as given, read against conservation_scale."""
+    n = safe_ring_length(gen.r, a.n) if n is None else n
     short_ring = n < stable_ring_length(gen.r, a.n, mode)  # refuses an unknown mode
     if mode == "global":
         residual, offender = global_conservation_residual(gen, a, n), None
     else:
-        _, residual, offender = local_conservation_check(gen, a, n, tol=zero_tol)
-    verdict = ("conserved" if residual < zero_tol
-               else "indeterminate" if residual <= INDETERMINATE_TOL else "violated")
-    return ConservationReport(mode=mode, n=n, residual=residual, verdict=verdict,
+        _, residual, offender = local_conservation_check(gen, a, n)
+    scale = conservation_scale(gen, a, n, mode)
+    verdict = ("conserved" if residual <= ZERO_TOL * scale
+               else "indeterminate" if residual <= INDETERMINATE_TOL * scale else "violated")
+    return ConservationReport(mode=mode, n=n, residual=residual, scale=scale, verdict=verdict,
                               short_ring=short_ring, offender=offender)
 
 

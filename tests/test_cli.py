@@ -172,10 +172,16 @@ def test_overflow_in_analysis_exit_2(tmp_path, capsys):
     big_density = tmp_path / "big.op"
     big_density.write_text("r=1\n-1e308*I\n")
     for argv in (["kernel", "--gen", str(big_jump)],
-                 ["check", "--gen", str(big_jump), "--density", str(big_density)],
-                 ["search", "--density", str(big_density), "--r", "1"]):
+                 ["check", "--gen", str(big_jump), "--density", str(big_density)]):
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     assert "overflow encountered" in capsys.readouterr().err
+    # the norm of -1e308 I is read at the scale of its amplitude, so the
+    # search answers as it does for -I
+    unit = tmp_path / "unit.op"
+    unit.write_text("r=1\n-I\n")
+    reports = [run_json(["search", "--density", str(d), "--r", "1"], tmp_path)
+               for d in (big_density, unit)]
+    assert reports[0][0] == 0 and reports[0][1]["result"] == reports[1][1]["result"]
 
 
 def test_jump_file_reports_as_its_gamma_file(ising_density, tmp_path):
@@ -318,17 +324,18 @@ def test_obstruction_any_field_in_range(r, mu, nu, field):
 
 
 def test_bad_tolerance_exit_2(heis_gen, sx_density, ising_density, capsys):
-    # tolerances must be finite and non-negative (zero stays allowed, see
-    # test_check_indeterminate_exit_3); NaN is not even valid JSON
-    commands = (["kernel", "--gen", heis_gen],
-                ["check", "--gen", heis_gen, "--density", sx_density])
-    for argv in commands:
-        for value in ("nan", "inf", "-1"):
-            assert main(argv + ["--tol", value]) == 2
+    # tolerances must be finite and non-negative; NaN is not even valid JSON
+    for value in ("nan", "inf", "-1"):
+        assert main(["kernel", "--gen", heis_gen, "--tol", value]) == 2
     err = capsys.readouterr().err
-    assert err.count("is not finite") == 4 and err.count("is negative") == 2
-    # search has no tolerance: its one judge is the ring check at VERIFY_TOL
-    assert main(["search", "--density", ising_density, "--r", "2", "--tol", "1e-9"]) == 2
+    assert err.count("is not finite") == 2 and err.count("is negative") == 1
+    # check and search have no tolerance: check's relative bands are the one
+    # judge of conservation, and the search asks check
+    for argv in (["check", "--gen", heis_gen, "--density", sx_density],
+                 ["search", "--density", ising_density, "--r", "2"]):
+        for value in ("1e-9", "0"):
+            assert main(argv + ["--tol", value]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --tol") == 4
 
 
 # -- check ---------------------------------------------------------------------
@@ -355,13 +362,20 @@ def test_check_violated_exit_0(heis_gen, tmp_path):
     assert rep["result"]["verdict"] == "violated"
 
 
-def test_check_indeterminate_exit_3(heis_gen, sx_density, tmp_path):
-    out = tmp_path / "r.json"
-    code = main(["check", "--gen", heis_gen, "--density", sx_density,
-                 "--n", "6", "--tol", "0", "--out", str(out)])
-    # zero_tol 0 puts an exactly conserved density in the indeterminate band
-    assert code == 3
-    assert json.loads(out.read_text())["result"]["verdict"] == "indeterminate"
+def test_check_indeterminate_exit_3(tmp_path):
+    # Z dephasing plus X dephasing at rate 2.5e-8 leaves 1e-7 of the scale
+    # on Z: inside the band between the conserved and violated bounds
+    gen = tmp_path / "near.gen"
+    gen.write_text("[gamma]\norder = X Y Z\n2.5e-8 0 0\n0 0 0\n0 0 1\n")
+    density = tmp_path / "z.op"
+    density.write_text("r=1\nZ\n")
+    for mode in ("global", "local"):
+        code, rep = run_json(["check", "--gen", str(gen), "--density", str(density),
+                              "--mode", mode, "--n", "6"], tmp_path)
+        assert code == 3
+        res, cfg = rep["result"], rep["config"]
+        assert res["verdict"] == "indeterminate"
+        assert cfg["zero_tol"] < res["residual"] / res["scale"] < cfg["indeterminate_tol"]
 
 
 def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
@@ -541,6 +555,44 @@ def test_search_refuses_a_tiny_heisenberg_density(tmp_path):
     assert code == 3
     assert (rep["result"]["status"], rep["result"]["stop_reason"]) == ("not_found", "separated")
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("r", ["2", "3"])
+@pytest.mark.parametrize("density", ["0.61*XX + 0.34*XI + 0.34*IX + 0.05*II",
+                                     "XX + 0.7*XI + 0.7*IX"])
+def test_search_generator_is_conserved_under_check(density, r, mode, tmp_path):
+    # the search accepts what check calls conserved: check reads the written
+    # generator on the same density, mode and ring, and exits 0
+    dens = tmp_path / "d.op"
+    dens.write_text(f"r=2\n{density}\n")
+    code, rep = run_json(["search", "--density", str(dens), "--r", r, "--mode", mode,
+                          "--seed", "1"], tmp_path, "search.json")
+    assert (code, rep["result"]["status"]) == (0, "feasible")
+    gen = tmp_path / "found.gen"
+    gen.write_text(rep["result"]["generator"])
+    code, chk = run_json(["check", "--gen", str(gen), "--density", str(dens), "--mode", mode,
+                          "--n", str(rep["config"]["n"])], tmp_path, "check.json")
+    assert (code, chk["result"]["verdict"]) == (0, "conserved")
+
+
+def test_search_and_check_read_a_huge_density(tmp_path):
+    # the norm of 1e200 XX squares past the largest float; it is summed at the
+    # largest amplitude's scale, so the search answers as it does for XX
+    dens = tmp_path / "huge.op"
+    dens.write_text("r=2\n1e200*XX\n")
+    xx = tmp_path / "xx.op"
+    xx.write_text("r=2\nXX\n")
+    code, rep = run_json(["search", "--density", str(dens), "--r", "2", "--seed", "1"],
+                         tmp_path, "huge.json")
+    _, ref = run_json(["search", "--density", str(xx), "--r", "2", "--seed", "1"],
+                      tmp_path, "xx.json")
+    assert (code, rep["result"]["status"]) == (0, "feasible")
+    assert rep["result"] == ref["result"]
+    gen = tmp_path / "found.gen"
+    gen.write_text(rep["result"]["generator"])
+    code, chk = run_json(["check", "--gen", str(gen), "--density", str(dens)], tmp_path)
+    assert (code, chk["result"]["verdict"]) == (0, "conserved")
 
 
 def test_search_trace_key_exit_2(ising_density, tmp_path, capsys):

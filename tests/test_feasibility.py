@@ -13,7 +13,6 @@ from lindring.rings import (assemble_sum, global_conservation_residual, safe_rin
                             stable_ring_length)
 from lindring.obstruction import _column_blocks
 from lindring.feasibility import (
-    VERIFY_TOL,
     FeasibilityProblem,
     _complete_on_face,
     _factor_rows,
@@ -554,8 +553,9 @@ def test_verify_candidate_measures_the_ring():
     prob_z = FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=1)
     prob_x = FeasibilityProblem(PauliOperator(1, {"X": 1.0}), r_gen=1)
     gen = generator_from_point(1, pack_point(rank_one_gamma(1, "Z")))
-    assert verify_candidate(gen, prob_z) < 1e-12
-    assert verify_candidate(gen, prob_x) > 1e-2
+    conserved, violated = verify_candidate(gen, prob_z), verify_candidate(gen, prob_x)
+    assert conserved.residual < 1e-12 and conserved.verdict == "conserved"
+    assert violated.residual > 1e-2 and violated.verdict == "violated"
 
 
 def test_hermitian_exchange_jump_conserves_magnetization():
@@ -575,8 +575,9 @@ def assert_feasible(res, prob, tol=1e-8):
     gam = res.generator.gamma
     assert np.linalg.eigvalsh(gam)[0] > -1e-9
     assert np.trace(gam).real == pytest.approx(1.0, abs=1e-9)
-    # the reported residual is reproducible from the returned generator
-    assert verify_candidate(res.generator, prob) < tol
+    # the reported residual is reproducible from the returned generator, which check reads conserved
+    report = verify_candidate(res.generator, prob)
+    assert report.residual == res.residual and report.verdict == "conserved"
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])
@@ -847,7 +848,7 @@ def test_search_wider_window_still_finds_ising():
 def test_search_wider_window_local_finds_ising():
     prob = ising_problem("local", r_gen=3)
     res = search(prob, seed=1)
-    assert_feasible(res, prob, tol=VERIFY_TOL)
+    assert_feasible(res, prob)
     # 568 rows factored, of rank 316, in 15 column blocks, fixing 260 gamma
     # directions, from the stable ring of r + w = 5 sites
     assert res.constraints == (568, 316, 15, 260, 5)

@@ -435,6 +435,19 @@ def test_hermiticity_bound_scales_with_gamma():
         pack_point(bad)
 
 
+def test_gamma_bounds_have_no_floor():
+    # the PSD and Hermiticity bounds follow gamma down to any scale: they are
+    # relative to its largest eigenvalue or entry, and a zero gamma passes both
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        validate_psd(LindbladGenerator(1, gamma=np.diag([-1e-11, 1e-13, 0.0])))
+    anti = 1e-13 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        LindbladGenerator(1, gamma=anti)
+    with pytest.raises(ValueError, match="Hermitian"):
+        LindbladGenerator(1, gamma=1j * np.diag([1e-13, 0.0, -1e-13]))
+    assert np.array_equal(validate_psd(LindbladGenerator(1, gamma=np.zeros((3, 3)))), np.zeros(3))
+
+
 def test_nontrivial_gamma_psd_eigenvalues():
     rng = np.random.default_rng(4)
     gen = random_structure_generator(rng, 2, rank=4)

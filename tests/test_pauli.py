@@ -153,6 +153,21 @@ def test_overflow_is_kept_and_refused():
             op.hs_norm()
 
 
+def test_norm_past_the_largest_square():
+    # squares above the largest float are summed at the scale of the largest
+    # amplitude; a norm whose squares stay finite keeps its bits
+    assert PauliOperator(2, {"XX": 1e200}).hs_norm() == 1e200
+    assert PauliOperator(2, {"XX": 3e200, "ZZ": 4e200j}).hs_norm() == pytest.approx(5e200)
+    assert PauliOperator(1, {"X": 1e154, "Z": -1e154}).hs_norm() == pytest.approx(1e154 * 2 ** 0.5)
+    rng = np.random.default_rng(8)
+    for scale in (1e-150, 1.0, 1e150):
+        op = PauliOperator(2, dict(zip(("XX", "XY", "ZI"), scale * rng.standard_normal(3))))
+        assert op.hs_norm() == float(np.sqrt(sum(abs(c) ** 2 for c in op.terms.values())))
+    # a finite operator whose norm is above the largest float is refused
+    with pytest.raises(OverflowError, match="not finite"):
+        PauliOperator(1, {"X": 1.5e308, "Z": 1.5e308}).hs_norm()
+
+
 def test_partial_trace():
     op = parse_operator("1.0*IX + 2.0*XX + 0.5*II")
     red = partial_trace(op, (0,))

@@ -7,6 +7,8 @@ from conftest import dense_lindblad_apply, oracle_generators, random_hermitian_w
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator
 from lindring.rings import (
+    INDETERMINATE_TOL,
+    ZERO_TOL,
     CanonicalParams,
     assemble_sum,
     canonical_form,
@@ -188,14 +190,66 @@ def test_check_conservation_verdicts():
     assert rep.verdict == "conserved" and rep.residual < 1e-12
     rep2 = check_conservation(gen, parse_operator("X"), mode="local", n=6)
     assert rep2.verdict == "violated"
-    # residual engineered into the indeterminate band
-    eps = np.sqrt(2.5e-11)
-    tiny = LindbladGenerator(1, lindblads=[parse_operator(f"{eps}*X")])
-    rep3 = check_conservation(tiny, parse_operator("Y"), mode="global", n=4)
-    assert 1e-12 < rep3.residual < 1e-8
-    assert rep3.verdict == "indeterminate"
+    # a unit-size generator whose residual is 1e-7 of its scale: Z dephasing
+    # plus X dephasing at rate 2.5e-8, on Z, reads 4 * 2.5e-8 / (1 + 2.5e-8)
+    near = LindbladGenerator(1, gamma=np.diag([2.5e-8, 0.0, 1.0]))
+    for mode in ("global", "local"):
+        rep3 = check_conservation(near, parse_operator("Z"), mode=mode, n=4)
+        assert rep3.residual / rep3.scale == pytest.approx(1e-7, rel=1e-6)
+        assert ZERO_TOL < rep3.residual / rep3.scale < INDETERMINATE_TOL
+        assert rep3.verdict == "indeterminate"
+    # the bands do not see scale: X dephasing at rate 2.5e-11 violates Y at
+    # every rate, although the residual is below the conserved bound of 1e-8
+    tiny = LindbladGenerator(1, lindblads=[parse_operator(f"{np.sqrt(2.5e-11)}*X")])
+    rep4 = check_conservation(tiny, parse_operator("Y"), mode="global", n=4)
+    assert rep4.residual < ZERO_TOL and rep4.verdict == "violated"
+    # a zero density or generator reads conserved, with residual 0
+    zero = LindbladGenerator(1, gamma=np.zeros((3, 3)))
+    for g, a in ((gen, PauliOperator.zero(1)), (zero, parse_operator("X"))):
+        rep5 = check_conservation(g, a, mode="global", n=4)
+        assert (rep5.residual, rep5.scale, rep5.verdict) == (0.0, 0.0, "conserved")
     with pytest.raises(ValueError, match="unknown mode"):
         check_conservation(gen, parse_operator("X"), mode="ring", n=6)
+
+
+def _scaled(gen: LindbladGenerator, t: float) -> LindbladGenerator:
+    return LindbladGenerator(gen.r, hamiltonian=gen.hamiltonian * t, gamma=gen.gamma * t)
+
+
+# u.s on two sites, u = (0.6, 0.8, 0): a Hermitian jump equal to the density,
+# and a Hamiltonian equal to it, conserve it; the residual is rounding alone
+_UU = "0.36*XX + 0.48*XY + 0.48*YX + 0.64*YY"
+_CASES = {
+    "violated": (LindbladGenerator(1, gamma=np.diag([0.2, 0.0, 0.0])), "ZZ + XX"),
+    "conserved": (LindbladGenerator(2, hamiltonian=parse_operator(_UU),
+                                    lindblads=[parse_operator(_UU)]), _UU),
+}
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("size", [1e-13, 1e-8, 1.0, 1e5])
+@pytest.mark.parametrize("verdict", sorted(_CASES))
+def test_check_verdict_does_not_see_scale(verdict, size, mode):
+    # the bands are relative to |a| (tr gamma + |H|): multiplying the density
+    # or the generator by any size leaves the verdict; at 1e-13 the absolute
+    # bands read the violated case conserved
+    gen, density = _CASES[verdict]
+    a = parse_operator(density)
+    for g, d in ((gen, a * size), (_scaled(gen, size), a)):
+        rep = check_conservation(g, d, mode=mode, n=6)
+        assert rep.verdict == verdict, (rep.residual, rep.scale)
+
+
+def test_check_scale_reads_the_ring_sum():
+    # 1e9 (XI - IX) cancels from the ring sum but not from |a|: a global
+    # check measures its residual against |A|, so Z dephasing still
+    # violates XX; locally every placement carries the 1e9 part
+    a = parse_operator("XX + 1e9*XI - 1e9*IX")
+    gen = LindbladGenerator(1, lindblads=[parse_operator("Z")])
+    for mode in ("global", "local"):
+        assert check_conservation(gen, a, mode=mode, n=6).verdict == "violated"
+    rep = check_conservation(gen, a, mode="global", n=6)
+    assert rep.scale == pytest.approx(assemble_sum(parse_operator("XX"), 6).hs_norm())
 
 
 def test_symmetrize_fields_preserves_ring_sum():
