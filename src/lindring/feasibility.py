@@ -11,7 +11,8 @@ dissipative part is therefore a point in the intersection of an affine
 set with a compact slice of the PSD cone, and the search looks for it by
 accelerated projected gradient on gamma alone.  Conservation does not
 see scale: (H, gamma) conserves a exactly when s (H, gamma) conserves
-t a, so the search reads the target at unit Hilbert-Schmidt norm.
+t a, so the search reads the target with its non-identity part, the part
+check's scale reads, at unit Hilbert-Schmidt norm.
 
 The search stops at its first proof.  A feasible result has one judge,
 the one `check` uses: the generator of the point the face completion
@@ -59,9 +60,10 @@ SEPARATION_TOL = 1e-6
 class FeasibilityProblem:
     """A conservation target plus the shape of the generator to search over.
 
-    `target` is a Hermitian window operator, kept at unit Hilbert-Schmidt
-    norm.  `mode` picks the constraint: local demands that the generator
-    kill every placement of the target, global only the ring sum.
+    `target` is a Hermitian window operator, its non-identity part kept at
+    unit Hilbert-Schmidt norm (all of it for a multiple of the identity).
+    `mode` picks the constraint: local demands that the generator kill
+    every placement of the target, global only the ring sum.
     """
 
     def __init__(self, target: PauliOperator, r_gen: int, n: int | None = None,
@@ -70,7 +72,8 @@ class FeasibilityProblem:
             raise TypeError("target must be a PauliOperator")
         if target.is_zero():
             raise ValueError("target is zero")
-        target = target * (1.0 / target.hs_norm())
+        body = PauliOperator._unchecked(target.n, {**target.terms, "I" * target.n: 0})
+        target = target * (1.0 / (target if body.is_zero() else body).hs_norm())
         if not target.is_hermitian(1e-12):
             raise ValueError("target must be Hermitian")
         # Hermitian means real Pauli coefficients; the rows read real parts only

@@ -4,22 +4,27 @@ A density is a window operator a; its ring sum is A = sum_j T^j(a).
 Conservation comes in two strengths: global (the generator sum
 annihilates A) and local (every placement of the generator annihilates
 every placement of a).  check_conservation, the one judge of a
-residual, the search's too, reads it against s = |a| (tr gamma + |H|)
-(conservation_scale): up to ZERO_TOL s it counts as zero, above
-INDETERMINATE_TOL s as a violation, and in between it fails closed.
+residual, the search's too, reads it against the scale s of
+conservation_scale, the size of the generator parts and density strings
+that the generator does not map to exactly zero: up to ZERO_TOL s it
+counts as zero, above INDETERMINATE_TOL s as a violation, and in between
+it fails closed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import LindbladGenerator
+from .generators import _DIGITS, LindbladGenerator, _gamma_to_vector, _real_column, product_table
 from .pauli import PRUNE_TOL, PauliOperator, content_lines, format_operator, parse_operator, sum_operators
 
 ZERO_TOL = 1e-8
 INDETERMINATE_TOL = 1e-6
+# the share of the whole inputs' size that conservation_scale keeps, for rounding
+ROUNDING_SHARE = 1e-5
 CANONICAL_TOL = 1e-10
 
 
@@ -70,37 +75,56 @@ def ti_sum_is_zero(b: PauliOperator) -> bool:
 
 
 def global_conservation_residual(gen: LindbladGenerator, a: PauliOperator, n: int) -> float:
-    """Norm of sum_j L_j(A) on an n-site ring.
-
-    A is translation invariant, so L_j(A) = T^j L_0(A): one placement of
-    the generator and a ring sum of its image give the whole defect.
-    """
-    return assemble_sum(gen.apply(assemble_sum(a, n)), n).hs_norm()
-
-
-def conservation_scale(gen: LindbladGenerator, a: PauliOperator, n: int, mode: str) -> float:
-    """s = |a| (sum |gamma_jj| + |H|), as L(a) and its rounding grow; sum |gamma_jj| = tr gamma.
-
-    The norms leave out the identity, which every generator kills, and a
-    global residual reads the ring sum alone, where w 1 - 1 w cancels.
-    """
-    a = assemble_sum(a, n) if mode == "global" else a
-    a, h = (PauliOperator._unchecked(o.n, {**o.terms, "I" * o.n: 0}) for o in (a, gen.hamiltonian))
-    return a.hs_norm() * (float(np.abs(np.diag(gen.gamma)).sum()) + h.hs_norm())
+    """Norm of sum_j L_j(A) on an n-site ring: check_conservation's global residual."""
+    return check_conservation(gen, a, "global", n).residual
 
 
 def local_conservation_check(gen: LindbladGenerator, a: PauliOperator,
                              n: int) -> tuple[bool, float, tuple[int, int] | None]:
-    """Whether every placement of the generator kills every placement of a.
+    """(conserved, worst residual, first placement (j, k) above ZERO_TOL s) of the local check."""
+    report = check_conservation(gen, a, "local", n)
+    return report.verdict == "conserved", report.residual, report.offender
 
-    By translation symmetry only the generator at offset 0 is checked
-    against all placements of a.  Returns (ok, worst residual, first
-    placement (j, k) above ZERO_TOL s, or None).
+
+def conservation_scale(gen: LindbladGenerator, d: PauliOperator, n: int, mode: str) -> float:
+    """s = |d_L| (size of the acting parts) + ROUNDING_SHARE |d| (size of all parts).
+
+    d is what the residual reads: the ring sum (global) or the window
+    operator (local).  The parts are the jumps of gamma, its eigenpairs
+    (lambda, v) above its numerical rank, of size |lambda|, and the
+    Hamiltonian strings, of size |h|, in global mode merged with their
+    translates, since XI - IX has no ring sum.  A part acts when its image
+    of some r-site window of some string of d is not exactly zero; d_L
+    keeps the non-identity strings a part acts on (only the imaginary part
+    of gamma acts on the identity, and rounding alone gives gamma one).
+    A part or string mapped to exactly zero carries no error into the
+    residual, so it cannot hide a violation, however large; the rounding
+    share keeps the bands above the rounding of parts that cancel in sum.
     """
-    tol = ZERO_TOL * conservation_scale(gen, a, n, "local")
-    residuals = [gen.apply(a.embed(n, k), offset=0).hs_norm() for k in range(n)]
-    offender = next(((0, k) for k, r in enumerate(residuals) if r > tol), None)
-    return offender is None, max(residuals), offender
+    r, (phase, _) = gen.r, product_table(gen.r)
+    ring = {u.ljust(n, "I"): c for u, c in d.terms.items()}
+    windows = {u: {int((u + u)[k:k + r].translate(_DIGITS), 4) for k in range(n)} for u in ring}
+    pieces = np.array(sorted(set().union(*windows.values())), dtype=int)
+    h: dict[str, float] = {}
+    for s, c in gen.hamiltonian.terms.items():
+        key = s.lstrip("I").ljust(r, "I") if mode == "global" else s
+        h[key] = h.get(key, 0.0) + c.real
+    h.pop("I" * r, None)
+    hs = np.array([int(s.translate(_DIGITS), 4) for s in h], dtype=int)
+    lam, V = np.linalg.eigh(gen.gamma)
+    keep = np.abs(lam) > np.abs(lam).max(initial=0.0) * len(lam) * np.finfo(float).eps
+    jumps = [np.append(_gamma_to_vector(x * np.outer(v, v.conj()), off=1.0), np.zeros(len(lam)))
+             for x, v in zip(lam[keep], V.T[keep])]  # the (gamma, H) coordinates of each jump
+    sizes = np.abs(np.concatenate([lam, list(h.values())]))
+    acts = np.zeros((len(sizes), len(pieces)), dtype=bool)  # jumps below the rank do not act
+    acts[len(lam):] = phase[np.ix_(hs, pieces)] != phase[np.ix_(pieces, hs)].T
+    for q, b in enumerate(pieces):
+        rows, cols, vals = _real_column(r, b)
+        hit = [np.bincount(rows, vals * x[cols], 4 ** r).any() for x in jumps]
+        acts[np.flatnonzero(keep), q] = hit
+    acted = {b for b, hit in zip(pieces.tolist(), acts.any(axis=0)) if hit}
+    d_acting = math.hypot(*(abs(c) for u, c in ring.items() if u.strip("I") and windows[u] & acted))
+    return d_acting * sizes[acts.any(axis=1)].sum() + ROUNDING_SHARE * d.hs_norm() * sizes.sum()
 
 
 @dataclass(frozen=True)
@@ -116,14 +140,21 @@ class ConservationReport:
 
 def check_conservation(gen: LindbladGenerator, a: PauliOperator, mode: str = "global",
                        n: int | None = None) -> ConservationReport:
-    """The verdict on the residual of the inputs as given, read against conservation_scale."""
+    """The verdict on the residual of the inputs as given, read against conservation_scale.
+
+    Global: |ring sum of L_0(A)|, A the ring sum of a, which is sum_j L_j(A)
+    as A is translation invariant.  Local: the largest |L_0(a at k)| over
+    the placements k, the generator at offset 0 standing for every one.
+    """
     n = safe_ring_length(gen.r, a.n) if n is None else n
     short_ring = n < stable_ring_length(gen.r, a.n, mode)  # refuses an unknown mode
-    if mode == "global":
-        residual, offender = global_conservation_residual(gen, a, n), None
-    else:
-        _, residual, offender = local_conservation_check(gen, a, n)
-    scale = conservation_scale(gen, a, n, mode)
+    d = assemble_sum(a, n) if mode == "global" else a
+    residuals = ([assemble_sum(gen.apply(d), n).hs_norm()] if mode == "global"
+                 else [gen.apply(a.embed(n, k)).hs_norm() for k in range(n)])
+    scale = conservation_scale(gen, d, n, mode)
+    offender = None if mode == "global" else next(
+        ((0, k) for k, x in enumerate(residuals) if x > ZERO_TOL * scale), None)
+    residual = max(residuals)
     verdict = ("conserved" if residual <= ZERO_TOL * scale
                else "indeterminate" if residual <= INDETERMINATE_TOL * scale else "violated")
     return ConservationReport(mode=mode, n=n, residual=residual, scale=scale, verdict=verdict,

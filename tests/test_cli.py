@@ -363,10 +363,10 @@ def test_check_violated_exit_0(heis_gen, tmp_path):
 
 
 def test_check_indeterminate_exit_3(tmp_path):
-    # Z dephasing plus X dephasing at rate 2.5e-8 leaves 1e-7 of the scale
-    # on Z: inside the band between the conserved and violated bounds
+    # Z dephasing kills Z, and X dephasing at rate 2.5e-13 leaves 1e-7 of the
+    # scale on it: inside the band between the conserved and violated bounds
     gen = tmp_path / "near.gen"
-    gen.write_text("[gamma]\norder = X Y Z\n2.5e-8 0 0\n0 0 0\n0 0 1\n")
+    gen.write_text("[gamma]\norder = X Y Z\n2.5e-13 0 0\n0 0 0\n0 0 1\n")
     density = tmp_path / "z.op"
     density.write_text("r=1\nZ\n")
     for mode in ("global", "local"):
@@ -557,15 +557,20 @@ def test_search_refuses_a_tiny_heisenberg_density(tmp_path):
     assert rep["result"]["certificate"]["verdict"] == "negative_definite"
 
 
+# (density width, density, generator width); the search reads 1e5 I + Z at the
+# norm of its non-identity part, the part check's scale reads, and solves it as Z
+_ROUND_TRIP = [("2", d, r) for d in ("0.61*XX + 0.34*XI + 0.34*IX + 0.05*II",
+                                      "XX + 0.7*XI + 0.7*IX")
+               for r in ("2", "3")] + [("1", "1e5*I + Z", "1")]
+
+
 @pytest.mark.parametrize("mode", ["global", "local"])
-@pytest.mark.parametrize("r", ["2", "3"])
-@pytest.mark.parametrize("density", ["0.61*XX + 0.34*XI + 0.34*IX + 0.05*II",
-                                     "XX + 0.7*XI + 0.7*IX"])
-def test_search_generator_is_conserved_under_check(density, r, mode, tmp_path):
+@pytest.mark.parametrize("width, density, r", _ROUND_TRIP)
+def test_search_generator_is_conserved_under_check(width, density, r, mode, tmp_path):
     # the search accepts what check calls conserved: check reads the written
     # generator on the same density, mode and ring, and exits 0
     dens = tmp_path / "d.op"
-    dens.write_text(f"r=2\n{density}\n")
+    dens.write_text(f"r={width}\n{density}\n")
     code, rep = run_json(["search", "--density", str(dens), "--r", r, "--mode", mode,
                           "--seed", "1"], tmp_path, "search.json")
     assert (code, rep["result"]["status"]) == (0, "feasible")

@@ -719,12 +719,14 @@ def test_search_rejects_transverse_ising(seed):
 @pytest.mark.parametrize("mode", ["global", "local"])
 def test_search_scales_with_the_problem(size, mode):
     # conservation is invariant under a -> s a, and so are the search's
-    # verdicts: it reads the target at unit norm.  Below 1e-12 the image of
-    # the raw target would fall under the operators' absolute pruning
+    # verdicts: it reads the target's non-identity part at unit norm.  Below
+    # 1e-12 the image of the raw target would fall under the operators'
+    # absolute pruning
     for terms in (ISING, HEISENBERG):
         prob = FeasibilityProblem(PauliOperator(2, {s: size * c for s, c in terms.items()}),
                                   r_gen=2, mode=mode)
-        assert prob.target.hs_norm() == pytest.approx(1.0, abs=1e-15)
+        body = PauliOperator(2, {s: c for s, c in prob.target.terms.items() if s != "II"})
+        assert body.hs_norm() == pytest.approx(1.0, abs=1e-15)
         res = search(prob, seed=1)
         if terms is ISING:
             assert_feasible(res, prob)
@@ -882,10 +884,10 @@ def test_parse_problem_file():
     assert prob.r_gen == 2
     assert prob.mode == "global"
     assert prob.n == 8
-    # the target is read at unit norm
-    norm = np.linalg.norm([0.61, 0.34, 0.34, 0.05])
+    # the target is read with its non-identity part at unit norm
+    norm = np.linalg.norm([0.61, 0.34, 0.34])
     assert prob.target.coefficient("XX") == pytest.approx(0.61 / norm)
-    assert prob.target.hs_norm() == pytest.approx(1.0, abs=1e-15)
+    assert prob.target.coefficient("II") == pytest.approx(0.05 / norm)
     # only a comment-stripped line reading [problem] opens the section
     noted = parse_problem_file("# see the [problem] section below\n" + PROBLEM_TEXT)
     assert noted.target.terms == prob.target.terms

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import dense_lindblad_apply, oracle_generators, random_hermitian_window, random_operator
 from lindring.pauli import PauliOperator, parse_operator
-from lindring.generators import LindbladGenerator
+from lindring.generators import LindbladGenerator, parse_generator_file
 from lindring.rings import (
     INDETERMINATE_TOL,
+    ROUNDING_SHARE,
     ZERO_TOL,
     CanonicalParams,
     assemble_sum,
@@ -191,11 +192,14 @@ def test_check_conservation_verdicts():
     rep2 = check_conservation(gen, parse_operator("X"), mode="local", n=6)
     assert rep2.verdict == "violated"
     # a unit-size generator whose residual is 1e-7 of its scale: Z dephasing
-    # plus X dephasing at rate 2.5e-8, on Z, reads 4 * 2.5e-8 / (1 + 2.5e-8)
-    near = LindbladGenerator(1, gamma=np.diag([2.5e-8, 0.0, 1.0]))
+    # kills Z exactly, so only X dephasing at rate 2.5e-13 acts, and its
+    # residual 4 * 2.5e-13 lies below the rounding share 1e-5 of the whole
+    # generator: 1e-12 / (2.5e-13 + 1e-5 (1 + 2.5e-13)), up to the rounding
+    # the rate-1 part leaves in the sum, about 4e-16
+    near = LindbladGenerator(1, gamma=np.diag([2.5e-13, 0.0, 1.0]))
     for mode in ("global", "local"):
         rep3 = check_conservation(near, parse_operator("Z"), mode=mode, n=4)
-        assert rep3.residual / rep3.scale == pytest.approx(1e-7, rel=1e-6)
+        assert rep3.residual / rep3.scale == pytest.approx(1e-7, rel=1e-3)
         assert ZERO_TOL < rep3.residual / rep3.scale < INDETERMINATE_TOL
         assert rep3.verdict == "indeterminate"
     # the bands do not see scale: X dephasing at rate 2.5e-11 violates Y at
@@ -230,9 +234,9 @@ _CASES = {
 @pytest.mark.parametrize("size", [1e-13, 1e-8, 1.0, 1e5])
 @pytest.mark.parametrize("verdict", sorted(_CASES))
 def test_check_verdict_does_not_see_scale(verdict, size, mode):
-    # the bands are relative to |a| (tr gamma + |H|): multiplying the density
-    # or the generator by any size leaves the verdict; at 1e-13 the absolute
-    # bands read the violated case conserved
+    # the bands are relative to a scale linear in the density and in the
+    # generator: multiplying either by any size leaves the verdict; at 1e-13
+    # absolute bands would read the violated case conserved
     gen, density = _CASES[verdict]
     a = parse_operator(density)
     for g, d in ((gen, a * size), (_scaled(gen, size), a)):
@@ -249,7 +253,32 @@ def test_check_scale_reads_the_ring_sum():
     for mode in ("global", "local"):
         assert check_conservation(gen, a, mode=mode, n=6).verdict == "violated"
     rep = check_conservation(gen, a, mode="global", n=6)
-    assert rep.scale == pytest.approx(assemble_sum(parse_operator("XX"), 6).hs_norm())
+    want = assemble_sum(parse_operator("XX"), 6).hs_norm() * (1 + ROUNDING_SHARE)
+    assert rep.scale == pytest.approx(want, rel=1e-12)
+
+
+# (generator file, density): a large part that maps the density to exactly
+# zero next to a small one that violates it
+_EXACT_PARTS = {
+    "commuting hamiltonian": ("[hamiltonian]\n1e9*ZZ\n[lindblad]\n0.2*XI\n", "ZZ"),
+    "killed density part": ("[lindblad]\n0.2*X\n", "1e9*XI + ZZ"),
+    "killing jump": ("[lindblad]\n31622.78*Z\n0.2*X\n", "ZZ"),
+    "hamiltonian without ring sum": ("[hamiltonian]\n1e9*XI - 1e9*IX\n[lindblad]\n0.2*XI\n",
+                                     "ZZ"),
+}
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("case", sorted(_EXACT_PARTS))
+def test_exact_parts_do_not_hide_a_violation(case, mode):
+    # a part mapped to exactly zero carries no error into the residual and
+    # stays out of the scale, however large; a scale of the whole inputs,
+    # |a| (tr gamma + |H|), would read all but one of these conserved
+    text, density = _EXACT_PARTS[case]
+    gen = parse_generator_file(text)
+    rep = check_conservation(gen, parse_operator(density), mode=mode, n=6)
+    assert rep.verdict == "violated", (rep.residual, rep.scale)
+    assert rep.residual > 10 * INDETERMINATE_TOL * rep.scale
 
 
 def test_symmetrize_fields_preserves_ring_sum():
