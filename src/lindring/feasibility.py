@@ -269,8 +269,10 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     Vt_gamma,j^T N_j is an orthonormal basis of the fixed directions on its
     gamma columns, the trace among them.  B is far thinner than the
     conserving span, so every gamma projection goes through the pieces.
-    The cut of N, eps max(H.shape) sv[0] / sv[-1] times the largest singular
-    value of H, scales as the rounding in Vt does, so the trace stays in B.
+    N is cut at eps max(H.shape) times the largest singular value of H, as
+    matrix_rank cuts: Vt is orthonormal to rounding however small the kept
+    singular values of K, so the H part of a fixed direction (the trace
+    among them) stays below the cut whatever K's condition number.
     """
     K, b, g = cons.matrix, cons.rhs, cons.dim_gamma
     blocks = _column_blocks(K != 0)
@@ -280,7 +282,7 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
     svds = [(u[:, :k], s[:k], v[:k]) for (u, s, v), k in zip(svds, kept)]
     sv = np.concatenate([s for _, s, _ in svds])
     hams = [np.linalg.svd(v[:, cols >= g].T) for (_, cols), (_, _, v) in zip(blocks, svds)]
-    cut = np.finfo(float).eps * max(K.shape[1] - g, len(sv)) * sv.max() / sv.min()
+    cut = np.finfo(float).eps * max(K.shape[1] - g, len(sv))
     cut *= max((s[0] for _, s, _ in hams if len(s)), default=0.0)
     x0, pieces = np.zeros(K.shape[1]), []
     for (rows, cols), (u, s, v), (_, hs, hv) in zip(blocks, svds, hams):

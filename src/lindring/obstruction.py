@@ -13,9 +13,9 @@ Weights (1, mu, nu, 2h_x, 2h_y, 2h_z) on the six primitive projections
 cancel the Hamiltonian term identically.  The imaginary part of the
 combination is pure gauge, spanned by the unitality forms, and its real
 part is the obstruction matrix C = sum_{i<=j} a_i a_j T_ij, a = (1, mu,
-nu, h_x, h_y, h_z): 21 real symmetric tables per width, built once.
-When C is negative definite, no generator of that width with a nonzero
-dissipative part conserves the density.
+nu, h_x, h_y, h_z): 21 real symmetric tables per width, built and checked
+once.  When C is negative definite, no generator of that width with a
+nonzero dissipative part conserves the density.
 
 A point's weights a_i a_j decide which tables count.  C vanishes exactly
 off the connected components of the nonzero entries of those tables, so
@@ -40,7 +40,6 @@ from .generators import _class_representative, _image_terms, _vector_to_gamma, b
 from .pauli import PauliOperator
 from .rings import CanonicalParams, assemble_sum, safe_ring_length, stable_ring_length
 
-D_CANCEL_TOL = 1e-9
 GAUGE_TOL = 1e-9
 ZERO_BAND = 1e-9
 DEGENERACY_TOL = 1e-8
@@ -129,15 +128,13 @@ def _pattern_forms(patterns, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return forms[..., :m * m], forms[..., m * m:]
 
 
-def _require(ok, exc, points, message: str, values=None) -> None:
+def _require(ok, exc, points, message: str) -> None:
     """Raise exc for the first point where `ok` fails, naming that grid point.
 
     Checks are written as value <= bound, so a NaN value fails them.
     """
     if not ok.all():
         i = int(np.argmin(ok))
-        if values is not None:
-            message += f" ({values[i]:.3e})"
         if points is not None:
             message += f" at (mu, nu, hx, hy, hz) = {tuple(points[i].tolist())}"
         raise exc(message)
@@ -238,20 +235,23 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
 
 # the 21 terms a_i a_j (i <= j) of C, a = (1, mu, nu, hx, hy, hz), in a fixed order
 _I, _J = np.triu_indices(6)
+_A = ("1", "mu", "nu", "hx", "hy", "hz")
 
 
 @functools.cache
-def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """C(p) = sum_k a_i a_j T_k over the terms k = (i, j), with per-term check data.
+def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(p) = sum_k a_i a_j T_k over the terms k = (i, j), each term checked once.
 
     Pattern i enters the combination with weight f_i a_i, f = (1, 1, 1, 2,
     2, 2), and its form against component j with weight a_j, so term k
     collects P_k = f_i Q[i, j] + f_j Q[j, i] (f_i Q[i, i] on the diagonal),
-    read here in real coordinates.  Returns the real symmetric tables
-    T_k = Re P_k (at r=2 in the combination basis) and, per term, the
-    largest Hamiltonian coefficient, the larger of the two pieces that
-    cancel in it, and the largest part of Im P_k off the span of the
-    unitality forms.  The forms are read on the stable ring, 2 r_gen + 1 sites.
+    read here in real coordinates on the stable ring, 2 r_gen + 1 sites.
+    The forms come from integer image terms, so the Hamiltonian part of
+    each term must cancel exactly, and Im P_k must lie in the span of the
+    unitality forms within GAUGE_TOL of the largest entry of P_k; a term
+    that fails raises ArithmeticError naming it, whatever the point.
+    Returns the real symmetric tables T_k = Re P_k (integers at r=3; at
+    r=2 in the combination basis) and each term's gauge residual.
     """
     g, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
                           stable_ring_length(r_gen, 2, "global"), r_gen)
@@ -260,8 +260,7 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     l *= f[:, None, None]
     half = np.where(_I == _J, 0.5, 1.0)
     P = half[:, None] * (g + g.swapaxes(0, 1))[_I, _J]
-    ham = np.abs(half[:, None] * (l + l.swapaxes(0, 1))[_I, _J]).max(axis=1)
-    pieces = np.maximum(np.abs(l), np.abs(l).swapaxes(0, 1))[_I, _J].max(axis=1)
+    ham = (l + l.swapaxes(0, 1))[_I, _J] != 0
     m = l.shape[-1]
     del g, l  # the (6, 6) tables are not kept through the rest of the build
     # Im P must lie in the span of the unitality forms; coordinates read 2 Im Q_jk (j < k)
@@ -270,13 +269,19 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     target = P[:, im]
     off_span = target - (target @ cols) @ np.linalg.pinv(cols.T @ cols, hermitian=True) @ cols.T
     del cols
+    gauge = 0.5 * np.abs(off_span).max(axis=1)
+    for k, term in enumerate(f"{_A[i]}*{_A[j]}" for i, j in zip(_I, _J)):
+        if ham[k].any():
+            raise ArithmeticError(f"Hamiltonian part of term {term} fails to cancel")
+        if not gauge[k] <= GAUGE_TOL * np.abs(P[k]).max():
+            raise ArithmeticError(f"imaginary part of term {term} is not spanned by "
+                                  f"unitality forms ({gauge[k]:.3e})")
     T = _vector_to_gamma(P, m, 2.0).real
     if r_gen == 2:  # the +-1 congruence is exact on these integer tables; a zero stays 0.0
         S = np.sign(combination_matrix())
         norm = np.linalg.norm(S, axis=0)
         T = S.T @ T @ S / np.outer(norm, norm)
-    T = 0.5 * (T + T.swapaxes(1, 2))
-    return T, ham, pieces, 0.5 * np.abs(off_span).max(axis=1)
+    return 0.5 * (T + T.swapaxes(1, 2)), gauge
 
 
 # overflow is caught by the finiteness check, which names the point
@@ -324,40 +329,21 @@ def _combine(w: np.ndarray, term_entries: list[tuple], width: int) -> np.ndarray
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _check_terms(r_gen: int, w: np.ndarray, scale: np.ndarray, points) -> np.ndarray:
-    """Check the assembly at a stack of points whose C has largest entries `scale`.
-
-    Bounds the Hamiltonian part and the gauge residual by the per-term
-    values times |a_i a_j|; returns the gauge residuals.
-    """
-    _, ham, ham_pieces, gauge_terms = _polynomial(r_gen)
-    lc = (np.abs(w) * ham).sum(axis=1)
-    term_max = (np.abs(w) * ham_pieces).max(axis=1)
-    gauge = (np.abs(w) * gauge_terms).sum(axis=1)
-    # finite parameters can still overflow the quadratic weights
-    _require(np.isfinite(lc) & np.isfinite(scale) & np.isfinite(gauge), OverflowError,
-             points, "obstruction matrix is not finite")
-    # the cancelling terms set the rounding scale, not the forms alone
-    _require(lc <= D_CANCEL_TOL * (1.0 + term_max), ArithmeticError, points,
-             "Hamiltonian part failed to cancel", lc)
-    _require(gauge <= GAUGE_TOL * (1.0 + scale), ArithmeticError,
-             points, "imaginary part not spanned by unitality forms", gauge)
-    return gauge
-
-
 def _obstruction_matrix(r_gen: int, params: CanonicalParams, basis: str) -> ObstructionMatrix:
     """C at one point, summed on its block entries as a scan pass sums them."""
     point = _point(params)
-    T, w = _polynomial(r_gen)[0], _weights(point)
+    (T, gauge), w = _polynomial(r_gen), _weights(point)
     blocks = _blocks(T, terms := np.flatnonzero(w[0]))
     entries, _ = _packing(blocks, T.shape[1])
     packed = _combine(w, _term_entries(T, terms, entries), len(entries))
-    gauge = _check_terms(r_gen, w, np.abs(packed).max(axis=1), point)
+    # finite parameters can still overflow the quadratic weights; every table
+    # has nonzero entries, so an infinite weight leaves C's entries infinite
+    _require(np.isfinite(packed).all(axis=1), OverflowError, point,
+             "obstruction matrix is not finite")
     C = np.zeros(T.shape[1:])
     np.put(C, entries, packed[0])
-    return ObstructionMatrix(C=C, basis=basis, params=params,
-                             gauge_residual=float(gauge[0]), blocks=tuple(blocks))
+    return ObstructionMatrix(C=C, basis=basis, params=params, blocks=tuple(blocks),
+                             gauge_residual=float((np.abs(w[0]) * gauge).sum()))
 
 
 # combination basis: 9 symmetric then 6 antisymmetric pairings, unit norm
@@ -681,7 +667,6 @@ def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
         per_pass = _CHUNK * 63 ** 2 // len(entries)  # whole points, at least four
         for at in np.array_split(np.array(members), -(-len(members) // per_pass)):
             C = _combine(w[at], term_entries, len(entries))
-            _check_terms(r_gen, w[at], np.abs(C).max(axis=1), points[at])
             max_eig[at], nullity[at], verdict[at], _ = _certify(
                 _stacks(C, sizes), ZERO_BAND, points[at])
     rows = [ScanRow(*p, e, k, str(v))

@@ -86,7 +86,8 @@ def local_conservation_check(gen: LindbladGenerator, a: PauliOperator,
     return report.verdict == "conserved", report.residual, report.offender
 
 
-def conservation_scale(gen: LindbladGenerator, d: PauliOperator, n: int, mode: str) -> float:
+def conservation_scale(gen: LindbladGenerator, d: PauliOperator, n: int,
+                       mode: str) -> tuple[float, float]:
     """s = |d_L| (size of the acting parts) + ROUNDING_SHARE |d| (size of all parts).
 
     d is what the residual reads: the ring sum (global) or the window
@@ -100,11 +101,14 @@ def conservation_scale(gen: LindbladGenerator, d: PauliOperator, n: int, mode: s
     A part or string mapped to exactly zero carries no error into the
     residual, so it cannot hide a violation, however large; the rounding
     share keeps the bands above the rounding of parts that cancel in sum.
+    Also returns the largest image amplitude the acting parts can leave:
+    |c| times the size of the part, over the strings c of d and the parts
+    that act on them.
     """
     r, (phase, _) = gen.r, product_table(gen.r)
-    ring = {u.ljust(n, "I"): c for u, c in d.terms.items()}
-    windows = {u: {int((u + u)[k:k + r].translate(_DIGITS), 4) for k in range(n)} for u in ring}
-    pieces = np.array(sorted(set().union(*windows.values())), dtype=int)
+    ring = {u.ljust(n, "I"): abs(c) for u, c in d.terms.items() if u.strip("I")}
+    windows = [{int((u + u)[k:k + r].translate(_DIGITS), 4) for k in range(n)} for u in ring]
+    pieces = np.array(sorted(set().union(*windows)), dtype=int)
     h: dict[str, float] = {}
     for s, c in gen.hamiltonian.terms.items():
         key = s.lstrip("I").ljust(r, "I") if mode == "global" else s
@@ -122,9 +126,14 @@ def conservation_scale(gen: LindbladGenerator, d: PauliOperator, n: int, mode: s
         rows, cols, vals = _real_column(r, b)
         hit = [np.bincount(rows, vals * x[cols], 4 ** r).any() for x in jumps]
         acts[np.flatnonzero(keep), q] = hit
-    acted = {b for b, hit in zip(pieces.tolist(), acts.any(axis=0)) if hit}
-    d_acting = math.hypot(*(abs(c) for u, c in ring.items() if u.strip("I") and windows[u] & acted))
-    return d_acting * sizes[acts.any(axis=1)].sum() + ROUNDING_SHARE * d.hs_norm() * sizes.sum()
+    meets = np.zeros((len(ring), len(pieces)), dtype=bool)
+    for i, w in enumerate(windows):
+        meets[i, np.searchsorted(pieces, list(w))] = True
+    pairs = meets.astype(float) @ acts.T > 0  # (string, part): the part acts on the string
+    coef = np.array(list(ring.values()), dtype=float)
+    scale = math.hypot(*coef[pairs.any(axis=1)]) * sizes[acts.any(axis=1)].sum()
+    return (scale + ROUNDING_SHARE * d.hs_norm() * sizes.sum(),
+            (coef[:, None] * sizes * pairs).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -151,11 +160,13 @@ def check_conservation(gen: LindbladGenerator, a: PauliOperator, mode: str = "gl
     d = assemble_sum(a, n) if mode == "global" else a
     residuals = ([assemble_sum(gen.apply(d), n).hs_norm()] if mode == "global"
                  else [gen.apply(a.embed(n, k)).hs_norm() for k in range(n)])
-    scale = conservation_scale(gen, d, n, mode)
+    scale, amplitude = conservation_scale(gen, d, n, mode)
     offender = None if mode == "global" else next(
         ((0, k) for k, x in enumerate(residuals) if x > ZERO_TOL * scale), None)
     residual = max(residuals)
-    verdict = ("conserved" if residual <= ZERO_TOL * scale
+    # the image drops amplitudes up to PRUNE_TOL: below it a violation can vanish
+    pruned = 0.0 < amplitude < PRUNE_TOL
+    verdict = ("conserved" if residual <= ZERO_TOL * scale and not pruned
                else "indeterminate" if residual <= INDETERMINATE_TOL * scale else "violated")
     return ConservationReport(mode=mode, n=n, residual=residual, scale=scale, verdict=verdict,
                               short_ring=short_ring, offender=offender)

@@ -378,6 +378,28 @@ def test_check_indeterminate_exit_3(tmp_path):
         assert cfg["zero_tol"] < res["residual"] / res["scale"] < cfg["indeterminate_tol"]
 
 
+def test_check_pruned_image_exit_3(tmp_path):
+    # X dephasing at rate 1e-4 leaves image amplitudes of about 1e-17 on
+    # 1e-13 (ZZ + XX), below the PRUNE_TOL at which they are dropped: the
+    # residual reads 0.0 and cannot show the violation; at rate 0.04 it can.
+    # 0.2 ZI acts on the small XX string alone and the tiny jump on ZZ, so
+    # every amplitude is lost although the largest part and string are not
+    # small.  Z dephasing maps ZZ to exactly zero: nothing acts, nothing is lost
+    tiny, paired, zz = "1e-13*ZZ + 1e-13*XX", "1e-13*ZZ + 1.5e-14*XX", "1e-13*ZZ"
+    for gen_text, dens_text, want in (
+            ("[lindblad]\n0.01*X\n", tiny, (3, "indeterminate")),
+            ("[lindblad]\n0.2*X\n", tiny, (0, "violated")),
+            ("[hamiltonian]\n0.2*ZI\n[lindblad]\n1e-4*XI\n", paired, (3, "indeterminate")),
+            ("[lindblad]\n1e-9*Z\n", zz, (0, "conserved"))):
+        gen, density = tmp_path / "g.gen", tmp_path / "d.op"
+        gen.write_text(gen_text)
+        density.write_text(f"r=2\n{dens_text}\n")
+        for mode in ("global", "local"):
+            code, rep = run_json(["check", "--gen", str(gen), "--density", str(density),
+                                  "--mode", mode], tmp_path)
+            assert (code, rep["result"]["verdict"]) == want, (gen_text, mode)
+
+
 def test_check_ring_shorter_than_window_exit_2(heis_gen, heis_density, capsys):
     # refused as input, before any analysis runs
     with warnings.catch_warnings():

@@ -329,6 +329,19 @@ def test_fixed_directions_keep_the_trace():
     assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
 
 
+@pytest.mark.parametrize("base", ["XX + YY", "XX + 1e-4*YY"], ids=["xx-yy", "xx-small-yy"])
+def test_fixed_directions_do_not_see_the_condition_number(base):
+    # a small ZZ coefficient puts small singular values into K, with the
+    # same rank at every size; the count of fixed directions must not follow it
+    fixed, ranks = set(), set()
+    for eps in (1 / 7, 1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11):
+        target = parse_operator(f"{base} + {eps!r}*ZZ")
+        rows = _factor_rows(build_affine_constraints(FeasibilityProblem(target, r_gen=2)))
+        fixed.add(rows.fixed)
+        ranks.add(rows.rank)
+    assert len(fixed) == 1 and ranks == {61}, (fixed, ranks)
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_gauss_newton_jacobian(r):
     # the completion's closed-form Jacobian against central differences of

@@ -226,12 +226,22 @@ def test_gauge_residual_certificate_is_small():
 
 @pytest.mark.parametrize("r_gen", [2, 3])
 def test_polynomial_terms_cancel_hamiltonian_and_gauge(r_gen):
-    # each of the 21 terms a_i a_j is Hamiltonian-free and pure gauge on its own
-    T, ham, ham_pieces, gauge = obstruction._polynomial(r_gen)
-    assert len(T) == 21
+    # each of the 21 terms a_i a_j is Hamiltonian-free and pure gauge on its
+    # own: the build refuses a term that is not, and the Hamiltonian pieces
+    # that cancel in a term are not all zero
+    T, gauge = obstruction._polynomial(r_gen)
+    assert len(T) == 21 and gauge.shape == (21,)
     assert np.array_equal(T, T.swapaxes(1, 2))
-    assert ham.max() == 0.0 and ham_pieces.max() > 1.0
     assert gauge.max() < 1e-12
+    _, l = obstruction._pattern_forms(["XX", "YY", "ZZ", "X", "Y", "Z"], 2 * r_gen + 1, r_gen)
+    assert np.abs(l).max() > 1.0
+
+
+def test_width3_tables_are_integers():
+    # read off integer image terms with integer weights: an exact certificate
+    # can take the r=3 tables as they are
+    T = obstruction._polynomial(3)[0]
+    assert np.array_equal(T, np.round(T)) and np.abs(T).max() >= 1.0
 
 
 @pytest.mark.parametrize("r_gen", [2, 3])
@@ -280,19 +290,32 @@ def test_tables_match_a_dense_scatter(r_gen, monkeypatch):
                                                                unitality_forms(r_gen).values()))
 
 
-def test_perturbed_hamiltonian_table_is_caught(monkeypatch):
+@pytest.mark.parametrize("part, message", [
+    ("hamiltonian", r"Hamiltonian part of term 1\*mu fails to cancel"),
+    ("gauge", r"imaginary part of term 1\*mu is not spanned by unitality forms \(\d"),
+], ids=["hamiltonian", "gauge"])
+def test_perturbed_table_is_caught(part, message, monkeypatch):
+    # a broken table is refused when the tables are built, before any point
+    # is read: also on a grid at mu = 0, which gives the broken term no weight
     pattern_forms = obstruction._pattern_forms
 
     def perturbed(*args):
-        Q, l = pattern_forms(*args)
-        l[0, 1, 0] += 1e-3
-        return Q, l
+        g, l = pattern_forms(*args)
+        if part == "hamiltonian":
+            l[0, 1, 0] += 1e-3
+        else:  # the last coordinate of a form is an imaginary one, 2 Im Q_jk
+            g[0, 1, -1] += 1e-3
+        return g, l
 
     monkeypatch.setattr(obstruction, "_pattern_forms", perturbed)
-    obstruction._polynomial.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match=r"failed to cancel .* = \(0\.5, 0\.25, "):
-            scan(3, [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)])
+        for grid in ([(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)],
+                     [(0.0, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 2.0)]):
+            obstruction._polynomial.cache_clear()
+            with pytest.raises(ArithmeticError, match=message):
+                scan(3, grid)
+        with pytest.raises(ArithmeticError, match=message):
+            obstruction._polynomial.__wrapped__(2)
     finally:
         obstruction._polynomial.cache_clear()
 
@@ -692,16 +715,20 @@ def test_scan_rows_are_obstruction_reports(tmp_path):
 
 
 def test_scan_check_failures_name_the_point(monkeypatch):
+    # the tables' checks name the term, once per width; the checks left per
+    # point, in _certify, name the point
+    monkeypatch.setattr(obstruction, "GAUGE_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match=r"imaginary part of term 1\*1 is not spanned"):
+        obstruction._polynomial.__wrapped__(2)
     grid = [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)]
-    for name in ("D_CANCEL_TOL", "GAUGE_TOL"):
-        with monkeypatch.context() as m:
-            m.setattr(obstruction, name, -1.0)
-            with pytest.raises(ArithmeticError, match=r"= \(0\.5, 0\.25, 0\.0, 0\.0, 0\.0\)"):
-                scan(3, grid)
+    points = np.array(grid + grid[:1])
     C = np.stack([-np.eye(3)] * 3)
     C[1, 0, 2] = 1.0
     with pytest.raises(ValueError, match=r"not symmetric at .* = \(1\.0, 0\.0, 0\.5, -1\.0, 2\.0\)"):
-        obstruction._certify([C[:, None]], obstruction.ZERO_BAND, np.array(grid + grid[:1]))
+        obstruction._certify([C[:, None]], obstruction.ZERO_BAND, points)
+    C[1, 0, 2], C[2, 1, 1] = 0.0, np.nan
+    with pytest.raises(OverflowError, match=r"not finite at .* = \(0\.5, 0\.25, 0\.0, 0\.0, 0\.0\)"):
+        obstruction._certify([C[:, None]], obstruction.ZERO_BAND, points)
 
 
 _unit = st.floats(0.0, 1.0)
