@@ -5,8 +5,8 @@ and seed produce byte-identical output, each report carries the tool
 version, a hash of the effective configuration, and the tolerances it
 ran under.  Single-shot results are JSON, grids are CSV with a commented
 header.  Exit codes: 0 for a definite result, 2 for unreadable input,
-3 for an indeterminate verdict (fail closed in automation), 64 for an
-unknown subcommand.
+3 for an indeterminate verdict or a certificate that fails its own check
+(fail closed in automation), 64 for an unknown subcommand.
 """
 
 from __future__ import annotations
@@ -368,8 +368,9 @@ def main(argv=None) -> int:
         # an overflow or a non-finite intermediate: finite input too large for the analysis
         print(f"lindring: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        # inputs parsed but violate a precondition of the analysis
+    except (ValueError, ArithmeticError) as exc:
+        # inputs parsed but violate a precondition of the analysis, or a
+        # certificate failed its own check (a table, a Cholesky confirmation)
         print(f"lindring: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
 

@@ -19,12 +19,15 @@ nonzero dissipative part conserves the density.
 
 A point's weights a_i a_j decide which tables count.  C vanishes exactly
 off the connected components of the nonzero entries of those tables, so
-its spectrum is the union of theirs: at h = 0 and width 3 they have
-sizes 9, 9, 9, 9, 6, 6, 6, 6, 1, 1, 1; with every weight nonzero, one
-block holds the whole matrix.  scan stacks the points of one weight
-pattern, which share its blocks; obstruction and search take one point
-down the same path.  Each sums the point's tables on its block entries
-alone, so a point gets the same bits in scan, obstruction and search.
+its spectrum is the union of theirs.  The tables are written in strings
+even and odd under the site reflection (combination_matrix) and commute
+with it, so no component crosses the two sectors: at width 3 they have
+sizes 39 and 24 with every weight nonzero, 6, 3 and 1 at h = 0.  A table
+that broke the reflection would merge the sectors, not change a verdict.
+scan stacks the points of one weight pattern, which share its blocks;
+obstruction and search take one point down the same path.  Each sums
+the point's tables on its block entries alone, so a point gets the
+same bits in scan, obstruction and search.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ _PATTERN_STRINGS = {"xx": "XX", "yy": "YY", "zz": "ZZ", "x": "X", "y": "Y", "z":
 MU_AXIS = tuple(round(0.05 * k, 2) for k in range(21))
 H_AXIS = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 
-# a scan pass holds points of one weight pattern and at most _CHUNK dense
-# width-3 matrices' worth of entries (four dense points); more raise peak memory
+# a scan pass holds points of one weight pattern and at most _CHUNK * 63**2
+# block entries (seven width-3 points with blocks 39 and 24); more raise peak memory
 _CHUNK = 4
 
 
@@ -250,8 +253,9 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
     each term must cancel exactly, and Im P_k must lie in the span of the
     unitality forms within GAUGE_TOL of the largest entry of P_k; a term
     that fails raises ArithmeticError naming it, whatever the point.
-    Returns the real symmetric tables T_k = Re P_k (integers at r=3; at
-    r=2 in the combination basis) and each term's gauge residual.
+    Returns the real symmetric tables T_k = Re P_k in the basis of
+    combination_matrix(r_gen) (integers over the products of its +-1
+    column norms) and each term's gauge residual.
     """
     g, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
                           stable_ring_length(r_gen, 2, "global"), r_gen)
@@ -276,11 +280,10 @@ def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
         if not gauge[k] <= GAUGE_TOL * np.abs(P[k]).max():
             raise ArithmeticError(f"imaginary part of term {term} is not spanned by "
                                   f"unitality forms ({gauge[k]:.3e})")
-    T = _vector_to_gamma(P, m, 2.0).real
-    if r_gen == 2:  # the +-1 congruence is exact on these integer tables; a zero stays 0.0
-        S = np.sign(combination_matrix())
-        norm = np.linalg.norm(S, axis=0)
-        T = S.T @ T @ S / np.outer(norm, norm)
+    # the +-1 reflection congruence is exact on these integer tables; a zero stays 0.0
+    S = np.sign(combination_matrix(r_gen))
+    norm = np.linalg.norm(S, axis=0)
+    T = S.T @ _vector_to_gamma(P, m, 2.0).real @ S / np.outer(norm, norm)
     return 0.5 * (T + T.swapaxes(1, 2)), gauge
 
 
@@ -356,12 +359,20 @@ _COMBINATION_COLUMNS = (
 )
 
 
-def combination_matrix() -> np.ndarray:
-    """Unit-norm change of basis from primitive two-site strings."""
-    basis = basis_strings(2)
+def combination_matrix(r: int = 2) -> np.ndarray:
+    """Unit-norm change of basis from window strings to their reflection combinations.
+
+    At r=3: the 15 palindromes, then s + reverse(s), then s - reverse(s), s < reverse(s).
+    """
+    basis = basis_strings(r)
+    columns = _COMBINATION_COLUMNS
+    if r == 3:
+        pairs = [(s, s[::-1]) for s in basis if s < s[::-1]]
+        columns = ([((s, 1),) for s in basis if s == s[::-1]]
+                   + [((s, 1), (t, 1)) for s, t in pairs] + [((s, 1), (t, -1)) for s, t in pairs])
     idx = {s: i for i, s in enumerate(basis)}
-    S = np.zeros((len(basis), len(_COMBINATION_COLUMNS)))
-    for col, spec in enumerate(_COMBINATION_COLUMNS):
+    S = np.zeros((len(basis), len(columns)))
+    for col, spec in enumerate(columns):
         for lab, sgn in spec:
             S[idx[lab], col] = sgn
         S[:, col] /= np.linalg.norm(S[:, col])
@@ -375,8 +386,9 @@ def assemble_C_2site(params: CanonicalParams) -> ObstructionMatrix:
 
 
 def assemble_C_3site(params: CanonicalParams) -> ObstructionMatrix:
-    """Obstruction matrix of a width-3 generator, over the 63 window strings."""
-    return _obstruction_matrix(3, params, "primitive three-site window strings (63)")
+    """Obstruction matrix of a width-3 generator, in the reflection basis of combination_matrix(3)."""
+    return _obstruction_matrix(
+        3, params, "three-site combinations: 39 reflection-symmetric + 24 antisymmetric, unit norm")
 
 
 def _c2_blocks(mu: float, nu: float, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -640,7 +652,7 @@ def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
 
     Points are taken one weight pattern (which a_i a_j are nonzero) at a
     time: the pattern's blocks (_blocks) are found once, and its points go
-    in passes of at most _CHUNK dense width-3 matrices' worth of entries.
+    in passes of at most _CHUNK * 63**2 block entries.
     A pass sums each point's terms on its block entries only, then runs
     one eigensolve and one Cholesky confirmation per block size.  A row
     depends on its point alone: batched, alone, or as an obstruction report.

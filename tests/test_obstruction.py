@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,16 +200,17 @@ def test_width2_tables_keep_the_closed_forms_exact_zeros():
 
 
 @pytest.mark.parametrize("point, sizes", [
-    ((0.5, 0.3, 0.0, 0.0, 0.0), [1, 1, 1, 6, 6, 6, 6, 9, 9, 9, 9]),
-    ((0.0, 0.0, 0.0, 0.0, 0.0), [1] * 47 + [2] * 8),
-    ((0.5, 0.3, 0.7, 0.0, 0.0), [1, 12, 16, 16, 18]),
-    ((0.5, 0.3, 0.7, -0.4, 0.0), [28, 35]),
-    ((0.5, 0.3, 0.7, -0.4, 1.1), [63]),
+    ((0.5, 0.3, 0.0, 0.0, 0.0), {1: 3, 3: 12, 6: 4}),
+    ((0.0, 0.0, 0.0, 0.0, 0.0), {1: 55, 2: 4}),
+    ((0.5, 0.3, 0.7, 0.0, 0.0), {1: 1, 6: 5, 10: 2, 12: 1}),
+    ((0.5, 0.3, 0.7, -0.4, 0.0), {12: 2, 16: 1, 23: 1}),
+    ((0.5, 0.3, 0.7, -0.4, 1.1), {24: 1, 39: 1}),
 ])
 def test_width3_blocks_keep_their_documented_sizes(point, sizes):
-    # h = 0, the origin, one, two and three field axes; C is 0.0 off the blocks
+    # h = 0, the origin, one, two and three field axes, in the reflection
+    # basis (block size: how many); C is 0.0 off the blocks
     mat = assemble_C_3site(CanonicalParams.at(point[0], point[1], point[2:]))
-    assert sorted(len(b) for b in mat.blocks) == sizes
+    assert Counter(len(b) for b in mat.blocks) == sizes
     assert np.array_equal(np.sort(np.concatenate(mat.blocks)), np.arange(63))
     off = np.ones((63, 63), dtype=bool)
     for b in mat.blocks:
@@ -238,10 +240,13 @@ def test_polynomial_terms_cancel_hamiltonian_and_gauge(r_gen):
 
 
 def test_width3_tables_are_integers():
-    # read off integer image terms with integer weights: an exact certificate
-    # can take the r=3 tables as they are
+    # read off integer image terms with integer weights and taken through the
+    # +-1 reflection congruence: an exact certificate can take the r=3 tables
+    # times the column norms as they are
     T = obstruction._polynomial(3)[0]
-    assert np.array_equal(T, np.round(T)) and np.abs(T).max() >= 1.0
+    norm = np.linalg.norm(np.sign(combination_matrix(3)), axis=0)
+    N = T * np.outer(norm, norm)
+    assert np.array_equal(N, np.round(N)) and np.abs(N).max() >= 1.0
 
 
 @pytest.mark.parametrize("r_gen", [2, 3])
@@ -321,7 +326,9 @@ def test_perturbed_table_is_caught(part, message, monkeypatch):
 
 
 def test_3site_matrix_matches_forms():
-    # C is the real part of the combination sum_i f_i a_i Q_i, f = (1, 1, 1, 2, 2, 2)
+    # C is the real part of the combination sum_i f_i a_i Q_i, f = (1, 1, 1, 2,
+    # 2, 2), over the primitive strings, taken into the reflection basis
+    S = combination_matrix(3)
     rng = np.random.default_rng(11)
     for _ in range(10):
         p = random_params(rng)
@@ -330,7 +337,7 @@ def test_3site_matrix_matches_forms():
         w = {"xx": 1.0, "yy": p.mu, "zz": p.nu, "x": 2 * hx, "y": 2 * hy, "z": 2 * hz}
         R = sum(w[k] * forms[k].Q for k in forms).real
         C = assemble_C_3site(p).C
-        assert np.abs(C - 0.5 * (R + R.T)).max() < 1e-12 * np.abs(C).max()
+        assert np.abs(C - S.T @ (0.5 * (R + R.T)) @ S).max() < 1e-12 * np.abs(C).max()
 
 
 def test_combination_has_gauge_content_before_subtraction():
@@ -431,8 +438,55 @@ def test_3site_keeps_ising_line_conservers():
     m = assemble_C_3site(CanonicalParams.at(0, 0, (0.7, 0, 0)))
     rep = certify_definiteness(m.C)
     assert rep.verdict == "negative_semidefinite"
-    c = coeff_vector(PauliOperator(3, {"XII": 1.0}), 3)
-    assert abs(float(np.real(np.conj(c) @ m.C @ c))) < 1e-12
+    c_prim = coeff_vector(PauliOperator(3, {"XII": 1.0}), 3)
+    c = combination_matrix(3).T @ c_prim  # orthonormal columns: the coordinate map
+    assert np.abs(m.C @ c).max() < 1e-12
+
+
+def test_width3_reflection_sectors():
+    # R reflects the sites, P1 P2 P3 -> P3 P2 P1; the combination basis is
+    # orthonormal, its first 39 columns even under R and its last 24 odd
+    basis = basis_strings(3)
+    R = np.zeros((63, 63))
+    R[[basis.index(s[::-1]) for s in basis], np.arange(63)] = 1.0
+    S = combination_matrix(3)
+    assert np.abs(S @ S.T - np.eye(63)).max() < 1e-15
+    assert np.abs(R @ S - S * np.repeat([1.0, -1.0], [39, 24])).max() < 1e-15
+    # no table has an entry between the sectors, so no block crosses them
+    T = obstruction._polynomial(3)[0]
+    assert np.all(T[:, :39, 39:] == 0.0) and np.all(T[:, 39:, :39] == 0.0)
+    blocks = assemble_C_3site(CanonicalParams.at(0.5, 0.3, (0.7, -0.4, 1.1))).blocks
+    assert all(b.max() < 39 or b.min() >= 39 for b in blocks)
+    # the blocks certify what one eigensolve of the primitive matrix does
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        mat = assemble_C_3site(random_params(rng))
+        rep = certify_definiteness(mat.C, blocks=mat.blocks)
+        prim = S @ mat.C @ S.T
+        top, nullity, verdict = dense_certify(prim[None])
+        assert (rep.verdict, rep.nullity) == (verdict[0], nullity[0])
+        ev = np.linalg.eigvalsh(prim)
+        assert np.abs(rep.eigenvalues - ev).max() <= 1e-12 * np.abs(ev).max()
+
+
+def test_width3_scan_blocks_stay_within_a_sector(monkeypatch):
+    # the gain of the reflection basis, as a count: no width-3 eigensolve sees
+    # a block above 39, on a family at h = 0 and on points with every field nonzero
+    sizes, certify = [], obstruction._certify
+
+    def record(stacks, zero_band, points=None):
+        sizes.append({S.shape[-1] for S in stacks})
+        return certify(stacks, zero_band, points)
+
+    monkeypatch.setattr(obstruction, "_certify", record)
+    scan(3, family_grid("xyz"))
+    assert max(max(s) for s in sizes) <= 39
+    rng = np.random.default_rng(300)
+    grid = np.column_stack([rng.uniform(0, 1, (300, 2)), rng.uniform(-2, 2, (300, 3))])
+    assert np.all(grid != 0.0)
+    sizes.clear()
+    scan(3, [tuple(p) for p in grid.tolist()])
+    assert set().union(*sizes) == {24, 39}
 
 
 # -- definiteness reports -----------------------------------------------------
