@@ -163,7 +163,7 @@ def _cmd_obstruction(args) -> int:
     params = CanonicalParams.at(args.mu, args.nu, (args.hx, args.hy, args.hz))
     assemble = assemble_C_2site if args.r == 2 else assemble_C_3site
     mat = assemble(params)
-    rep = certify_definiteness(mat.C, blocks=mat.blocks)
+    rep = certify_definiteness(mat.C, blocks=mat.blocks, params=mat.params)
     config = {
         "subcommand": "obstruction", "r": args.r,
         "mu": args.mu, "nu": args.nu,
@@ -175,7 +175,6 @@ def _cmd_obstruction(args) -> int:
         "max_eigenvalue": rep.max_eigenvalue,
         "nullity": rep.nullity,
         "eigenvalues": rep.eigenvalues.tolist(),
-        "gauge_residual": mat.gauge_residual,
         "basis": mat.basis,
     }
     if args.emit_matrix:
@@ -370,7 +369,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:
         # inputs parsed but violate a precondition of the analysis, or a
-        # certificate failed its own check (a table, a Cholesky confirmation)
+        # certificate failed its own check (its Cholesky confirmation)
         print(f"lindring: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
 

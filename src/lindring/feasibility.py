@@ -324,12 +324,12 @@ def verify_candidate(gen: LindbladGenerator, problem: FeasibilityProblem) -> Con
 def _obstruction_certificate(problem: FeasibilityProblem) -> DefinitenessReport | None:
     if problem.r_gen not in (2, 3) or problem.target.n != 2:
         return None
+    assemble = assemble_C_2site if problem.r_gen == 2 else assemble_C_3site
     try:
-        assemble = assemble_C_2site if problem.r_gen == 2 else assemble_C_3site
         mat = assemble(canonical_form(problem.target))
-        return certify_definiteness(mat.C, blocks=mat.blocks)
-    except (ValueError, ArithmeticError):
+    except ValueError:  # no two-site part; a certificate that fails its check raises on
         return None
+    return certify_definiteness(mat.C, blocks=mat.blocks, params=mat.params)
 
 
 def _accept(x: np.ndarray, problem: FeasibilityProblem) -> tuple[LindbladGenerator, float] | None:

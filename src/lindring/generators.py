@@ -11,6 +11,11 @@ Jump operators L_k are the same generator written in the eigenbasis of
 gamma, i[A, h] + sum_k (2 L_k A L_k^dag - {L_k^dag L_k, A}); they are
 read into (h, gamma) when the generator is made.  The same expression
 governs conservation: A is conserved when the generator maps it to zero.
+
+A jump L thus acts on observables as 2 L A L^dag - {L^dag L, A}: the
+Heisenberg form with jumps L^dag and Hamiltonian -h, plus {[L, L^dag], A},
+whose ring sum is {D(1), A} / 2 for the identity image D(1).  So on the
+globally unital generators that conserve anything, the two forms agree.
 """
 
 from __future__ import annotations

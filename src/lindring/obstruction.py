@@ -1,21 +1,23 @@
 """Obstruction matrices for ring-sum conservation by dissipative generators.
 
-Whether a width-r generator can conserve the ring sum of the canonical
-density a = XX + mu YY + nu ZZ + w1 + 1w is decided by a finite family
-of quadratic forms.  The coefficient of each translation class of Pauli
-strings in the image of the summed density is a real functional of
-(gamma, H), read off generators._image_terms in real coordinates on a
-ring long enough that a window cannot meet its own periodic image; at
-gamma = c c^dag it is c^dag Q c plus a real linear term in H.  The
-Hermitian Q is made only where a form is returned.
+Whether a width-r generator can conserve the ring sum A of the canonical
+density a = XX + mu YY + nu ZZ + w1 + 1w is decided by one quadratic
+form.  With jumps L_k acting as 2 L A L^dag - {L^dag L, A} (generators),
 
-Weights (1, mu, nu, 2h_x, 2h_y, 2h_z) on the six primitive projections
-cancel the Hamiltonian term identically.  The imaginary part of the
-combination is pure gauge, spanned by the unitality forms, and its real
-part is the obstruction matrix C = sum_{i<=j} a_i a_j T_ij, a = (1, mu,
-nu, h_x, h_y, h_z): 21 real symmetric tables per width, built and checked
-once.  When C is negative definite, no generator of that width with a
-nonzero dissipative part conserves the density.
+    <A, D(A)> = -sum_k ||[L_k^dag, A]||^2 + <A^2, D(1)> / 2:
+
+the Hamiltonian drops out, and the identity image D(1) vanishes on the
+generators a translation invariant conserver may use (unitality_forms).
+So with L = sum_s c_s P_s over the window strings, the obstruction
+matrix is C = -Re M(a)^dag M(a), where M(a) has the column [P_s, A] in
+Pauli coefficients on a ring too long for a window to meet its periodic
+image.  M(a) = sum_i a_i M_i over the six density components, a = (1,
+mu, nu, h_x, h_y, h_z), so C = sum_{i<=j} a_i a_j T_ij: 21 real symmetric
+tables per width, built once.  When C is negative definite, no generator
+of that width with a nonzero dissipative part conserves the density.
+The projection equations (conservation_forms) reach the same C the
+paper's way, from the coefficients of the image of A; the tests hold the
+two routes to the same bits.
 
 A point's weights a_i a_j decide which tables count.  C vanishes exactly
 off the connected components of the nonzero entries of those tables, so
@@ -39,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _class_representative, _image_terms, _vector_to_gamma, basis_strings
+from .generators import (_DIGITS, _class_representative, _image_terms, _vector_to_gamma,
+                         all_strings, basis_strings, product_table)
 from .pauli import PauliOperator
 from .rings import CanonicalParams, assemble_sum, safe_ring_length, stable_ring_length
 
-GAUGE_TOL = 1e-9
 ZERO_BAND = 1e-9
 DEGENERACY_TOL = 1e-8
 B2_TOL = 1e-10
@@ -78,16 +80,11 @@ class QuadraticForm:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionMatrix:
-    """C at one point; gauge_residual is sum_k |a_i a_j| times the per-term gauge residuals.
-
-    blocks partitions the basis into index sets off which C is exactly zero
-    (None: one block).
-    """
+    """C at one point; 0.0 off the index sets of blocks, which partition the basis (None: one)."""
 
     C: np.ndarray
     basis: str
     params: CanonicalParams
-    gauge_residual: float = 0.0
     blocks: tuple[np.ndarray, ...] | None = None
 
 
@@ -207,30 +204,24 @@ def _unitality_patterns(r_gen: int) -> dict[str, tuple[str, ...]]:
     return pats
 
 
-def _unitality_coordinates(r_gen: int) -> np.ndarray:
-    """Gamma coordinates of the window identity image; each pattern's strings pile onto its row."""
-    rows = {s: i for i, strings in enumerate(_unitality_patterns(r_gen).values()) for s in strings}
-    _, row, col, val = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
-    R = np.zeros((max(rows.values()) + 1, (4 ** r_gen - 1) ** 2))
-    R[row, col] = val  # the identity has no Hamiltonian image
-    return R
-
-
 def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
     """Quadratic forms of the window identity image, projected per class.
 
     These measure 2<pattern|[P_j, P_k]> and vanish on every generator
     whose identity image is a divergence, which is exactly the class a
     translation invariant conserver may use.  They are purely imaginary
-    and carry no Hamiltonian part.
+    and carry no Hamiltonian part.  Each pattern's strings pile onto its form.
     """
     if r_gen not in (2, 3):
         raise ValueError("generator width must be 2 or 3")
     basis = tuple(basis_strings(r_gen))
-    zero_d = np.zeros(len(basis))
-    Q = _vector_to_gamma(_unitality_coordinates(r_gen), len(basis), 2.0)
-    return {name: QuadraticForm(name=name, basis=basis, Q=q, d_linear=zero_d)
-            for name, q in zip(_unitality_patterns(r_gen), Q)}
+    patterns = _unitality_patterns(r_gen)
+    rows = {s: i for i, strings in enumerate(patterns.values()) for s in strings}
+    _, row, col, val = _image_terms(r_gen, PauliOperator.identity(r_gen), False, keys=rows)
+    R = np.zeros((len(patterns), len(basis) ** 2))
+    R[row, col] = val  # the identity has no Hamiltonian image
+    return {name: QuadraticForm(name=name, basis=basis, Q=q, d_linear=np.zeros(len(basis)))
+            for name, q in zip(patterns, _vector_to_gamma(R, len(basis), 2.0))}
 
 
 # -- assembly ----------------------------------------------------------------
@@ -238,53 +229,51 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
 
 # the 21 terms a_i a_j (i <= j) of C, a = (1, mu, nu, hx, hy, hz), in a fixed order
 _I, _J = np.triu_indices(6)
-_A = ("1", "mu", "nu", "hx", "hy", "hz")
+
+
+def _commutators(r: int) -> tuple[list[str], np.ndarray]:
+    """M_i: the commutators [P_s, A_i] of the window strings with the component ring sums.
+
+    P_s sits on sites 0..r-1 of the stable ring, 2 r + 1 sites.  A string u
+    of A_i anticommutes with P_s exactly when the product_table phase of
+    their window parts is imaginary, and then [P_s, u] = 2 P_s u.  Returns
+    the ring strings of the rows and M, shaped (component, row, basis
+    string): 2i times integers, |M| <= 4.
+    """
+    phase, index = product_table(r)
+    rests: dict[str, int] = {}
+    comp, key, col, val = [], [], [], []
+    for i, A in enumerate(_component_ring_sums(stable_ring_length(r, 2, "global"))):
+        for u, coeff in A.terms.items():
+            w = int(u[:r].translate(_DIGITS), 4)
+            s = np.flatnonzero(phase[1:, w].imag)
+            comp.append(np.full(len(s), i))
+            key.append(rests.setdefault(u[r:], len(rests)) * 4 ** r + index[1 + s, w])
+            col.append(s)
+            val.append(2 * coeff * phase[1 + s, w])
+    keys, row = np.unique(np.concatenate(key), return_inverse=True)
+    M = np.zeros((6, len(keys), 4 ** r - 1), dtype=complex)
+    M[np.concatenate(comp), row, np.concatenate(col)] = np.concatenate(val)
+    strings, rest = all_strings(r), list(rests)
+    return [strings[k % 4 ** r] + rest[k // 4 ** r] for k in keys.tolist()], M
 
 
 @functools.cache
-def _polynomial(r_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(p) = sum_k a_i a_j T_k over the terms k = (i, j), each term checked once.
+def _polynomial(r_gen: int) -> np.ndarray:
+    """The tables T_k of C(p) = sum_k a_i a_j T_k over the terms k = (i, j), i <= j.
 
-    Pattern i enters the combination with weight f_i a_i, f = (1, 1, 1, 2,
-    2, 2), and its form against component j with weight a_j, so term k
-    collects P_k = f_i Q[i, j] + f_j Q[j, i] (f_i Q[i, i] on the diagonal),
-    read here in real coordinates on the stable ring, 2 r_gen + 1 sites.
-    The forms come from integer image terms, so the Hamiltonian part of
-    each term must cancel exactly, and Im P_k must lie in the span of the
-    unitality forms within GAUGE_TOL of the largest entry of P_k; a term
-    that fails raises ArithmeticError naming it, whatever the point.
-    Returns the real symmetric tables T_k = Re P_k in the basis of
-    combination_matrix(r_gen) (integers over the products of its +-1
-    column norms) and each term's gauge residual.
+    C = -Re M(a)^dag M(a) with M(a) = sum_i a_i M_i (_commutators), so T_ii
+    = -Re M_i^dag M_i and T_ij = -Re (M_i^dag M_j + M_j^dag M_i), in the basis
+    of combination_matrix(r_gen): its +-1 columns act on each M_i, and the
+    column norms divide last.  Before that every entry is an integer (|T| <=
+    160), so any summation order gives the same bits; 0.0 - x keeps zeros +0.0.
     """
-    g, l = _pattern_forms([_PATTERN_STRINGS[p] for p in NAMED_PATTERNS],
-                          stable_ring_length(r_gen, 2, "global"), r_gen)
-    f = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-    g *= f[:, None, None]
-    l *= f[:, None, None]
-    half = np.where(_I == _J, 0.5, 1.0)
-    P = half[:, None] * (g + g.swapaxes(0, 1))[_I, _J]
-    ham = (l + l.swapaxes(0, 1))[_I, _J] != 0
-    m = l.shape[-1]
-    del g, l  # the (6, 6) tables are not kept through the rest of the build
-    # Im P must lie in the span of the unitality forms; coordinates read 2 Im Q_jk (j < k)
-    im = slice(m * (m + 1) // 2, m * m)
-    cols = _unitality_coordinates(r_gen)[:, im].T
-    target = P[:, im]
-    off_span = target - (target @ cols) @ np.linalg.pinv(cols.T @ cols, hermitian=True) @ cols.T
-    del cols
-    gauge = 0.5 * np.abs(off_span).max(axis=1)
-    for k, term in enumerate(f"{_A[i]}*{_A[j]}" for i, j in zip(_I, _J)):
-        if ham[k].any():
-            raise ArithmeticError(f"Hamiltonian part of term {term} fails to cancel")
-        if not gauge[k] <= GAUGE_TOL * np.abs(P[k]).max():
-            raise ArithmeticError(f"imaginary part of term {term} is not spanned by "
-                                  f"unitality forms ({gauge[k]:.3e})")
-    # the +-1 reflection congruence is exact on these integer tables; a zero stays 0.0
     S = np.sign(combination_matrix(r_gen))
     norm = np.linalg.norm(S, axis=0)
-    T = S.T @ _vector_to_gamma(P, m, 2.0).real @ S / np.outer(norm, norm)
-    return 0.5 * (T + T.swapaxes(1, 2)), gauge
+    R = _commutators(r_gen)[1].imag @ S  # M = i R, so Re M_i^dag M_j = R_i^T R_j = G[i, j]
+    G = R.swapaxes(1, 2)[:, None] @ R
+    T = np.where(_I == _J, 0.5, 1.0)[:, None, None] * (G[_I, _J] + G[_J, _I])
+    return (0.0 - T) / np.outer(norm, norm)
 
 
 # overflow is caught by the finiteness check, which names the point
@@ -335,7 +324,7 @@ def _combine(w: np.ndarray, term_entries: list[tuple], width: int) -> np.ndarray
 def _obstruction_matrix(r_gen: int, params: CanonicalParams, basis: str) -> ObstructionMatrix:
     """C at one point, summed on its block entries as a scan pass sums them."""
     point = _point(params)
-    (T, gauge), w = _polynomial(r_gen), _weights(point)
+    T, w = _polynomial(r_gen), _weights(point)
     blocks = _blocks(T, terms := np.flatnonzero(w[0]))
     entries, _ = _packing(blocks, T.shape[1])
     packed = _combine(w, _term_entries(T, terms, entries), len(entries))
@@ -345,8 +334,7 @@ def _obstruction_matrix(r_gen: int, params: CanonicalParams, basis: str) -> Obst
              "obstruction matrix is not finite")
     C = np.zeros(T.shape[1:])
     np.put(C, entries, packed[0])
-    return ObstructionMatrix(C=C, basis=basis, params=params, blocks=tuple(blocks),
-                             gauge_residual=float((np.abs(w[0]) * gauge).sum()))
+    return ObstructionMatrix(C=C, basis=basis, params=params, blocks=tuple(blocks))
 
 
 # combination basis: 9 symmetric then 6 antisymmetric pairings, unit norm
@@ -537,8 +525,8 @@ def _certify(stacks, zero_band: float, points=None):
     return max_eig, nullity, verdict, evs
 
 
-def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
-                         blocks=None) -> DefinitenessReport:
+def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND, blocks=None, *,
+                         params: CanonicalParams | None = None) -> DefinitenessReport:
     """Eigenvalue verdict, confirmed by a Cholesky factorization when definite.
 
     Zero means |lambda| < zero_band * (1 + max |lambda|).  The verdict is
@@ -546,7 +534,8 @@ def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
     negative_semidefinite when the top of the spectrum sits inside it,
     and indefinite otherwise.  `blocks` (default: one) partitions the
     indices; C must be exactly zero off them, and each is certified alone,
-    as ObstructionMatrix.blocks and scan do.
+    as ObstructionMatrix.blocks and scan do.  A failed check names the
+    point of `params`, the one C was assembled at, as scan names its points.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
@@ -557,7 +546,8 @@ def certify_definiteness(C: np.ndarray, zero_band: float = ZERO_BAND,
     entries, sizes = _packing(blocks, len(C))
     if np.any(np.delete(C.ravel(), entries) != 0):
         raise ValueError("matrix is not zero off its blocks")
-    max_eig, nullity, verdict, evs = _certify(_stacks(C.ravel()[entries][None], sizes), zero_band)
+    max_eig, nullity, verdict, evs = _certify(_stacks(C.ravel()[entries][None], sizes), zero_band,
+                                              None if params is None else _point(params))
     return DefinitenessReport(eigenvalues=np.sort(np.concatenate([ev.ravel() for ev in evs])),
                               max_eigenvalue=float(max_eig[0]), nullity=int(nullity[0]),
                               verdict=str(verdict[0]))
@@ -665,7 +655,7 @@ def scan(r_gen: int, grid) -> tuple[list[ScanRow], dict]:
         raise ValueError("generator width must be 2 or 3")
     points = np.array([(mu, nu, hx, hy, hz) for mu, nu, hx, hy, hz in grid],
                       dtype=float).reshape(-1, 5)
-    T = _polynomial(r_gen)[0]
+    T = _polynomial(r_gen)
     w = _weights(points)
     patterns: dict[bytes, list[int]] = {}  # each pattern's points, in grid order
     for i, row in enumerate(w != 0):

@@ -6,6 +6,18 @@ from lindring.generators import (LindbladGenerator, _class_representative, _real
                                  all_strings, basis_strings)
 
 
+_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+          "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def dense_string(label):
+    """Dense matrix of one Pauli string, site 0 the most significant factor."""
+    out = np.ones((1, 1), dtype=complex)
+    for ch in label:
+        out = np.kron(out, _PAULI[ch])
+    return out
+
+
 def random_operator(rng, n, num_terms=6, hermitian=False):
     terms = {}
     for _ in range(num_terms):

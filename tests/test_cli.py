@@ -487,40 +487,6 @@ def test_obstruction_emit_matrix(tmp_path):
     assert len(mat) == 15 and len(mat[0]) == 15
 
 
-@pytest.mark.parametrize("part, message", [
-    ("hamiltonian", r"Hamiltonian part of term 1\*mu fails to cancel"),
-    ("gauge", r"imaginary part of term 1\*mu is not spanned by unitality forms"),
-], ids=["hamiltonian", "gauge"])
-def test_broken_table_exit_3(part, message, tmp_path, monkeypatch, capsys):
-    # a table that fails its build check gives no verdict: exit 3 naming the
-    # term, not a traceback; at mu = 0 the broken term has no weight
-    from lindring import obstruction
-    pattern_forms = obstruction._pattern_forms
-
-    def perturbed(*args):
-        g, l = pattern_forms(*args)
-        if part == "hamiltonian":
-            l[0, 1, 0] += 1e-3
-        else:  # the last coordinate of a form is an imaginary one, 2 Im Q_jk
-            g[0, 1, -1] += 1e-3
-        return g, l
-
-    grid = tmp_path / "grid.txt"
-    grid.write_text("0 0 0.5 0 0\n0 0 0 1 2\n")
-    monkeypatch.setattr(obstruction, "_pattern_forms", perturbed)
-    try:
-        for argv in (["obstruction", "--r", "2", "--mu", "0.5"],
-                     ["obstruction", "--r", "3"],
-                     ["scan", "--r", "3", "--grid", str(grid)],
-                     ["scan", "--r", "2", "--family", "xx-field"]):
-            obstruction._polynomial.cache_clear()
-            assert main(argv + ["--out", str(tmp_path / "out")]) == 3
-            err = capsys.readouterr().err
-            assert re.fullmatch(f"lindring: {message}.*\n", err) and not (tmp_path / "out").exists()
-    finally:
-        obstruction._polynomial.cache_clear()
-
-
 def test_failed_cholesky_check_exit_3(tmp_path, monkeypatch, capsys):
     # an eigenvalue verdict its Cholesky confirmation refuses: exit 3 naming the point
     eigvalsh = np.linalg.eigvalsh
@@ -538,7 +504,20 @@ def test_failed_cholesky_check_exit_3(tmp_path, monkeypatch, capsys):
                                        "at (mu, nu, hx, hy, hz) = (0.5, 0.5, 10.0, 0.3, 0.2)\n")
     assert main(["obstruction", "--r", "2", "--mu", "0.5", "--nu", "0.5", "--hx", "10",
                  "--hy", "0.3", "--hz", "0.2"]) == 3
-    assert "Cholesky check" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("lindring: eigenvalue verdict fails its Cholesky check "
+                                       "at (mu, nu, hx, hy, hz) = (0.5, 0.5, 10.0, 0.3, 0.2)\n")
+
+
+def test_search_failed_certificate_exit_3(heis_density, tmp_path, monkeypatch, capsys):
+    # a refusal whose certificate fails its Cholesky confirmation has no
+    # report: exit 3 naming the point, not a report without a certificate
+    from lindring import obstruction
+    monkeypatch.setattr(obstruction, "_factors", lambda A: False)
+    out = tmp_path / "out.json"
+    assert main(["search", "--density", heis_density, "--r", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("lindring: eigenvalue verdict fails its Cholesky check "
+                                       "at (mu, nu, hx, hy, hz) = (1.0, 1.0, 0.0, 0.0, 0.0)\n")
+    assert not out.exists()
 
 
 # -- scan ----------------------------------------------------------------------

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_image
+from conftest import dense_image, dense_string
 
 from lindring.pauli import PauliOperator, parse_operator
-from lindring.generators import LindbladGenerator, basis_strings
+from lindring.generators import LindbladGenerator, _vector_to_gamma, basis_strings
 from lindring.rings import CanonicalParams, assemble_sum
 from lindring import obstruction
 from lindring.cli import main
 from lindring.obstruction import (
-    GAUGE_TOL,
     H_AXIS,
     _CHUNK,
     assemble_C_2site,
@@ -218,32 +217,99 @@ def test_width3_blocks_keep_their_documented_sizes(point, sizes):
     assert np.all(mat.C[off] == 0.0)
 
 
-def test_gauge_residual_certificate_is_small():
-    rng = np.random.default_rng(23)
-    for r_gen in (2, 3):
-        p = random_params(rng)
-        m = assemble_C_2site(p) if r_gen == 2 else assemble_C_3site(p)
-        assert m.gauge_residual < 1e-10 * (1 + np.abs(m.C).max())
+# the paper's route to the tables: pattern i projected with weight f_i a_i,
+# against component j with weight a_j, collects in term k = (i, j)
+PATTERNS = ["XX", "YY", "ZZ", "X", "Y", "Z"]
+F = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+TERMS = np.triu_indices(6)
+
+
+def forms_route_terms(r):
+    """Each term's Hermitian Q_k, as _vector_to_gamma reads it, and its Hamiltonian part."""
+    g, l = obstruction._pattern_forms(PATTERNS, 2 * r + 1, r)
+    half = np.where(TERMS[0] == TERMS[1], 0.5, 1.0)[:, None]
+    g, l = g * F[:, None, None], l * F[:, None, None]
+    P = half * (g + g.swapaxes(0, 1))[TERMS]
+    return _vector_to_gamma(P, 4 ** r - 1, 2.0), (l + l.swapaxes(0, 1))[TERMS], l
+
+
+def forms_route_tables(r):
+    """Re Q_k taken through the +-1 reflection columns, then divided by their norms."""
+    Q = forms_route_terms(r)[0]
+    S = np.sign(combination_matrix(r))
+    norm = np.linalg.norm(S, axis=0)
+    T = S.T @ Q.real @ S / np.outer(norm, norm)
+    return 0.5 * (T + T.swapaxes(1, 2))
 
 
 @pytest.mark.parametrize("r_gen", [2, 3])
 def test_polynomial_terms_cancel_hamiltonian_and_gauge(r_gen):
-    # each of the 21 terms a_i a_j is Hamiltonian-free and pure gauge on its
-    # own: the build refuses a term that is not, and the Hamiltonian pieces
-    # that cancel in a term are not all zero
-    T, gauge = obstruction._polynomial(r_gen)
-    assert len(T) == 21 and gauge.shape == (21,)
-    assert np.array_equal(T, T.swapaxes(1, 2))
-    assert gauge.max() < 1e-12
-    _, l = obstruction._pattern_forms(["XX", "YY", "ZZ", "X", "Y", "Z"], 2 * r_gen + 1, r_gen)
-    assert np.abs(l).max() > 1.0
+    # the forms route's own identities: each of the 21 terms a_i a_j has a
+    # Hamiltonian part that cancels exactly, though its pieces are not zero,
+    # and an imaginary part in the span of the unitality forms
+    Q, ham, pieces = forms_route_terms(r_gen)
+    assert not ham.any() and np.abs(pieces).max() > 1.0
+    U = np.array([f.Q.imag.ravel() for f in unitality_forms(r_gen).values()]).T
+    im = Q.imag.reshape(len(Q), -1).T
+    off_span = im - U @ np.linalg.lstsq(U, im, rcond=None)[0]
+    assert np.abs(im).max() > 1.0
+    assert np.all(np.abs(off_span).max(axis=0) <= 1e-12 * np.abs(Q).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("r_gen", [2, 3])
+def test_tables_are_the_forms_route(r_gen):
+    # the commutator Gram tables and the paper's projections give the same bits
+    T = obstruction._polynomial(r_gen)
+    want = forms_route_tables(r_gen)
+    assert T.shape == want.shape == (21, 4 ** r_gen - 1, 4 ** r_gen - 1)
+    assert T.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r_gen", [2, 3])
+@pytest.mark.parametrize("change", ["double", "sign"])
+def test_a_changed_commutator_entry_is_caught(r_gen, change, monkeypatch):
+    # one entry of one M_i changed: the tables no longer match the forms route
+    commutators = obstruction._commutators
+
+    def mutant(r):
+        rows, M = commutators(r)
+        i = np.flatnonzero(M[1])[0]
+        M[1].flat[i] *= 2.0 if change == "double" else -1.0
+        return rows, M
+
+    monkeypatch.setattr(obstruction, "_commutators", mutant)
+    T = obstruction._polynomial.__wrapped__(r_gen)
+    assert T.tobytes() != forms_route_tables(r_gen).tobytes()
+
+
+def ring_sum(label, n):
+    """The n cyclic placements of a two-site label, as ring strings."""
+    s = label.ljust(n, "I")
+    return [s[n - o:] + s[:n - o] for o in range(n)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_commutators_match_dense(r):
+    # column s of M_i is [P_s, A_i] in Pauli coefficients, A_i the ring sum of
+    # XX, YY, ZZ, XI + IX, YI + IY or ZI + IZ, on 2 r + 1 sites
+    rows, M = obstruction._commutators(r)
+    n = 2 * r + 1
+    assert M.shape == (6, len(rows), 4 ** r - 1) and len(set(rows)) == len(rows)
+    labels = [[s + s] for s in "XYZ"] + [[s + "I", "I" + s] for s in "XYZ"]
+    sums = [sum(dense_string(u) for lab in labs for u in ring_sum(lab, n)) for labs in labels]
+    for b, s in enumerate(basis_strings(r)):
+        P = dense_string(s.ljust(n, "I"))
+        for i, A in enumerate(sums):
+            got = sum((M[i, k, b] * dense_string(rows[k]) for k in np.flatnonzero(M[i, :, b])),
+                      np.zeros_like(A))
+            assert np.array_equal(got, P @ A - A @ P)
 
 
 def test_width3_tables_are_integers():
-    # read off integer image terms with integer weights and taken through the
-    # +-1 reflection congruence: an exact certificate can take the r=3 tables
-    # times the column norms as they are
-    T = obstruction._polynomial(3)[0]
+    # read off integer commutators and taken through the +-1 reflection
+    # congruence: an exact certificate can take the r=3 tables times the
+    # column norms as they are
+    T = obstruction._polynomial(3)
     norm = np.linalg.norm(np.sign(combination_matrix(3)), axis=0)
     N = T * np.outer(norm, norm)
     assert np.array_equal(N, np.round(N)) and np.abs(N).max() >= 1.0
@@ -272,57 +338,23 @@ def dense_pattern_forms(patterns, n, r):
 
 
 def dense_unitality_coordinates(r):
-    """Reference for obstruction._unitality_coordinates: the dense image of the window identity."""
+    """Reference for the coordinates of unitality_forms: the dense image of the window identity."""
     patterns = obstruction._unitality_patterns(r).values()
     rows = {s: i for i, strings in enumerate(patterns) for s in strings}
     return dense_image(r, PauliOperator.identity(r), False, keys=rows)[1][:, :-(4 ** r - 1)]
 
 
 @pytest.mark.parametrize("r_gen", [2, 3])
-def test_tables_match_a_dense_scatter(r_gen, monkeypatch):
+def test_tables_match_a_dense_scatter(r_gen):
     # the sparse image entries, scattered, give the bits of the dense image:
-    # the polynomial tables and the unitality forms alike
-    tables = obstruction._polynomial(r_gen)
-    unitality = obstruction._unitality_coordinates(r_gen)
-    forms = unitality_forms(r_gen)
-    monkeypatch.setattr(obstruction, "_pattern_forms", dense_pattern_forms)
-    monkeypatch.setattr(obstruction, "_unitality_coordinates", dense_unitality_coordinates)
-    want = obstruction._polynomial.__wrapped__(r_gen)
-    assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(tables, want))
-    want = dense_unitality_coordinates(r_gen)
-    assert unitality.shape == want.shape and unitality.tobytes() == want.tobytes()
-    assert all(f.Q.tobytes() == g.Q.tobytes() for f, g in zip(forms.values(),
-                                                               unitality_forms(r_gen).values()))
-
-
-@pytest.mark.parametrize("part, message", [
-    ("hamiltonian", r"Hamiltonian part of term 1\*mu fails to cancel"),
-    ("gauge", r"imaginary part of term 1\*mu is not spanned by unitality forms \(\d"),
-], ids=["hamiltonian", "gauge"])
-def test_perturbed_table_is_caught(part, message, monkeypatch):
-    # a broken table is refused when the tables are built, before any point
-    # is read: also on a grid at mu = 0, which gives the broken term no weight
-    pattern_forms = obstruction._pattern_forms
-
-    def perturbed(*args):
-        g, l = pattern_forms(*args)
-        if part == "hamiltonian":
-            l[0, 1, 0] += 1e-3
-        else:  # the last coordinate of a form is an imaginary one, 2 Im Q_jk
-            g[0, 1, -1] += 1e-3
-        return g, l
-
-    monkeypatch.setattr(obstruction, "_pattern_forms", perturbed)
-    try:
-        for grid in ([(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)],
-                     [(0.0, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 2.0)]):
-            obstruction._polynomial.cache_clear()
-            with pytest.raises(ArithmeticError, match=message):
-                scan(3, grid)
-        with pytest.raises(ArithmeticError, match=message):
-            obstruction._polynomial.__wrapped__(2)
-    finally:
-        obstruction._polynomial.cache_clear()
+    # the pattern projections and the unitality forms alike
+    n = 2 * r_gen + 1
+    for got, want in zip(obstruction._pattern_forms(PATTERNS, n, r_gen),
+                         dense_pattern_forms(PATTERNS, n, r_gen), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    want = _vector_to_gamma(dense_unitality_coordinates(r_gen), 4 ** r_gen - 1, 2.0)
+    got = np.array([f.Q for f in unitality_forms(r_gen).values()])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_3site_matrix_matches_forms():
@@ -453,7 +485,7 @@ def test_width3_reflection_sectors():
     assert np.abs(S @ S.T - np.eye(63)).max() < 1e-15
     assert np.abs(R @ S - S * np.repeat([1.0, -1.0], [39, 24])).max() < 1e-15
     # no table has an entry between the sectors, so no block crosses them
-    T = obstruction._polynomial(3)[0]
+    T = obstruction._polynomial(3)
     assert np.all(T[:, :39, 39:] == 0.0) and np.all(T[:, 39:, :39] == 0.0)
     blocks = assemble_C_3site(CanonicalParams.at(0.5, 0.3, (0.7, -0.4, 1.1))).blocks
     assert all(b.max() < 39 or b.min() >= 39 for b in blocks)
@@ -736,7 +768,7 @@ def test_scan_blocks_match_the_dense_certificate(r_gen, monkeypatch):
     size = np.abs(C).max(axis=(1, 2))
     assert np.all(np.abs([r.max_eig for r in rows] - top) <= 1e-12 * (1 + size))
     # the blocks rest on exact zeros: off them every weighted table is 0.0
-    T = obstruction._polynomial(r_gen)[0]
+    T = obstruction._polynomial(r_gen)
     for active in {tuple(v != 0) for v in obstruction._weights(np.array(grid))}:
         terms = np.flatnonzero(active)
         blocks = obstruction._blocks(T, terms)
@@ -768,12 +800,8 @@ def test_scan_rows_are_obstruction_reports(tmp_path):
             assert (report["nullity"], report["verdict"]) == (row.nullity, row.verdict)
 
 
-def test_scan_check_failures_name_the_point(monkeypatch):
-    # the tables' checks name the term, once per width; the checks left per
-    # point, in _certify, name the point
-    monkeypatch.setattr(obstruction, "GAUGE_TOL", -1.0)
-    with pytest.raises(ArithmeticError, match=r"imaginary part of term 1\*1 is not spanned"):
-        obstruction._polynomial.__wrapped__(2)
+def test_scan_check_failures_name_the_point():
+    # the checks made per point, in _certify, name the point
     grid = [(0.5, 0.25, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, -1.0, 2.0)]
     points = np.array(grid + grid[:1])
     C = np.stack([-np.eye(3)] * 3)
@@ -812,7 +840,6 @@ def test_batched_assembly_matches_one_point(r_gen, grid):
             entries, sizes = obstruction._packing(mat.blocks, len(mat.C))
             alone = obstruction._stacks(mat.C.ravel()[entries][None], sizes)
             assert all(np.array_equal(S[i], A[0]) for S, A in zip(stacks, alone, strict=True))
-            assert mat.gauge_residual < GAUGE_TOL * (1 + np.abs(mat.C).max())
 
 
 def test_family_grid_unknown_name():
