@@ -14,14 +14,38 @@ see scale: (H, gamma) conserves a exactly when s (H, gamma) conserves
 t a, so the search reads the target with its non-identity part, the part
 check's scale reads, at unit Hilbert-Schmidt norm.
 
+The conserving set is read off the target first.  Let M map a window
+string P_s to its commutators with the target's ring sum (global) or with
+every placement of the target (local), and let k = dim ker M.  A jump in
+ker M commutes with what it must conserve, so gamma = Pi / k, Pi the
+projector onto ker M, conserves with H = 0: the projector is real, its
+jumps Hermitian, and 2 L A L - {L^2, A} = 0 when [L, A] = 0.  Conversely,
+on a ring of at least n0 = stable_ring_length sites, every conserving
+gamma of trace 1 has its range in ker M, so ker M = {0} leaves none:
+
+  * A conserver is unital per window (local) or globally unital, sum_j
+    D_j(1) = 0 (global).  Local: the window's image of a placement of the
+    target that it does not meet is D(1) times that placement.  Global:
+    each image is traceless, so the coefficient of P_x P_y, x a window
+    string and y a string of the ring sum A placed far from it, is
+    A(y) q(x) + A(x) q(y), q the coefficients of sum_j D_j(1); with y a
+    translate of x, or with A(x) = 0, q(x) = 0.  Rings of n0 sites or more
+    share one row space, and a jump that commutes with the ring sum of a
+    long ring commutes with that of n0 sites, so a long ring decides.
+  * For a jump L acting as 2 L A L^dag - {L^dag L, A}, <A, D(A)> =
+    -||[L^dag, A]||^2 + <A^2, D(1)> / 2, and the Hamiltonian drops out of
+    <A, L(A)>.  So a unital conserver has [L^dag, A] = 0 for each jump of
+    its gamma, and a Hermitian A makes that [L, A] = 0: L lies in ker M.
+
 The search stops at its first proof.  A feasible result has one judge,
-the one `check` uses: the generator of the point the face completion
-produces must read conserved under rings.check_conservation on the
-problem's ring, with gamma passing validate_psd at unit trace; the
-search state has no say.  A refusal is proved by a hyperplane that separates the
-rows from the cone slice, a conic Farkas certificate read off the
-gradient B B^T (gamma - g0) and confirmed by a Cholesky factorization and on
-the ring image of LindbladGenerator.apply.  A search that finds neither
+the one `check` uses: the generator of the commutant face point, or of
+the point a face completion produces, must read conserved under
+rings.check_conservation on the problem's ring, with gamma passing
+validate_psd at unit trace; the search state and M have no say.  A wrong
+M can cost a feasible verdict but not forge one.  A refusal is proved by
+a hyperplane that separates the rows from the cone slice, a conic Farkas
+certificate read off the gradient B B^T (gamma - g0) and confirmed by a
+Cholesky factorization and on the ring image of LindbladGenerator.apply.  A search that finds neither
 proof by MAX_ITER reports not_found without one.  The paper's
 impossibility certificate, the negative definite obstruction matrix, is
 attached to not_found results for two-site targets.
@@ -43,6 +67,7 @@ from .rings import (ConservationReport, assemble_sum, canonical_form, check_cons
 from .obstruction import (
     DefinitenessReport,
     _column_blocks,
+    _commutators,
     _factors,
     assemble_C_2site,
     assemble_C_3site,
@@ -123,9 +148,10 @@ class FeasibilityResult:
     iterations: int
     affine_distance: float  # |B^T (gamma - g0)|: 0 exactly when gamma completes to a solution
     certificate: DefinitenessReport | None = None
-    # rows factored, rank of K, column blocks, fixed gamma directions (columns of B), stable_from
-    constraints: tuple[int, int, int, int, int] | None = None
-    # the proof that ended the search (completed_on_face | separated) or max_iter
+    # rows factored, rank of K, column blocks, fixed gamma directions (columns of B),
+    # stable_from, commutant_dim (dim ker M)
+    constraints: tuple[int, int, int, int, int, int] | None = None
+    # the proof that ended the search (commutant_face | completed_on_face | separated) or max_iter
     stop_reason: str | None = None
     separation: Separation | None = None
     gap_trace: tuple[tuple[int, float], ...] = ()  # (iteration, affine_distance) at each check
@@ -291,6 +317,31 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
             pieces.append((cols[cols < g], v[:, cols < g].T @ N, rows, (u / s) @ N))
     fixed = sum(Bj.shape[1] for _, Bj, _, _ in pieces)
     return _RowFactor(x0, len(sv), len(blocks), pieces, fixed, math.isqrt(g))
+
+
+def _commutant(problem: FeasibilityProblem) -> tuple[np.ndarray, int]:
+    """The real orthogonal projector onto ker M over the basis strings, and dim ker M.
+
+    Column s of M is [P_s, A] for each ring operator A of _blocks, rows of
+    all of them stacked.  The target's coefficients are real, so M = i R
+    with R real and ker M = ker R.  One SVD per column block of R, cut as
+    matrix_rank cuts R; a string no row reads commutes with every A.
+    """
+    m = len(basis_strings(problem.r_gen))
+    R = _commutators(problem.r_gen, [A for _, A in _blocks(problem)])[1].imag.reshape(-1, m)
+    R = R[R.any(axis=1)]
+    blocks = _column_blocks(R != 0)
+    svds = [np.linalg.svd(R[np.ix_(rows, cols)], full_matrices=len(rows) < len(cols))[1:]
+            for rows, cols in blocks]
+    cut = max((s[0] for s, _ in svds), default=0.0) * max(R.shape) * np.finfo(float).eps
+    free = ~R.any(axis=0)
+    projector = np.diag(free.astype(float))
+    dim = int(free.sum())
+    for (_, cols), (s, vt) in zip(blocks, svds):
+        N = vt[np.count_nonzero(s > cut):]
+        projector[np.ix_(cols, cols)] = N.T @ N
+        dim += len(N)
+    return projector, dim
 
 
 # -- cone slice projection -----------------------------------------------------
@@ -461,24 +512,37 @@ def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows
 def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     """FISTA for f = |B^T (gamma - g0)|^2 / 2 on {gamma PSD, tr gamma = 1}, g0 from x0.
 
-    H is free, so gamma completes exactly when f = 0.  B has orthonormal
-    columns, so each step projects z - B B^T (z - g0), block by block, with
-    step size 1 (Beck and Teboulle, SIAM J. Imaging Sci. 2, 2009).  Every
-    CHECK_PERIOD iterations the search records |B^T (gamma - g0)| and looks
-    for a proof, stopping at the first: a separating hyperplane (`separated`)
-    or, when K x0 = b, a completion from gamma that _accept, the only judge
-    of a feasible result, certifies on the ring (`completed_on_face`).
+    First the commutant face: with k = dim ker M > 0, _accept, the only
+    judge of a feasible result, reads gamma = Pi / k with H = 0 on the ring
+    (`commutant_face`, no iteration).  Otherwise H is free, so gamma
+    completes exactly when f = 0.  B has orthonormal columns, so each step
+    projects z - B B^T (z - g0), block by block, with step size 1 (Beck and
+    Teboulle, SIAM J. Imaging Sci. 2, 2009).  Every CHECK_PERIOD iterations
+    the search records |B^T (gamma - g0)| and looks for a proof, stopping at
+    the first: a separating hyperplane (`separated`) or, when K x0 = b, a
+    completion from gamma that _accept certifies on the ring
+    (`completed_on_face`).  On a ring of n0 sites or more ker M = {0} leaves
+    no conserving gamma (module docstring), so no completion is tried.
     Without a proof the search runs to MAX_ITER (`max_iter`).
     """
     cons = build_affine_constraints(problem)
     rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
     m = len(basis_strings(problem.r_gen))
+    g0 = rows.x0[:m * m]
+    projector, dim = _commutant(problem)
+    stable_from = stable_ring_length(problem.r_gen, problem.target.n, problem.mode)
+    constraints = (len(b), rows.rank, rows.blocks, rows.fixed, stable_from, dim)
+    if dim and (got := _accept(face := pack_point(projector / dim), problem)):
+        return FeasibilityResult(
+            status="feasible", generator=got[0], residual=got[1], iterations=0,
+            affine_distance=float(np.linalg.norm(_fixed_coordinates(rows, face[:m * m] - g0))),
+            constraints=constraints, stop_reason="commutant_face")
     # K x0 != b leaves only traceless conserving gammas: nothing to complete;
     # the trace row makes max |K| at least 1
-    completes = np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * np.abs(K).max()
+    completes = ((dim > 0 or problem.n < stable_from)
+                 and np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * np.abs(K).max())
 
-    g0 = rows.x0[:m * m]
     gamma = _project_cone(np.random.default_rng(seed).standard_normal(m * m) * (1.0 / m), m)
     z, t = gamma, 1.0
     stop_reason, got, separation, gaps, iterations = "max_iter", None, None, [], 0
@@ -504,9 +568,8 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
         status="not_found" if got is None else "feasible", generator=gen, residual=residual,
         iterations=iterations, affine_distance=distance,
         certificate=None if got else _obstruction_certificate(problem),
-        constraints=(len(b), rows.rank, rows.blocks, rows.fixed,
-                     stable_ring_length(problem.r_gen, problem.target.n, problem.mode)),
-        stop_reason=stop_reason, separation=separation, gap_trace=tuple(gaps))
+        constraints=constraints, stop_reason=stop_reason, separation=separation,
+        gap_trace=tuple(gaps))
 
 
 # -- problem files -------------------------------------------------------------

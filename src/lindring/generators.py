@@ -146,6 +146,7 @@ def _vector_to_gamma(v: np.ndarray, m: int, off: float = np.sqrt(2.0)) -> np.nda
     return gamma
 
 
+@functools.cache
 def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero terms of the image of window string b: vals[i] on string rows[i], coordinate cols[i].
 
@@ -157,6 +158,8 @@ def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Re gamma_jk and Im (G_kj - G_jk) on Im gamma_jk (j < k).  G_jk and
     G_kj land on one string, so each coordinate takes one small integer
     per term, exactly.  Entries run term by term, then the Hamiltonian.
+    Made on first use and kept, at most 4^r columns per width, in the
+    smallest integer types that hold them (|vals| <= 4), read-only.
     """
     phase, index = product_table(r)
     j, k, kj, phase_kj = _pairs(r)
@@ -174,7 +177,11 @@ def _real_column(r: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols = np.append(np.tile(np.arange(m * m), 3), m * m + np.arange(m))
     vals = np.append(vals, (phase[1:, b] - phase[b, 1:]).imag)
     nz = np.flatnonzero(vals)
-    return rows[nz], cols[nz], vals[nz]
+    column = (rows[nz].astype(np.min_scalar_type(m)),
+              cols[nz].astype(np.min_scalar_type(m * m + m)), vals[nz].astype(np.int8))
+    for t in column:
+        t.flags.writeable = False
+    return column
 
 
 def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
@@ -194,7 +201,6 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
     strings = all_strings(r)
     ncols = len(strings) ** 2 - len(strings)
     ids = {} if keys is None else keys
-    columns: dict[int, tuple] = {}
     flat, weights = [], []
     for u, coeff in A.terms.items():
         coeff = complex(coeff)
@@ -209,10 +215,7 @@ def _image_terms(r: int, A: PauliOperator, reduce_rows: bool, keys=None):
             key_ids = np.array([ids.setdefault(key, len(ids)) for key in images])
         else:  # row -1 drops the term
             key_ids = np.array([keys.get(key, -1) for key in images])
-        b = int(u[:r].translate(_DIGITS), 4)
-        if b not in columns:
-            columns[b] = _real_column(r, b)
-        rows, cols, vals = columns[b]
+        rows, cols, vals = _real_column(r, int(u[:r].translate(_DIGITS), 4))
         row = key_ids[rows]
         kept = row >= 0
         flat.append(row[kept] * ncols + cols[kept])

@@ -231,19 +231,19 @@ def unitality_forms(r_gen: int) -> dict[str, QuadraticForm]:
 _I, _J = np.triu_indices(6)
 
 
-def _commutators(r: int) -> tuple[list[str], np.ndarray]:
-    """M_i: the commutators [P_s, A_i] of the window strings with the component ring sums.
+def _commutators(r: int, ops) -> tuple[list[str], np.ndarray]:
+    """M_i: the commutators [P_s, A_i] of the window strings with the ring operators A_i.
 
-    P_s sits on sites 0..r-1 of the stable ring, 2 r + 1 sites.  A string u
-    of A_i anticommutes with P_s exactly when the product_table phase of
-    their window parts is imaginary, and then [P_s, u] = 2 P_s u.  Returns
-    the ring strings of the rows and M, shaped (component, row, basis
-    string): 2i times integers, |M| <= 4.
+    P_s sits on sites 0..r-1 of the operators' ring.  A string u of A_i
+    anticommutes with P_s exactly when the product_table phase of their
+    window parts is imaginary, and then [P_s, u] = 2 P_s u.  Returns the
+    ring strings of the rows, shared by every A_i, and M, shaped (operator,
+    row, basis string): each entry +-2i times a coefficient of A_i.
     """
     phase, index = product_table(r)
     rests: dict[str, int] = {}
     comp, key, col, val = [], [], [], []
-    for i, A in enumerate(_component_ring_sums(stable_ring_length(r, 2, "global"))):
+    for i, A in enumerate(ops):
         for u, coeff in A.terms.items():
             w = int(u[:r].translate(_DIGITS), 4)
             s = np.flatnonzero(phase[1:, w].imag)
@@ -252,7 +252,7 @@ def _commutators(r: int) -> tuple[list[str], np.ndarray]:
             col.append(s)
             val.append(2 * coeff * phase[1 + s, w])
     keys, row = np.unique(np.concatenate(key), return_inverse=True)
-    M = np.zeros((6, len(keys), 4 ** r - 1), dtype=complex)
+    M = np.zeros((len(ops), len(keys), 4 ** r - 1), dtype=complex)
     M[np.concatenate(comp), row, np.concatenate(col)] = np.concatenate(val)
     strings, rest = all_strings(r), list(rests)
     return [strings[k % 4 ** r] + rest[k // 4 ** r] for k in keys.tolist()], M
@@ -262,7 +262,8 @@ def _commutators(r: int) -> tuple[list[str], np.ndarray]:
 def _polynomial(r_gen: int) -> np.ndarray:
     """The tables T_k of C(p) = sum_k a_i a_j T_k over the terms k = (i, j), i <= j.
 
-    C = -Re M(a)^dag M(a) with M(a) = sum_i a_i M_i (_commutators), so T_ii
+    C = -Re M(a)^dag M(a) with M(a) = sum_i a_i M_i, the commutators with the
+    component ring sums on the stable ring, 2 r + 1 sites, so T_ii
     = -Re M_i^dag M_i and T_ij = -Re (M_i^dag M_j + M_j^dag M_i), in the basis
     of combination_matrix(r_gen): its +-1 columns act on each M_i, and the
     column norms divide last.  Before that every entry is an integer (|T| <=
@@ -270,7 +271,8 @@ def _polynomial(r_gen: int) -> np.ndarray:
     """
     S = np.sign(combination_matrix(r_gen))
     norm = np.linalg.norm(S, axis=0)
-    R = _commutators(r_gen)[1].imag @ S  # M = i R, so Re M_i^dag M_j = R_i^T R_j = G[i, j]
+    sums = _component_ring_sums(stable_ring_length(r_gen, 2, "global"))
+    R = _commutators(r_gen, sums)[1].imag @ S  # M = i R, so Re M_i^dag M_j = R_i^T R_j = G[i, j]
     G = R.swapaxes(1, 2)[:, None] @ R
     T = np.where(_I == _J, 0.5, 1.0)[:, None, None] * (G[_I, _J] + G[_J, _I])
     return (0.0 - T) / np.outer(norm, norm)

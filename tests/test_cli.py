@@ -575,7 +575,10 @@ def test_search_feasible_exit_0(ising_density, tmp_path):
         assert rep["result"]["status"] == "feasible"
         assert rep["result"]["residual"] < 1e-8
         assert "[gamma]" in rep["result"]["generator"]
-        assert rep["result"]["stop_reason"] == "completed_on_face"
+        # the projector onto the commutant of the placements, read at once
+        assert (rep["result"]["stop_reason"], rep["result"]["iterations"]) == ("commutant_face", 0)
+        assert rep["result"]["gap_trace"] == []
+        assert rep["result"]["constraints"]["commutant_dim"] == 3
 
 
 def test_search_not_found_exit_3(heis_density, tmp_path):
@@ -588,9 +591,10 @@ def test_search_not_found_exit_3(heis_density, tmp_path):
     assert "generator" not in rep["result"]
     # the search factored the distinct rows of its linear system, built on
     # the stable ring of 2 r + w - 1 = 5 sites (the default ring is longer),
-    # in 8 column blocks; they fix 53 gamma directions
+    # in 8 column blocks; they fix 53 gamma directions.  No window string
+    # combination commutes with the ring sum
     assert rep["result"]["constraints"] == {"rows": 64, "rank": 61, "blocks": 8, "fixed": 53,
-                                            "stable_from": 5}
+                                            "stable_from": 5, "commutant_dim": 0}
     assert rep["result"]["short_ring"] is False
     # a checked separating hyperplane ended the search at its first check
     assert rep["result"]["stop_reason"] == "separated"
@@ -664,14 +668,15 @@ def test_search_trace_key_exit_2(ising_density, tmp_path, capsys):
 
 
 def test_search_refuses_weak_zz_locally_at_width_three(tmp_path):
-    # with some LAPACK builds a completion of this seed meets a Gram step that
-    # cannot be solved; the descent ends there and the search still refuses
+    # ker M = {0}, so no completion runs: the search only looks for the
+    # hyperplane, which it finds at the same iteration as with completions
     density = tmp_path / "weak_zz.op"
     density.write_text("r=2\nXX + 0.01*ZZ\n")
     code, rep = run_json(["search", "--density", str(density), "--r", "3", "--mode", "local",
                           "--seed", "3"], tmp_path)
     assert code == 3
     assert (rep["result"]["status"], rep["result"]["stop_reason"]) == ("not_found", "separated")
+    assert (rep["result"]["iterations"], rep["result"]["constraints"]["commutant_dim"]) == (75, 0)
 
 
 def test_search_short_ring_verdict_is_its_own(heis_density, tmp_path):

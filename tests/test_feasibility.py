@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dense_image, random_hermitian_window
+from conftest import dense_image, dense_string, random_hermitian_window
 import lindring.feasibility as feasibility
 from lindring.pauli import PauliOperator, parse_operator
 from lindring.generators import LindbladGenerator, basis_strings
@@ -14,6 +14,7 @@ from lindring.rings import (assemble_sum, global_conservation_residual, safe_rin
 from lindring.obstruction import _column_blocks
 from lindring.feasibility import (
     FeasibilityProblem,
+    _commutant,
     _complete_on_face,
     _factor_rows,
     _fixed_coordinates,
@@ -313,7 +314,7 @@ def test_block_factor_matches_dense_svd(r, name, mode, blocks):
         assert np.abs(K[block_rows].T @ Dj - want).max() < 1e-12
 
 
-def test_fixed_directions_keep_the_trace():
+def test_fixed_directions_keep_the_trace(monkeypatch):
     # the trace stays among the fixed directions when the kept rows span
     # several scales: singular values 6.9 to 0.97 for this target at unit norm
     prob = FeasibilityProblem(PauliOperator(1, {"X": 8.564052386204182, "Z": -9.635214922746345}),
@@ -324,6 +325,11 @@ def test_fixed_directions_keep_the_trace():
     assert np.linalg.norm(trace - B @ (B.T @ trace)) < 1e-12
     K = cons.matrix
     assert B.shape[1] == np.linalg.matrix_rank(K) - np.linalg.matrix_rank(K[:, 9:])
+    res = search(prob, seed=0)
+    assert_feasible(res, prob)
+    assert (res.stop_reason, res.iterations) == ("commutant_face", 0)
+    # with the face point refused, the completion keeps the trace too
+    reject_face_point(monkeypatch, prob)
     res = search(prob, seed=0)
     assert_feasible(res, prob)
     assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
@@ -593,18 +599,52 @@ def assert_feasible(res, prob, tol=1e-8):
     assert report.residual == res.residual and report.verdict == "conserved"
 
 
+def assert_face(res, prob):
+    """A feasible result read off the commutant face: gamma = Pi / k, of rank k = dim ker M."""
+    assert_feasible(res, prob)
+    assert (res.stop_reason, res.iterations, res.gap_trace) == ("commutant_face", 0, ())
+    projector, dim = _commutant(prob)
+    assert res.constraints[5] == dim == np.linalg.matrix_rank(res.generator.gamma, 1e-9) > 0
+    assert np.abs(res.generator.gamma - projector / dim).max() < 1e-12
+    assert res.generator.hamiltonian.is_zero()
+
+
+def reject_face_point(monkeypatch, prob):
+    """Let _accept refuse the commutant face point, so the search takes FISTA and the completion."""
+    accept, refused = feasibility._accept, []
+    projector, dim = _commutant(prob)
+    face = pack_point(projector / dim)
+
+    def refuse_face(x, problem):
+        if np.array_equal(x, face):
+            refused.append(x)
+            return None
+        return accept(x, problem)
+
+    monkeypatch.setattr(feasibility, "_accept", refuse_face)
+    return refused
+
+
 @pytest.mark.parametrize("mode", ["local", "global"])
-def test_search_finds_ising_dissipator(mode):
-    # every check tries the completion, so it lands at the first
+def test_search_finds_ising_dissipator(mode, monkeypatch):
+    # the X strings span ker M, and their projector conserves; refused, the
+    # completion is tried at every check and lands at the first
     prob = ising_problem(mode)
+    for seed in (1, 2):
+        assert_face(search(prob, seed=seed), prob)
+    refused = reject_face_point(monkeypatch, prob)
     for seed in (1, 2):
         res = search(prob, seed=seed)
         assert_feasible(res, prob)
         assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+    assert len(refused) == 2
 
 
-def test_search_finds_dephasing():
+def test_search_finds_dephasing(monkeypatch):
     prob = FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=1)
+    for seed in range(1, 6):
+        assert_face(search(prob, seed=seed), prob)
+    reject_face_point(monkeypatch, prob)
     for seed in range(1, 6):
         res = search(prob, seed=seed)
         assert_feasible(res, prob)
@@ -612,18 +652,22 @@ def test_search_finds_dephasing():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_search_finds_weakly_coupled_dephasing(seed):
-    # Z dephasing conserves II + 0.01 ZZ; Gauss-Newton ends near 1e-12,
-    # below the rows' scale (max|K| = 362) but above the absolute step bound
+def test_search_finds_weakly_coupled_dephasing(seed, monkeypatch):
+    # Z dephasing conserves II + 0.01 ZZ; the face point does too.  Refused,
+    # Gauss-Newton ends near 1e-12, below the rows' scale (max|K| = 362) but
+    # above the absolute step bound
     prob = FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2)
+    assert_face(search(prob, seed=seed), prob)
+    reject_face_point(monkeypatch, prob)
     res = search(prob, seed=seed)
     assert_feasible(res, prob)
     assert res.stop_reason == "completed_on_face"
 
 
-def test_search_completes_near_ising():
-    # a weakly coupled Ising density: Gauss-Newton stops just above its step
-    # bound, and the ring check alone judges the point it returns
+def test_search_completes_near_ising(monkeypatch):
+    # a weakly coupled Ising density: its face point conserves; refused,
+    # Gauss-Newton stops just above its step bound, and the ring check alone
+    # judges the point it returns
     a = dict(zip("XYZ", (0.1888, -0.1984, 0.9618)))
     alpha, beta, gamma = 1.079e-4, 0.0313, 0.0413
     terms = {p + q: alpha * a[p] * a[q] for p in a for q in a}
@@ -631,6 +675,9 @@ def test_search_completes_near_ising():
         terms[p + "I"] = terms["I" + p] = beta * a[p]
     terms["II"] = gamma
     prob = FeasibilityProblem(PauliOperator(2, terms), r_gen=2)
+    for seed in (1, 2, 3):
+        assert_face(search(prob, seed=seed), prob)
+    reject_face_point(monkeypatch, prob)
     for seed in (1, 2, 3):
         res = search(prob, seed=seed)
         assert_feasible(res, prob)
@@ -742,24 +789,140 @@ def test_search_scales_with_the_problem(size, mode):
         assert body.hs_norm() == pytest.approx(1.0, abs=1e-15)
         res = search(prob, seed=1)
         if terms is ISING:
-            assert_feasible(res, prob)
-            assert res.stop_reason == "completed_on_face"
+            assert_face(res, prob)
         else:
             assert (res.status, res.stop_reason) == ("not_found", "separated")
             assert res.certificate.verdict == "negative_definite"
 
 
-def test_search_says_how_it_ended():
-    # every width-1 generator is unital, so the projections meet outright,
-    # but only the completion certified by _accept makes a feasible result;
-    # the identity densities and the Ising density all complete at the first check
-    ident = search(FeasibilityProblem(PauliOperator(1, {"I": 1.0}), r_gen=1), seed=3)
-    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "completed_on_face", 25)
-    ident = search(FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), seed=3)
-    assert (ident.status, ident.stop_reason, ident.iterations) == ("feasible", "completed_on_face", 25)
-    assert ident.gap_trace[0][0] == 25
-    ising = search(ising_problem(), seed=1)
-    assert (ising.status, ising.stop_reason, ising.iterations) == ("feasible", "completed_on_face", 25)
+def test_search_says_how_it_ended(monkeypatch):
+    # every string commutes with the identity, so ker M is everything and the
+    # identity densities read their face point, I / (4^r - 1), as the Ising
+    # density reads its own; only a point _accept certifies makes a feasible
+    # result.  Refused, each completes at the first check
+    problems = [FeasibilityProblem(PauliOperator(1, {"I": 1.0}), r_gen=1),
+                FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), ising_problem()]
+    for prob, dim in zip(problems, (3, 15, 3)):
+        res = search(prob, seed=3)
+        assert (res.status, res.stop_reason, res.iterations) == ("feasible", "commutant_face", 0)
+        assert res.gap_trace == () and res.constraints[5] == dim
+    for prob in problems:
+        with monkeypatch.context() as patch:
+            reject_face_point(patch, prob)
+            res = search(prob, seed=3)
+        assert (res.status, res.stop_reason) == ("feasible", "completed_on_face")
+        assert res.iterations == res.gap_trace[0][0] == 25
+
+
+# -- the commutant face ----------------------------------------------------
+
+
+def ring_placement(label, n, k):
+    """The string `label` placed at site k of an n-site ring."""
+    s = label.ljust(n, "I")
+    return s[n - k:] + s[:n - k]
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("target", ["Z", "0.61*XX + 0.34*XI + 0.34*IX + 0.05*II", "XX + YY + ZZ",
+                                    "XXX + YYY"])
+def test_search_commutators_match_dense(target, r, mode, monkeypatch):
+    # column s of the search's M is [P_s, A] in Pauli coefficients, for the
+    # target's ring sum (global) or each of its placements (local) on
+    # min(n, n0) sites, built here from dense matrices; the projector of
+    # _commutant is the one onto ker M
+    seen, build = [], feasibility._commutators
+
+    def spy(r_gen, ops):
+        seen.append(build(r_gen, ops))
+        return seen[-1]
+
+    monkeypatch.setattr(feasibility, "_commutators", spy)
+    prob = FeasibilityProblem(parse_operator(target), r_gen=r, mode=mode)
+    projector, dim = _commutant(prob)
+    (rows, M), = seen
+    n = min(prob.n, stable_ring_length(r, prob.target.n, mode))
+    placements = [sum(c.real * dense_string(ring_placement(s, n, k))
+                      for s, c in prob.target.terms.items()) for k in range(n)]
+    ops = [sum(placements)] if mode == "global" else placements
+    assert M.shape == (len(ops), len(rows), 4 ** r - 1) and len(set(rows)) == len(rows)
+    for b, s in enumerate(basis_strings(r)):
+        P = dense_string(s.ljust(n, "I"))
+        for i, A in enumerate(ops):
+            got = sum((M[i, k, b] * dense_string(rows[k]) for k in np.flatnonzero(M[i, :, b])),
+                      np.zeros_like(A))
+            assert np.abs(got - (P @ A - A @ P)).max() < 1e-12
+    R = M.reshape(-1, 4 ** r - 1)
+    assert np.abs(projector @ projector - projector).max() < 1e-12
+    assert np.abs(projector - projector.T).max() < 1e-15
+    assert np.abs(R @ projector).max() < 1e-12
+    assert dim == round(np.trace(projector)) == 4 ** r - 1 - np.linalg.matrix_rank(R)
+
+
+# the battery of the commutant theorem: 14 two-site densities
+BATTERY = {
+    "ising": "0.61*XX + 0.34*XI + 0.34*IX + 0.05*II",
+    "heisenberg": "XX + YY + ZZ",
+    "xxz": "XX + YY + 0.5*ZZ",
+    "xyz": "XX + 0.5*YY + 0.2*ZZ",
+    "transverse": "ZZ + 0.4*XI + 0.4*IX",
+    "xx": "XX",
+    "xy": "XX + YY",
+    "field": "ZI + IZ",
+    "weak-zz": "XX + 0.01*ZZ",
+    "dephasing": "II + 0.01*ZZ",
+    "weak-ising": "1e-8*XX + XI + IX",
+    "heavy-identity": "1e5*II + 0.61*XX + 0.34*XI + 0.34*IX",
+    "longitudinal": "XX + 0.7*XI + 0.7*IX",
+    "dm": "XY - YX",
+}
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_feasible_exactly_when_the_commutant_is_nonzero(name, monkeypatch):
+    # on rings of n0 sites or more a conserving gamma has its range in ker M:
+    # the search is feasible exactly when ker M != {0}, with gamma of rank
+    # dim ker M, and with ker M = {0} it never tries a completion
+    completions, complete = [], feasibility._complete_on_face
+
+    def spy(*args):
+        completions.append(args)
+        return complete(*args)
+
+    monkeypatch.setattr(feasibility, "_complete_on_face", spy)
+    for r in (2, 3):
+        for mode in ("global", "local"):
+            prob = FeasibilityProblem(parse_operator(BATTERY[name]), r_gen=r, mode=mode)
+            res = search(prob, seed=1)
+            dim = res.constraints[5]
+            assert (res.status == "feasible") == (dim > 0), (r, mode)
+            if dim:
+                assert_face(res, prob)
+            else:
+                assert res.stop_reason == "separated" and res.separation.margin > 0
+    assert not completions
+
+
+@pytest.mark.parametrize("target, mode", [
+    ("1e-9*XX + XI + IX", "local"), ("1e-8*XX + XI + IX", "local"),
+    ("1e-8*XX + XI + IX", "global"), ("1e-7*XX + XI + IX", "global")])
+def test_tiny_two_site_part_ends_feasible(target, mode):
+    # K's small singular values (about 3 eps) left the face completion short
+    # of the slice, and these searches ran to MAX_ITER; the X strings span
+    # ker M at every eps, and their projector conserves
+    prob = FeasibilityProblem(parse_operator(target), r_gen=2, mode=mode)
+    assert_face(search(prob, seed=1), prob)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_identity_dominated_target_ends_feasible(r, mode):
+    # 1e5 II + Ising: the identity rows dominated K and every completion read
+    # violated; the face point has no identity image, so check reads it conserved
+    prob = FeasibilityProblem(parse_operator("1e5*II + 0.61*XX + 0.34*XI + 0.34*IX"), r_gen=r,
+                              mode=mode)
+    assert_face(search(prob, seed=1), prob)
 
 
 def spy_hyperplanes(monkeypatch):
@@ -816,11 +979,15 @@ def test_search_separates_targets_without_certificate(terms, r, monkeypatch):
 ])
 def test_feasible_problems_never_separate(prob, seed, monkeypatch):
     # a conserving generator bounds every margin by zero; a positive one at
-    # any check would be a false proof of impossibility
+    # any check would be a false proof of impossibility.  The face point is
+    # refused, so the search iterates and fits a hyperplane at every check
     seen = spy_hyperplanes(monkeypatch)
+    assert_face(search(prob, seed=seed), prob)
+    assert not seen
+    refused = reject_face_point(monkeypatch, prob)
     res = search(prob, seed=seed)
-    assert res.status == "feasible" and res.separation is None
-    assert len(seen) == len(res.gap_trace) >= 1
+    assert (res.status, res.stop_reason, res.separation) == ("feasible", "completed_on_face", None)
+    assert len(refused) == 1 and len(seen) == len(res.gap_trace) >= 1
     assert max(farkas_margin(cons, y)[0] for cons, _, _, y in seen) <= 0.0
 
 
@@ -865,8 +1032,9 @@ def test_search_wider_window_local_finds_ising():
     res = search(prob, seed=1)
     assert_feasible(res, prob)
     # 568 rows factored, of rank 316, in 15 column blocks, fixing 260 gamma
-    # directions, from the stable ring of r + w = 5 sites
-    assert res.constraints == (568, 316, 15, 260, 5)
+    # directions, from the stable ring of r + w = 5 sites; ker M holds the
+    # seven X strings
+    assert res.constraints == (568, 316, 15, 260, 5, 7)
 
 
 def test_search_wider_window_still_rejects_heisenberg():

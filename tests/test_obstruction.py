@@ -271,8 +271,8 @@ def test_a_changed_commutator_entry_is_caught(r_gen, change, monkeypatch):
     # one entry of one M_i changed: the tables no longer match the forms route
     commutators = obstruction._commutators
 
-    def mutant(r):
-        rows, M = commutators(r)
+    def mutant(r, ops):
+        rows, M = commutators(r, ops)
         i = np.flatnonzero(M[1])[0]
         M[1].flat[i] *= 2.0 if change == "double" else -1.0
         return rows, M
@@ -292,8 +292,8 @@ def ring_sum(label, n):
 def test_commutators_match_dense(r):
     # column s of M_i is [P_s, A_i] in Pauli coefficients, A_i the ring sum of
     # XX, YY, ZZ, XI + IX, YI + IY or ZI + IZ, on 2 r + 1 sites
-    rows, M = obstruction._commutators(r)
     n = 2 * r + 1
+    rows, M = obstruction._commutators(r, obstruction._component_ring_sums(n))
     assert M.shape == (6, len(rows), 4 ** r - 1) and len(set(rows)) == len(rows)
     labels = [[s + s] for s in "XYZ"] + [[s + "I", "I" + s] for s in "XYZ"]
     sums = [sum(dense_string(u) for lab in labs for u in ring_sum(lab, n)) for labs in labels]
