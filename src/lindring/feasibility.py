@@ -37,9 +37,14 @@ gamma of trace 1 has its range in ker M, so ker M = {0} leaves none:
     <A, L(A)>.  So a unital conserver has [L^dag, A] = 0 for each jump of
     its gamma, and a Hermitian A makes that [L, A] = 0: L lies in ker M.
 
+Below n0 the first step fails: a short ring admits conservers that are not
+unital, such as one for ZX - XZ + 2 II on 3 sites at r = 2 with ker M =
+{0}.  There the search completes FISTA's iterates instead: the affine
+projection every step already takes, with a least-squares H.
+
 The search stops at its first proof.  A feasible result has one judge,
 the one `check` uses: the generator of the commutant face point, or of
-the point a face completion produces, must read conserved under
+a completed iterate, must read conserved under
 rings.check_conservation on the problem's ring, with gamma passing
 validate_psd at unit trace; the search state and M have no say.  A wrong
 M can cost a feasible verdict but not forge one.  A refusal is proved by
@@ -48,12 +53,12 @@ certificate read off the gradient B B^T (gamma - g0) and confirmed by a
 Cholesky factorization and on the ring image of LindbladGenerator.apply.  A search that finds neither
 proof by MAX_ITER reports not_found without one.  The paper's
 impossibility certificate, the negative definite obstruction matrix, is
-attached to not_found results for two-site targets.
+attached to not_found results for two-site targets on rings of n0 sites
+or more; it proves nothing on a shorter ring.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +93,10 @@ class FeasibilityProblem:
     `target` is a Hermitian window operator, its non-identity part kept at
     unit Hilbert-Schmidt norm (all of it for a multiple of the identity).
     `mode` picks the constraint: local demands that the generator kill
-    every placement of the target, global only the ring sum.
+    every placement of the target, global only the ring sum.  `ring_ops`
+    holds (label prefix, ring operator) of each block of rows, built once
+    on min(n, n0) sites: the ring sum (global) or every placement (local).
+    A ring sum that vanishes there is refused as the zero target is.
     """
 
     def __init__(self, target: PauliOperator, r_gen: int, n: int | None = None,
@@ -114,6 +122,14 @@ class FeasibilityProblem:
         self.r_gen = int(r_gen)
         self.n = n
         self.mode = mode
+        self.stable_from = stable_ring_length(self.r_gen, target.n, mode)
+        ring = min(n, self.stable_from)
+        if mode == "local":
+            self.ring_ops = tuple((f"target0@{k}", target.embed(ring, k)) for k in range(ring))
+        elif (ring_sum := assemble_sum(target, ring)).is_zero():
+            raise ValueError(f"the target's ring sum vanishes on {ring} sites")
+        else:
+            self.ring_ops = (("target0", ring_sum),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +167,8 @@ class FeasibilityResult:
     # rows factored, rank of K, column blocks, fixed gamma directions (columns of B),
     # stable_from, commutant_dim (dim ker M)
     constraints: tuple[int, int, int, int, int, int] | None = None
-    # the proof that ended the search (commutant_face | completed_on_face | separated) or max_iter
+    # the proof that ended the search, or max_iter: commutant_face, completed_on_face (below n0,
+    # the affine projection of an iterate passed the ring check) or separated
     stop_reason: str | None = None
     separation: Separation | None = None
     gap_trace: tuple[tuple[int, float], ...] = ()  # (iteration, affine_distance) at each check
@@ -192,15 +209,6 @@ def generator_from_point(r_gen: int, x: np.ndarray) -> LindbladGenerator:
 # -- constraint rows -----------------------------------------------------------
 
 
-def _blocks(problem: FeasibilityProblem) -> list[tuple[str, PauliOperator]]:
-    """(label prefix, ring operator) of each block of rows, on min(n, n0) sites."""
-    a = problem.target
-    n = min(problem.n, stable_ring_length(problem.r_gen, a.n, problem.mode))
-    if problem.mode == "global":
-        return [("target0", assemble_sum(a, n))]
-    return [(f"target0@{k}", a.embed(n, k)) for k in range(n)]
-
-
 def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     """Distinct linear rows that a conserving (gamma, H) must satisfy, plus the trace row.
 
@@ -234,7 +242,7 @@ def build_affine_constraints(problem: FeasibilityProblem) -> AffineConstraints:
     m = len(basis_strings(r))
     dim_gamma = m * m
     distinct: dict[bytes, tuple[str, np.ndarray, np.ndarray]] = {}
-    for prefix, A in _blocks(problem):
+    for prefix, A in problem.ring_ops:
         keys, row, col, val = _image_terms(r, A, problem.mode == "global")
         val = val * np.where((m <= col) & (col < dim_gamma), 1.0 / np.sqrt(2.0), 1.0)
         starts = np.flatnonzero(np.diff(row, prepend=-1))
@@ -260,14 +268,6 @@ class _RowFactor:
     pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     fixed: int  # fixed gamma directions: the width of B
     m: int  # gamma is m x m
-
-    @functools.cached_property
-    def face(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Hermitian matrices B_k of the columns of B and c = B^T g0, made on first use."""
-        parts = [np.zeros((Bj.shape[1], self.m * self.m)) for _, Bj, _, _ in self.pieces]
-        for part, (cols, Bj, _, _) in zip(parts, self.pieces):
-            part[:, cols] = Bj.T
-        return _vector_to_gamma(np.concatenate(parts), self.m), _fixed_coordinates(self, self.x0)
 
 
 def _fixed_coordinates(rows: _RowFactor, g: np.ndarray) -> np.ndarray:
@@ -322,13 +322,13 @@ def _factor_rows(cons: AffineConstraints) -> _RowFactor:
 def _commutant(problem: FeasibilityProblem) -> tuple[np.ndarray, int]:
     """The real orthogonal projector onto ker M over the basis strings, and dim ker M.
 
-    Column s of M is [P_s, A] for each ring operator A of _blocks, rows of
+    Column s of M is [P_s, A] for each ring operator A of ring_ops, rows of
     all of them stacked.  The target's coefficients are real, so M = i R
     with R real and ker M = ker R.  One SVD per column block of R, cut as
     matrix_rank cuts R; a string no row reads commutes with every A.
     """
     m = len(basis_strings(problem.r_gen))
-    R = _commutators(problem.r_gen, [A for _, A in _blocks(problem)])[1].imag.reshape(-1, m)
+    R = _commutators(problem.r_gen, [A for _, A in problem.ring_ops])[1].imag.reshape(-1, m)
     R = R[R.any(axis=1)]
     blocks = _column_blocks(R != 0)
     svds = [np.linalg.svd(R[np.ix_(rows, cols)], full_matrices=len(rows) < len(cols))[1:]
@@ -414,7 +414,7 @@ def _ring_check(problem: FeasibilityProblem, cons: AffineConstraints, y: np.ndar
     x = np.random.default_rng(seed).standard_normal(len(u))
     gen = generator_from_point(problem.r_gen, x)
     values = {"trace": float(np.trace(gen.gamma).real)}
-    for prefix, A in _blocks(problem):
+    for prefix, A in problem.ring_ops:
         for s, c in gen.apply(A).terms.items():
             key = f"{prefix}:{_class_representative(s) if problem.mode == 'global' else s}"
             values[key] = values.get(key, 0.0) + c.real
@@ -449,64 +449,19 @@ def _separation(problem: FeasibilityProblem, cons: AffineConstraints, rows: _Row
     return Separation(lam - y_dot_b, lam, y_dot_b, len(y) - rows.rank + rows.fixed)
 
 
-def _gauss_newton_system(Bk: np.ndarray, c: np.ndarray, U: np.ndarray):
-    """Residuals Re tr(B_k U U^dag) - c_k and their Jacobian over (Re U, Im U).
+def _complete_on_face(cons: AffineConstraints, rows: _RowFactor, gamma: np.ndarray) -> np.ndarray:
+    """The completion of a packed gamma (or point): a candidate point, unjudged.
 
-    The packing is an isometry, so the residual along column k of B is
-    Re tr(B_k U U^dag) with B_k its Hermitian matrix; its derivative along
-    dU is 2 Re tr(U^dag B_k dU), which reads 2 Re (B_k U)_ab for Re dU_ab
-    and 2 Im (B_k U)_ab for Im dU_ab.
+    gamma' = gamma - B B^T (gamma - g0), g0 the gamma part of x0, is the
+    affine projection each FISTA step takes before the cone.  It agrees
+    with g0 along every fixed direction, so with K x0 = b the
+    least-squares H solves K (gamma', H) = b.  gamma' need not be PSD:
+    the caller certifies the point on the ring.
     """
-    BU = Bk @ U
-    resid = np.einsum("kab,ab->k", BU, U.conj()).real - c
-    flat = BU.reshape(len(Bk), -1)
-    return resid, 2.0 * np.concatenate([flat.real, flat.imag], axis=1)
-
-
-def _complete_on_face(problem: FeasibilityProblem, cons: AffineConstraints, rows: _RowFactor,
-                      warm: np.ndarray) -> np.ndarray | None:
-    """Completion from a packed gamma (or point): a candidate point, or None when there is none.
-
-    Near a common face of the cone the outer loop closes the gap only
-    sublinearly.  Project gamma onto the conserving span g0 + B^perp,
-    with g0 the gamma part of x0, seed a thin factor U (gamma = U U^dag)
-    from its eigenpairs above 1e-2 of the largest and drive the components
-    of U U^dag - g0 along B to zero by Gauss-Newton, which converges even
-    on a face with no relative interior, but linearly, as J loses row rank
-    at the root: about 0.5 per step over 37 steps at r=3 Ising global.  Each step is
-    J^+ (-resid) = J^T (J J^T)^+ (-resid), by lstsq on the small Gram matrix,
-    which is singular when J has dependent rows.  U U^dag is PSD by
-    construction, and the trace is one of the components, so U = 0 is no
-    root.  K x0 = b must hold.  The descent stops once the residual is below
-    1e-13, after 60 steps or when LAPACK cannot solve a step, and
-    returns its smallest-residual iterate unjudged: the caller certifies it
-    on the ring.  None means the projected gamma has no positive eigenvalue.
-    """
-    m = len(basis_strings(problem.r_gen))
-    K, b = cons.matrix, cons.rhs
-    v = warm[:m * m]
-    lam, V = np.linalg.eigh(_vector_to_gamma(v - _fixed_part(rows, v - rows.x0[:m * m]), m))
-    if lam[-1] <= 0.0:
-        return None
-    Bk, c = rows.face
-    rank = int((lam > 1e-2 * lam[-1]).sum())
-    U = V[:, -rank:] * np.sqrt(lam[-rank:])
-    best, least = U, np.inf
-    for _ in range(60):
-        resid, J = _gauss_newton_system(Bk, c, U)
-        if (size := np.linalg.norm(resid)) < least:
-            best, least = U, size
-        if size < 1e-13:
-            break
-        try:
-            delta = J.T @ np.linalg.lstsq(J @ J.T, -resid, rcond=None)[0]
-        except np.linalg.LinAlgError:  # LAPACK found no step: stop at the best iterate
-            break
-        U = U + (delta[:U.size] + 1j * delta[U.size:]).reshape(m, rank)
-    U = best
-    gpacked = _gamma_to_vector(U @ U.conj().T) * (1.0 / np.linalg.norm(U) ** 2)
-    eta, *_ = np.linalg.lstsq(K[:, m * m:], b - K[:, :m * m] @ gpacked, rcond=None)
-    return np.concatenate([gpacked, eta])
+    m2 = cons.dim_gamma
+    g = gamma[:m2] - _fixed_part(rows, gamma[:m2] - rows.x0[:m2])
+    eta, *_ = np.linalg.lstsq(cons.matrix[:, m2:], cons.rhs - cons.matrix[:, :m2] @ g, rcond=None)
+    return np.concatenate([g, eta])
 
 
 def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
@@ -519,20 +474,21 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     projects z - B B^T (z - g0), block by block, with step size 1 (Beck and
     Teboulle, SIAM J. Imaging Sci. 2, 2009).  Every CHECK_PERIOD iterations
     the search records |B^T (gamma - g0)| and looks for a proof, stopping at
-    the first: a separating hyperplane (`separated`) or, when K x0 = b, a
-    completion from gamma that _accept certifies on the ring
-    (`completed_on_face`).  On a ring of n0 sites or more ker M = {0} leaves
-    no conserving gamma (module docstring), so no completion is tried.
-    Without a proof the search runs to MAX_ITER (`max_iter`).
+    the first: a separating hyperplane (`separated`) or, on a ring shorter
+    than n0 with K x0 = b, the affine projection of gamma with a
+    least-squares H, certified on the ring by _accept (`completed_on_face`).
+    On a ring of n0 sites or more the face point decides (module docstring),
+    so no completion is tried.  Without a proof the search runs to MAX_ITER
+    (`max_iter`).
     """
     cons = build_affine_constraints(problem)
     rows = _factor_rows(cons)
     K, b = cons.matrix, cons.rhs
-    m = len(basis_strings(problem.r_gen))
+    m = rows.m
     g0 = rows.x0[:m * m]
     projector, dim = _commutant(problem)
-    stable_from = stable_ring_length(problem.r_gen, problem.target.n, problem.mode)
-    constraints = (len(b), rows.rank, rows.blocks, rows.fixed, stable_from, dim)
+    short = problem.n < problem.stable_from
+    constraints = (len(b), rows.rank, rows.blocks, rows.fixed, problem.stable_from, dim)
     if dim and (got := _accept(face := pack_point(projector / dim), problem)):
         return FeasibilityResult(
             status="feasible", generator=got[0], residual=got[1], iterations=0,
@@ -540,8 +496,7 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
             constraints=constraints, stop_reason="commutant_face")
     # K x0 != b leaves only traceless conserving gammas: nothing to complete;
     # the trace row makes max |K| at least 1
-    completes = ((dim > 0 or problem.n < stable_from)
-                 and np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * np.abs(K).max())
+    completes = short and np.linalg.norm(K @ rows.x0 - b) <= 1e-9 * np.abs(K).max()
 
     gamma = _project_cone(np.random.default_rng(seed).standard_normal(m * m) * (1.0 / m), m)
     z, t = gamma, 1.0
@@ -557,8 +512,7 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
         if (separation := _separation(problem, cons, rows, gamma - g0, seed)) is not None:
             stop_reason = "separated"
             break
-        if (completes and (cand := _complete_on_face(problem, cons, rows, gamma)) is not None
-                and (got := _accept(cand, problem))):
+        if completes and (got := _accept(cand := _complete_on_face(cons, rows, gamma), problem)):
             stop_reason, gamma = "completed_on_face", cand[:m * m]
             break
 
@@ -567,7 +521,7 @@ def search(problem: FeasibilityProblem, seed: int = 0) -> FeasibilityResult:
     return FeasibilityResult(
         status="not_found" if got is None else "feasible", generator=gen, residual=residual,
         iterations=iterations, affine_distance=distance,
-        certificate=None if got else _obstruction_certificate(problem),
+        certificate=None if got or short else _obstruction_certificate(problem),
         constraints=constraints, stop_reason=stop_reason, separation=separation,
         gap_trace=tuple(gaps))
 

@@ -433,6 +433,17 @@ def test_kernel_dimension(heis_gen, tmp_path):
     assert len(rep["result"]["basis"]) == 10
 
 
+def test_kernel_tolerance_is_reported(heis_gen, tmp_path):
+    code, rep = run_json(["kernel", "--gen", heis_gen, "--tol", "1e-6"], tmp_path)
+    assert code == 0
+    assert rep["config"]["tol"] == 1e-6
+
+
+def test_obstruction_parameter_not_a_number_exit_2(capsys):
+    assert main(["obstruction", "--r", "2", "--mu", "abc"]) == 2
+    assert "'abc' is not a number" in capsys.readouterr().err
+
+
 def test_canon_reports_parameters(tmp_path):
     a = PauliOperator(2, {"XX": 1.0, "YY": 0.6, "ZZ": 0.3, "ZI": 0.2, "IZ": 0.2})
     path = tmp_path / "a.op"
@@ -690,6 +701,46 @@ def test_search_short_ring_verdict_is_its_own(heis_density, tmp_path):
         assert (code_got, rep["result"]["status"]) == (code, status)
         assert rep["result"]["short_ring"] is short
         assert rep["result"]["constraints"]["stable_from"] == 5
+        # the obstruction certificate proves nothing below n0
+        assert ("certificate" in rep["result"]) is (status == "not_found" and not short)
+
+
+def test_search_short_ring_has_no_certificate(tmp_path):
+    # from n0 = 5 sites on these densities are refused with a negative
+    # definite obstruction matrix; on 3 sites that matrix proves nothing:
+    # one search ends without a proof, the other finds a conserving generator
+    for density, code, stop in (("0.276*ZX - 1.578*ZI - II", 3, "max_iter"),
+                                ("ZX - XZ + 2*II", 0, "completed_on_face")):
+        dens = tmp_path / "d.op"
+        dens.write_text(f"r=2\n{density}\n")
+        args = ["search", "--density", str(dens), "--r", "2", "--seed", "1"]
+        got, rep = run_json(args + ["--n", "3"], tmp_path)
+        assert (got, rep["result"]["stop_reason"], rep["result"]["short_ring"]) == (code, stop, True)
+        assert "certificate" not in rep["result"]
+        got, rep = run_json(args, tmp_path)
+        assert (got, rep["result"]["stop_reason"], rep["result"]["short_ring"]) == (
+            3, "separated", False)
+        assert rep["result"]["certificate"]["verdict"] == "negative_definite"
+    assert rep["result"]["certificate"]["max_eigenvalue"] == pytest.approx(-8.0)
+
+
+def test_search_vanishing_ring_sum_exit_2(heis_gen, tmp_path, capsys):
+    # every generator conserves a ring sum that vanishes, so the search
+    # refuses it as it refuses a zero density; check reads it conserved
+    dens = tmp_path / "d.op"
+    for density, r, n in (("XI - IX", "2", []), ("XY - YX", "1", ["--n", "2"]),
+                          ("XY - YX", "2", ["--n", "2"])):
+        dens.write_text(f"r=2\n{density}\n")
+        assert main(["search", "--density", str(dens), "--r", r] + n) == 2
+        assert "the target's ring sum vanishes on" in capsys.readouterr().err
+        code, rep = run_json(["check", "--gen", heis_gen, "--density", str(dens)] + n, tmp_path)
+        assert (code, rep["result"]["verdict"]) == (0, "conserved")
+    # its placements do not vanish: in local mode the search runs
+    dens.write_text("r=2\nXI - IX\n")
+    code, rep = run_json(["search", "--density", str(dens), "--r", "2", "--mode", "local"],
+                         tmp_path)
+    assert (code, rep["result"]["status"]) == (0, "feasible")
+    assert rep["result"]["constraints"]["commutant_dim"] == 3
 
 
 def test_search_problem_section(ising_density, tmp_path):

@@ -18,7 +18,6 @@ from lindring.feasibility import (
     _complete_on_face,
     _factor_rows,
     _fixed_coordinates,
-    _gauss_newton_system,
     _ring_check,
     _separation,
     _vector_to_gamma,
@@ -107,6 +106,8 @@ def test_problem_rejects_bad_inputs():
         FeasibilityProblem(PauliOperator(2, {"XY": 1j}), r_gen=2)
     with pytest.raises(ValueError):
         FeasibilityProblem(PauliOperator.zero(2), r_gen=2)
+    with pytest.raises(ValueError, match="ring sum vanishes on 5 sites"):
+        FeasibilityProblem(parse_operator("XI - IX"), r_gen=2)  # every generator conserves it
     with pytest.raises(TypeError):
         FeasibilityProblem([a], r_gen=2)  # one target per problem
 
@@ -115,6 +116,16 @@ def test_problem_defaults_to_safe_ring():
     prob = ising_problem()
     assert prob.n == 8  # 2 * (2 + 2)
     assert FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=1).n == 4
+
+
+def test_ring_operators_are_built_once(monkeypatch):
+    # the rows, M and the ring check of a hyperplane read the problem's ring
+    # operators: the ring sum is assembled once per global search
+    calls, assemble = [], feasibility.assemble_sum
+    monkeypatch.setattr(feasibility, "assemble_sum", lambda *a: calls.append(a) or assemble(*a))
+    prob = FeasibilityProblem(PauliOperator(2, HEISENBERG), r_gen=2)
+    assert search(prob, seed=1).stop_reason == "separated"
+    assert len(calls) == 1
 
 
 # -- affine constraints at known conserving points -------------------------
@@ -209,7 +220,7 @@ def test_one_factorization(r, mode):
     assert B.shape[1] == np.linalg.matrix_rank(K) - np.linalg.matrix_rank(K[:, m2:])
     # the jump X...X kills every X string, so it conserves the Ising density
     warm = pack_point(rank_one_gamma(r, "X" * r)) + 1e-3 * rng.standard_normal(K.shape[1])
-    cand = _complete_on_face(prob, cons, rows, warm)
+    cand = _complete_on_face(cons, rows, warm)
     assert cand is not None
     assert np.abs(_fixed_coordinates(rows, cand[:m2] - x0[:m2])).max() < 1e-10
     assert np.linalg.norm(K @ cand - b) < 1e-9
@@ -218,29 +229,6 @@ def test_one_factorization(r, mode):
         N = scipy.linalg.null_space(K)[:m2]
         assert np.abs(B.T @ N).max() < 1e-10
         assert B.shape[1] + np.linalg.matrix_rank(N) == m2
-
-
-def test_completion_stops_when_lapack_finds_no_step(monkeypatch):
-    # a Gram solve that LAPACK cannot do ends the descent at its best
-    # iterate, which goes to the ring check like any other completion
-    prob = ising_problem("global", 2)
-    cons = build_affine_constraints(prob)
-    rows = _factor_rows(cons)
-    warm = pack_point(rank_one_gamma(2, "XX")) + 1e-3 * np.random.default_rng(5).standard_normal(
-        cons.matrix.shape[1])
-    lstsq, gram_calls = np.linalg.lstsq, []
-
-    def failing(a, b, rcond=None):
-        if a.shape == (rows.fixed, rows.fixed):
-            gram_calls.append(a.shape)
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", failing)
-    cand = _complete_on_face(prob, cons, rows, warm)
-    assert len(gram_calls) == 1
-    assert cand is not None and cand.shape == (cons.matrix.shape[1],)
-    assert np.isfinite(cand).all()
 
 
 def dense_factor(cons):
@@ -328,11 +316,7 @@ def test_fixed_directions_keep_the_trace(monkeypatch):
     res = search(prob, seed=0)
     assert_feasible(res, prob)
     assert (res.stop_reason, res.iterations) == ("commutant_face", 0)
-    # with the face point refused, the completion keeps the trace too
-    reject_face_point(monkeypatch, prob)
-    res = search(prob, seed=0)
-    assert_feasible(res, prob)
-    assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+    assert_no_completion(monkeypatch, prob, 0)
 
 
 @pytest.mark.parametrize("base", ["XX + YY", "XX + 1e-4*YY"], ids=["xx-yy", "xx-small-yy"])
@@ -348,36 +332,6 @@ def test_fixed_directions_do_not_see_the_condition_number(base):
     assert len(fixed) == 1 and ranks == {61}, (fixed, ranks)
 
 
-@pytest.mark.parametrize("r", [1, 2])
-def test_gauss_newton_jacobian(r):
-    # the completion's closed-form Jacobian against central differences of
-    # the residual B^T (pack(U U^dag) - g0) along random complex dU
-    rows = _factor_rows(build_affine_constraints(ising_problem(r_gen=r)))
-    x0, B = rows.x0, dense_B(rows)
-    m = len(basis_strings(r))
-    g0 = x0[:m * m]
-    # the completion's system, made from the pieces once per factor
-    Bk, c = rows.face
-    assert rows.face is rows.face
-    assert np.array_equal(Bk, _vector_to_gamma(B.T, m))
-    assert np.abs(c - B.T @ g0).max() < 1e-15 * np.abs(g0).sum()
-
-    def resid(U):
-        return B.T @ (pack_point(U @ U.conj().T)[:m * m] - g0)
-
-    rng = np.random.default_rng(r)
-    h = 1e-6
-    for rank in (1, 2):
-        U = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        got, J = _gauss_newton_system(Bk, c, U)
-        assert np.linalg.norm(got - resid(U)) < 1e-12 * np.linalg.norm(resid(U))
-        for _ in range(3):
-            dU = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-            diff = (resid(U + h * dU) - resid(U - h * dU)) / (2.0 * h)
-            lin = J @ np.concatenate([dU.real.ravel(), dU.imag.ravel()])
-            assert np.linalg.norm(lin - diff) < 1e-6 * np.linalg.norm(diff)
-
-
 def row_space(K):
     """Orthonormal basis of the row space of K and the pseudo-inverse, one SVD."""
     U, sv, Vt = np.linalg.svd(K, full_matrices=False)
@@ -389,7 +343,7 @@ def all_rows(prob):
     """Every row of the problem, copies and zero rows too, from one dense image per block."""
     r, m = prob.r_gen, len(basis_strings(prob.r_gen))
     rows, labels = [], []
-    for prefix, A in feasibility._blocks(prob):
+    for prefix, A in prob.ring_ops:
         keys, block = dense_image(r, A, prob.mode == "global")
         block[:, m:m * m] *= 1.0 / np.sqrt(2.0)
         rows.append(block)
@@ -609,65 +563,59 @@ def assert_face(res, prob):
     assert res.generator.hamiltonian.is_zero()
 
 
-def reject_face_point(monkeypatch, prob):
-    """Let _accept refuse the commutant face point, so the search takes FISTA and the completion."""
-    accept, refused = feasibility._accept, []
-    projector, dim = _commutant(prob)
-    face = pack_point(projector / dim)
+def spy_completions(monkeypatch):
+    """Record the arguments of every completion the search tries."""
+    completions, complete = [], feasibility._complete_on_face
 
-    def refuse_face(x, problem):
-        if np.array_equal(x, face):
-            refused.append(x)
-            return None
-        return accept(x, problem)
+    def spy(*args):
+        completions.append(args)
+        return complete(*args)
 
-    monkeypatch.setattr(feasibility, "_accept", refuse_face)
-    return refused
+    monkeypatch.setattr(feasibility, "_complete_on_face", spy)
+    return completions
+
+
+def assert_no_completion(monkeypatch, prob, seed):
+    """With _accept refusing every point, the face point included, a search on a
+    ring of n0 sites or more tries no completion and runs to MAX_ITER, held at
+    two checks; a feasible problem gives no separation either."""
+    assert prob.n >= prob.stable_from
+    with monkeypatch.context() as patch:
+        completions = spy_completions(patch)
+        patch.setattr(feasibility, "_accept", lambda x, problem: None)
+        patch.setattr(feasibility, "MAX_ITER", 2 * feasibility.CHECK_PERIOD)
+        res = search(prob, seed=seed)
+    assert (res.status, res.stop_reason, res.iterations) == ("not_found", "max_iter", 50)
+    assert len(res.gap_trace) == 2 and res.separation is None and not completions
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_search_finds_ising_dissipator(mode, monkeypatch):
-    # the X strings span ker M, and their projector conserves; refused, the
-    # completion is tried at every check and lands at the first
+    # the X strings span ker M, and their projector conserves; refused on
+    # this stable ring, the point is not completed
     prob = ising_problem(mode)
     for seed in (1, 2):
         assert_face(search(prob, seed=seed), prob)
-    refused = reject_face_point(monkeypatch, prob)
-    for seed in (1, 2):
-        res = search(prob, seed=seed)
-        assert_feasible(res, prob)
-        assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
-    assert len(refused) == 2
+        assert_no_completion(monkeypatch, prob, seed)
 
 
 def test_search_finds_dephasing(monkeypatch):
     prob = FeasibilityProblem(PauliOperator(1, {"Z": 1.0}), r_gen=1)
     for seed in range(1, 6):
         assert_face(search(prob, seed=seed), prob)
-    reject_face_point(monkeypatch, prob)
-    for seed in range(1, 6):
-        res = search(prob, seed=seed)
-        assert_feasible(res, prob)
-        assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+        assert_no_completion(monkeypatch, prob, seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_search_finds_weakly_coupled_dephasing(seed, monkeypatch):
-    # Z dephasing conserves II + 0.01 ZZ; the face point does too.  Refused,
-    # Gauss-Newton ends near 1e-12, below the rows' scale (max|K| = 362) but
-    # above the absolute step bound
+    # Z dephasing conserves II + 0.01 ZZ; the face point does too
     prob = FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2)
     assert_face(search(prob, seed=seed), prob)
-    reject_face_point(monkeypatch, prob)
-    res = search(prob, seed=seed)
-    assert_feasible(res, prob)
-    assert res.stop_reason == "completed_on_face"
+    assert_no_completion(monkeypatch, prob, seed)
 
 
 def test_search_completes_near_ising(monkeypatch):
-    # a weakly coupled Ising density: its face point conserves; refused,
-    # Gauss-Newton stops just above its step bound, and the ring check alone
-    # judges the point it returns
+    # a weakly coupled Ising density: its face point conserves
     a = dict(zip("XYZ", (0.1888, -0.1984, 0.9618)))
     alpha, beta, gamma = 1.079e-4, 0.0313, 0.0413
     terms = {p + q: alpha * a[p] * a[q] for p in a for q in a}
@@ -677,11 +625,7 @@ def test_search_completes_near_ising(monkeypatch):
     prob = FeasibilityProblem(PauliOperator(2, terms), r_gen=2)
     for seed in (1, 2, 3):
         assert_face(search(prob, seed=seed), prob)
-    reject_face_point(monkeypatch, prob)
-    for seed in (1, 2, 3):
-        res = search(prob, seed=seed)
-        assert_feasible(res, prob)
-        assert (res.stop_reason, res.iterations) == ("completed_on_face", 25)
+        assert_no_completion(monkeypatch, prob, seed)
 
 
 def off_ising_terms(a, alpha, beta, gamma, extra):
@@ -799,19 +743,18 @@ def test_search_says_how_it_ended(monkeypatch):
     # every string commutes with the identity, so ker M is everything and the
     # identity densities read their face point, I / (4^r - 1), as the Ising
     # density reads its own; only a point _accept certifies makes a feasible
-    # result.  Refused, each completes at the first check
+    # result.  Refused, none is completed on its stable ring and the search
+    # runs to MAX_ITER; below n0 a completion ends the search at a check
     problems = [FeasibilityProblem(PauliOperator(1, {"I": 1.0}), r_gen=1),
                 FeasibilityProblem(PauliOperator(2, {"II": 1.0}), r_gen=2), ising_problem()]
     for prob, dim in zip(problems, (3, 15, 3)):
         res = search(prob, seed=3)
         assert (res.status, res.stop_reason, res.iterations) == ("feasible", "commutant_face", 0)
         assert res.gap_trace == () and res.constraints[5] == dim
-    for prob in problems:
-        with monkeypatch.context() as patch:
-            reject_face_point(patch, prob)
-            res = search(prob, seed=3)
-        assert (res.status, res.stop_reason) == ("feasible", "completed_on_face")
-        assert res.iterations == res.gap_trace[0][0] == 25
+        assert_no_completion(monkeypatch, prob, 3)
+    res = search(FeasibilityProblem(parse_operator("ZX - XZ + 2*II"), r_gen=2, n=3), seed=3)
+    assert (res.status, res.stop_reason) == ("feasible", "completed_on_face")
+    assert res.iterations == res.gap_trace[-1][0] and res.iterations % feasibility.CHECK_PERIOD == 0
 
 
 # -- the commutant face ----------------------------------------------------
@@ -884,13 +827,7 @@ def test_feasible_exactly_when_the_commutant_is_nonzero(name, monkeypatch):
     # on rings of n0 sites or more a conserving gamma has its range in ker M:
     # the search is feasible exactly when ker M != {0}, with gamma of rank
     # dim ker M, and with ker M = {0} it never tries a completion
-    completions, complete = [], feasibility._complete_on_face
-
-    def spy(*args):
-        completions.append(args)
-        return complete(*args)
-
-    monkeypatch.setattr(feasibility, "_complete_on_face", spy)
+    completions = spy_completions(monkeypatch)
     for r in (2, 3):
         for mode in ("global", "local"):
             prob = FeasibilityProblem(parse_operator(BATTERY[name]), r_gen=r, mode=mode)
@@ -969,26 +906,45 @@ def test_search_separates_targets_without_certificate(terms, r, monkeypatch):
         assert _ring_check(prob, cons, y, u, seed)
 
 
+def short_ring_problem(target, r, n):
+    return FeasibilityProblem(parse_operator(target), r_gen=r, n=n)
+
+
+ZX_XZ = "ZX - XZ + 2*II"
+II_XX_XZ = "0.5*II - 0.2339*XX - 0.5401*XZ"
+
+
 @pytest.mark.parametrize("prob, seed", [
-    (ising_problem("global"), 1),
-    (ising_problem("local"), 1),
-    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 1),
-    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 2),
-    (FeasibilityProblem(PauliOperator(2, {"II": 1.0, "ZZ": 0.01}), r_gen=2), 3),
-    (FeasibilityProblem(PauliOperator(2, {"XX": 1.0}), r_gen=3), 1),
+    (short_ring_problem(ZX_XZ, 2, 3), 1),
+    (short_ring_problem(II_XX_XZ, 3, 4), 1),
+    (short_ring_problem("1.3482*XZ - 0.7132*ZZ - 1.23*II", 2, 3), 1),
+    (short_ring_problem(ZX_XZ, 2, 3), 2),
+    (short_ring_problem(ZX_XZ, 2, 3), 3),
+    (short_ring_problem(II_XX_XZ, 2, 3), 1),
 ])
 def test_feasible_problems_never_separate(prob, seed, monkeypatch):
-    # a conserving generator bounds every margin by zero; a positive one at
-    # any check would be a false proof of impossibility.  The face point is
-    # refused, so the search iterates and fits a hyperplane at every check
+    # below n0 these conservers have ker M = {0}, so the search iterates and
+    # fits a hyperplane at every check until a completion lands.  A
+    # conserving generator bounds every margin by zero; a positive one at any
+    # check would be a false proof of impossibility
     seen = spy_hyperplanes(monkeypatch)
-    assert_face(search(prob, seed=seed), prob)
-    assert not seen
-    refused = reject_face_point(monkeypatch, prob)
     res = search(prob, seed=seed)
-    assert (res.status, res.stop_reason, res.separation) == ("feasible", "completed_on_face", None)
-    assert len(refused) == 1 and len(seen) == len(res.gap_trace) >= 1
+    assert_feasible(res, prob)
+    assert (res.stop_reason, res.separation, res.certificate) == ("completed_on_face", None, None)
+    assert res.constraints[5] == 0 and prob.n < prob.stable_from
+    assert len(seen) == len(res.gap_trace) >= 1
     assert max(farkas_margin(cons, y)[0] for cons, _, _, y in seen) <= 0.0
+
+
+def test_short_ring_conserver_is_not_unital():
+    # the theorem behind the commutant face needs a unital conserver, which
+    # only rings of n0 sites or more force: on 3 sites the generator found
+    # for ZX - XZ + 2 II does not kill the identity
+    prob = short_ring_problem(ZX_XZ, 2, 3)
+    gen = search(prob, seed=1).generator
+    ident = PauliOperator(3, {"III": 1.0})
+    image = gen.apply(ident, 0) + gen.apply(ident, 1) + gen.apply(ident, 2)
+    assert image.hs_norm() > 0.1
 
 
 def test_corrupted_hyperplane_is_refused(monkeypatch):
